@@ -43,6 +43,11 @@ def _load(path: str):
     except OSError as e:
         print(f"{path}: {e.strerror or e}", file=sys.stderr)
         return None, EXIT_IO
+    except UnicodeDecodeError as e:
+        # the whole file is decoded in one piece, so e.start is a file offset
+        print(f"{path}: not valid UTF-8 (byte 0x{e.object[e.start]:02x} at "
+              f"offset {e.start})", file=sys.stderr)
+        return None, EXIT_IO
     try:
         program = parse(text)
     except ParseError as e:

@@ -1,18 +1,21 @@
 """Lexer and recursive-descent parser for `.mj` source.
 
-One token of lookahead suffices. The parser enforces the structural rules the
-loop rewriter depends on:
+The parser enforces the structural rules the loop rewriter depends on:
 
   * `return` is only legal as the last statement of its enclosing block and
     never inside a loop body (so a loop can never exit early);
   * duplicate method names and duplicate parameter names are rejected;
   * a method call appears only as a statement (optionally declaring or
-    assigning its target) or as the operand of `return`.
+    assigning its target) or as the operand of `return`;
+  * brackets, blocks, type arguments and unary operators nest at most
+    MAX_NESTING deep.
 
 Any input yields either a Program or a ParseError; nothing else escapes.
 """
 
 from __future__ import annotations
+
+import re
 
 from .ast import (
     ArrayLit,
@@ -62,6 +65,11 @@ from .ast import (
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
 
+# Deepest nesting of brackets, blocks, type arguments and unary operators the
+# parser accepts (see docs/language.md). Generated programs reach 9; at 256 no
+# later stage comes near the recursion limit the package sets in interp.py.
+MAX_NESTING = 256
+
 
 class ParseError(Exception):
     def __init__(self, line: int, col: int, expected: str, found: str):
@@ -81,11 +89,40 @@ KEYWORDS = {
 
 _TYPE_STARTS = {"void", "int", "double", "bool", "Object", "List", "Iterator"}
 
-_SYMBOLS = [
-    "&&", "||", "==", "!=", "<=", ">=",
-    "(", ")", "{", "}", "[", "]", "<", ">",
-    "+", "-", "*", "/", "=", "!", ";", ",", ":",
-]
+_BASE_TYPES = {"void": VOID, "int": INT, "double": DOUBLE, "bool": BOOL,
+               "Object": OBJECT}
+
+_BUILTINS = {"abs", "nan", "iterator", "hasNext", "next"}
+
+# binary operator -> precedence, loosest first; every level is left-associative
+_PREC = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6,
+}
+
+# One match per token, newline or comment, each with the blanks before it; the
+# "Writing a Tokenizer" recipe of the `re` documentation. Only '\n' ends a
+# line. `\d` is exactly str.isdecimal() and `\w` exactly str.isalnum() or '_';
+# a word may not start with a digit, and `tokenize` rejects the non-ASCII
+# non-letters that `[^\W\d]` lets through. The `end` alternative matches
+# trailing blanks in one step, so they are never rescanned from every position.
+_TOKEN_RE = re.compile(r"""
+    [ \t\r]*
+    (?:
+        (?P<newline>\n)
+      | (?P<word>[^\W\d]\w*)
+      | (?P<comment>//[^\n]*)
+      | (?P<sym>&&|\|\||[=!<>]=|[-+*/=!<>(){}\[\];,:])
+      | (?P<double>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
+      | (?P<int>\d+)
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )
+""", re.VERBOSE)
 
 
 class Token:
@@ -103,88 +140,67 @@ class Token:
 
 def tokenize(text: str) -> list:
     toks = []
-    i = 0
+    append = toks.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the first character of the current line
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
             continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance(1)
+        if kind == "comment":
             continue
-        if c.isdigit():
-            l0, c0 = line, col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_double = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_double = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_double = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
-            advance(j - i)
-            # range checking happens in the parser: `-2147483648` is one
-            # negated literal there, while the bare magnitude is too big
-            toks.append(Token("double" if is_double else "int", lexeme, l0, c0))
-            continue
-        if c.isalpha() or c == "_":
-            l0, c0 = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            advance(j - i)
+        if kind == "end":
+            break
+        lexeme = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == "word":
+            if lexeme >= "\x80" and not lexeme[0].isalpha():
+                # a non-ASCII digit or numeral such as '²' cannot start a word
+                raise ParseError(line, col, "a token", repr(lexeme[0]))
             kind = "kw" if lexeme in KEYWORDS else "ident"
-            toks.append(Token(kind, lexeme, l0, c0))
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched is None:
-            raise ParseError(line, col, "a token", repr(c))
-        toks.append(Token("sym", matched, line, col))
-        advance(len(matched))
-    toks.append(Token("eof", "<eof>", line, col))
+        elif kind == "bad":
+            raise ParseError(line, col, "a token", repr(lexeme))
+        # range checking of int literals happens in the parser: `-2147483648`
+        # is one negated literal there, while the bare magnitude is too big
+        append(Token(kind, lexeme, line, col))
+    append(Token("eof", "<eof>", line, len(text) - line_start + 1))
     return toks
 
 
+def _int_value(at: Token, text: str) -> int:
+    """Value of the int literal `text`, which is `at`'s text or that with a
+    leading '-'; a ParseError at `at` unless it fits in 32 bits."""
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() converts: far out of range
+        value = None
+    if value is None or not INT_MIN <= value <= INT_MAX:
+        raise ParseError(at.line, at.col, "int literal within 32-bit range", text)
+    return value
+
+
 class _Parser:
+    """Recursive descent over a token list. Two tokens of lookahead (`peek(1)`)
+    suffice, plus one backtrack in a `for` header to tell a foreach from a
+    counted loop.
+
+    A symbol's or keyword's text belongs to no other kind of token, so the
+    lookahead helpers compare text alone. The token list is padded with a
+    second eof, so `peek(1)` needs no bounds check; `next` never moves past
+    the first eof.
+    """
+
     def __init__(self, tokens: list):
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:]
         self.pos = 0
+        self.depth = 0  # open nesting levels; see MAX_NESTING
 
     # ------------------------------------------------------------ utilities
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -193,64 +209,68 @@ class _Parser:
         return t
 
     def at_sym(self, s: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "sym" and t.text == s
+        return self.toks[self.pos + ahead].text == s
 
-    def at_kw(self, w: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "kw" and t.text == w
+    at_kw = at_sym
 
     def expect_sym(self, s: str) -> Token:
-        t = self.peek()
-        if not self.at_sym(s):
+        t = self.toks[self.pos]
+        if t.text != s:
             raise ParseError(t.line, t.col, f"'{s}'", t.text)
-        return self.next()
+        self.pos += 1
+        return t
 
-    def expect_kw(self, w: str) -> Token:
-        t = self.peek()
-        if not self.at_kw(w):
-            raise ParseError(t.line, t.col, f"'{w}'", t.text)
-        return self.next()
+    expect_kw = expect_sym
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "ident":
             raise ParseError(t.line, t.col, what, t.text)
-        return self.next()
+        self.pos += 1
+        return t
+
+    def at_call(self) -> bool:
+        """At `IDENT (`, the start of a method call."""
+        return self.toks[self.pos].kind == "ident" and self.toks[self.pos + 1].text == "("
 
     def loc(self) -> Loc:
-        t = self.peek()
+        t = self.toks[self.pos]
         return Loc(t.line, t.col)
 
     def fail(self, expected: str) -> ParseError:
-        t = self.peek()
+        t = self.toks[self.pos]
         return ParseError(t.line, t.col, expected, t.text)
+
+    def enter(self) -> None:
+        """Open one nesting level at the current token; close it with
+        `self.depth -= 1`."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"nesting depth at most {MAX_NESTING}")
+        self.depth += 1
 
     # ------------------------------------------------------------ types
 
     def at_type(self) -> bool:
-        return self.peek().kind == "kw" and self.peek().text in _TYPE_STARTS
+        return self.toks[self.pos].text in _TYPE_STARTS
 
     def parse_type(self) -> Type:
-        t = self.peek()
-        if t.kind != "kw" or t.text not in _TYPE_STARTS:
+        t = self.toks[self.pos]
+        if t.text not in _TYPE_STARTS:
             raise self.fail("a type")
-        self.next()
+        self.pos += 1
         if t.text == "List" or t.text == "Iterator":
+            self.enter()
             self.expect_sym("<")
             elem = self.parse_type()
             if elem == VOID:
                 raise ParseError(t.line, t.col, "non-void element type", "void")
             self.expect_sym(">")
+            self.depth -= 1
             base = list_of(elem) if t.text == "List" else iterator_of(elem)
         else:
-            base = {
-                "void": VOID, "int": INT, "double": DOUBLE,
-                "bool": BOOL, "Object": OBJECT,
-            }[t.text]
+            base = _BASE_TYPES[t.text]
         while self.at_sym("[") and self.at_sym("]", 1):
-            self.next()
-            self.next()
+            self.pos += 2
             if base == VOID:
                 raise ParseError(t.line, t.col, "non-void element type", "void[]")
             base = OBJECT_ARRAY if base == OBJECT else array_of(base)
@@ -306,37 +326,42 @@ class _Parser:
     def parse_seq(self, in_loop: bool) -> list:
         """Statements up to '}' . A `return` must be the last statement."""
         stmts = []
-        while not self.at_sym("}") and self.peek().kind != "eof":
+        toks = self.toks
+        while toks[self.pos].text != "}" and toks[self.pos].kind != "eof":
             if stmts and isinstance(stmts[-1], Return):
-                t = self.peek()
+                t = toks[self.pos]
                 raise ParseError(t.line, t.col, "'}' (return must be the last "
                                  "statement in its block)", t.text)
             stmts.append(self.parse_stmt(in_loop))
         return stmts
 
     def parse_body(self, in_loop: bool) -> list:
-        """Either a braced block or a single statement."""
+        """Either a braced block or a single statement; one nesting level."""
+        self.enter()
         if self.at_sym("{"):
-            self.next()
+            self.pos += 1
             stmts = self.parse_seq(in_loop)
             self.expect_sym("}")
-            return stmts
-        return [self.parse_stmt(in_loop)]
+        else:
+            stmts = [self.parse_stmt(in_loop)]
+        self.depth -= 1
+        return stmts
 
     def parse_stmt(self, in_loop: bool) -> Stmt:
-        loc = self.loc()
-        t = self.peek()
-        if self.at_kw("if"):
-            return self.parse_if(in_loop)
-        if self.at_kw("while"):
-            self.next()
+        t = self.toks[self.pos]
+        loc = Loc(t.line, t.col)
+        text = t.text
+        if text == "if":
+            return self.parse_if(loc, in_loop)
+        if text == "while":
+            self.pos += 1
             self.expect_sym("(")
             cond = self.parse_expr()
             self.expect_sym(")")
             body = self.parse_body(in_loop=True)
             return While(cond, body, loc=loc)
-        if self.at_kw("do"):
-            self.next()
+        if text == "do":
+            self.pos += 1
             body = self.parse_body(in_loop=True)
             self.expect_kw("while")
             self.expect_sym("(")
@@ -344,29 +369,26 @@ class _Parser:
             self.expect_sym(")")
             self.expect_sym(";")
             return DoWhile(body, cond, loc=loc)
-        if self.at_kw("for"):
+        if text == "for":
             return self.parse_for(loc)
-        if self.at_kw("return"):
+        if text == "return":
             if in_loop:
                 raise ParseError(t.line, t.col, "a statement",
                                  "'return' (not allowed inside a loop)")
-            self.next()
+            self.pos += 1
             value = self.parse_return_value()
             self.expect_sym(";")
             return Return(value, loc=loc)
-        if self.at_kw("print"):
-            self.next()
+        if text == "print":
+            self.pos += 1
             self.expect_sym("(")
             value = self.parse_expr()
             self.expect_sym(")")
             self.expect_sym(";")
             return Print(value, loc=loc)
-        if self.at_sym("{"):
-            self.next()
-            body = self.parse_seq(in_loop)
-            self.expect_sym("}")
-            return Block(body, loc=loc)
-        if self.at_type():
+        if text == "{":
+            return Block(self.parse_body(in_loop), loc=loc)
+        if text in _TYPE_STARTS:
             st = self.parse_decl(loc)
             self.expect_sym(";")
             return st
@@ -376,8 +398,7 @@ class _Parser:
             return st
         raise self.fail("a statement")
 
-    def parse_if(self, in_loop: bool) -> Stmt:
-        loc = self.loc()
+    def parse_if(self, loc: Loc, in_loop: bool) -> Stmt:
         self.expect_kw("if")
         self.expect_sym("(")
         cond = self.parse_expr()
@@ -385,12 +406,12 @@ class _Parser:
         then = self.parse_body(in_loop)
         orelse = None
         if self.at_kw("else"):
-            self.next()
+            self.pos += 1
             orelse = self.parse_body(in_loop)
         return If(cond, then, orelse, loc=loc)
 
     def parse_return_value(self) -> Expr:
-        if self.peek().kind == "ident" and self.at_sym("(", 1):
+        if self.at_call():
             name = self.next().text
             args = self.parse_call_args()
             return Call(name, args)
@@ -403,7 +424,7 @@ class _Parser:
             raise self.fail("a non-void declaration type")
         name = self.expect_ident("variable name").text
         self.expect_sym("=")
-        if self.peek().kind == "ident" and self.at_sym("(", 1):
+        if self.at_call():
             mname = self.next().text
             args = self.parse_call_args()
             return CallAssign(name, mname, args, decl_type=ty, loc=loc)
@@ -416,14 +437,14 @@ class _Parser:
             args = self.parse_call_args()
             return CallAssign(None, name, args, loc=loc)
         if self.at_sym("["):
-            self.next()
+            self.pos += 1
             index = self.parse_expr()
             self.expect_sym("]")
             self.expect_sym("=")
             value = self.parse_expr()
             return AssignIndex(name, index, value, loc=loc)
         self.expect_sym("=")
-        if self.peek().kind == "ident" and self.at_sym("(", 1):
+        if self.at_call():
             mname = self.next().text
             args = self.parse_call_args()
             return CallAssign(name, mname, args, loc=loc)
@@ -431,17 +452,7 @@ class _Parser:
         return Assign(name, value, loc=loc)
 
     def parse_call_args(self) -> list:
-        self.expect_sym("(")
-        args = []
-        if not self.at_sym(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
-        self.expect_sym(")")
-        return args
+        return self.parse_expr_list("(", ")")
 
     def parse_for(self, loc: Loc) -> Stmt:
         self.expect_kw("for")
@@ -482,7 +493,7 @@ class _Parser:
                 init = self.parse_expr()
                 decls.append(VarDecl(ty, name, init, loc=loc))
                 if self.at_sym(","):
-                    self.next()
+                    self.pos += 1
                     continue
                 break
             return decls
@@ -493,7 +504,7 @@ class _Parser:
             value = self.parse_expr()
             assigns.append(Assign(name, value, loc=loc))
             if self.at_sym(","):
-                self.next()
+                self.pos += 1
                 continue
             break
         return assigns
@@ -510,120 +521,100 @@ class _Parser:
                 updates.append(CallAssign(None, name, args, loc=loc))
             else:
                 self.expect_sym("=")
-                if self.peek().kind == "ident" and self.at_sym("(", 1):
+                if self.at_call():
                     mname = self.next().text
                     args = self.parse_call_args()
                     updates.append(CallAssign(name, mname, args, loc=loc))
                 else:
                     updates.append(Assign(name, self.parse_expr(), loc=loc))
             if self.at_sym(","):
-                self.next()
+                self.pos += 1
                 continue
             break
         return updates
 
     # ------------------------------------------------------------ expressions
 
-    def parse_expr(self) -> Expr:
-        return self.parse_binary(1)
-
-    _LEVELS = {
-        1: ("||",),
-        2: ("&&",),
-        3: ("==", "!="),
-        4: ("<", "<=", ">", ">="),
-        5: ("+", "-"),
-        6: ("*", "/"),
-    }
-
-    def parse_binary(self, level: int) -> Expr:
-        if level > 6:
-            return self.parse_unary()
-        e = self.parse_binary(level + 1)
-        ops = self._LEVELS[level]
-        while self.peek().kind == "sym" and self.peek().text in ops:
-            op = self.next().text
-            rhs = self.parse_binary(level + 1)
-            e = Binary(op, e, rhs)
-        return e
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing (Norvell, "Parsing Expressions by Recursive
+        Descent"): a binary expression whose operators all bind at least as
+        tightly as `min_prec`. The right operand only takes tighter operators,
+        which makes every level left-associative."""
+        lhs = self.parse_unary()
+        toks = self.toks
+        while True:
+            op = toks[self.pos].text
+            prec = _PREC.get(op, 0)
+            if prec < min_prec:
+                return lhs
+            self.pos += 1
+            lhs = Binary(op, lhs, self.parse_expr(prec + 1))
 
     def parse_unary(self) -> Expr:
-        if self.at_sym("-"):
-            minus = self.next()
+        """A prefix operator or cast, then a primary with any `[index]`."""
+        toks = self.toks
+        t = toks[self.pos]
+        text = t.text
+        if text == "-":
             # fold a negated numeric literal so INT_MIN is writable and
             # printed negative literals re-parse to the same tree
-            t = self.peek()
-            if t.kind == "int":
-                self.next()
-                value = -int(t.text)
-                if value < INT_MIN:
-                    raise ParseError(minus.line, minus.col,
-                                     "int literal within 32-bit range", f"-{t.text}")
-                return IntLit(value)
-            if t.kind == "double":
-                self.next()
-                return DoubleLit(-float(t.text))
-            return Unary("-", self.parse_unary())
-        if self.at_sym("!"):
-            self.next()
-            return Unary("!", self.parse_unary())
-        if self.at_sym("(") and self.peek(1).kind == "kw" and self.peek(1).text in _TYPE_STARTS:
-            self.next()
+            lit = toks[self.pos + 1]
+            if lit.kind == "int":
+                self.pos += 2
+                return IntLit(_int_value(t, "-" + lit.text))
+            if lit.kind == "double":
+                self.pos += 2
+                return DoubleLit(-float(lit.text))
+        if text == "-" or text == "!":
+            self.enter()
+            self.pos += 1
+            e = Unary(text, self.parse_unary())
+            self.depth -= 1
+            return e
+        if text == "(" and toks[self.pos + 1].text in _TYPE_STARTS:
+            self.enter()
+            self.pos += 1
             ty = self.parse_type()
             self.expect_sym(")")
             if ty == VOID:
                 raise self.fail("a non-void cast type")
-            return Cast(ty, self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
+            e = Cast(ty, self.parse_unary())
+            self.depth -= 1
+            return e
         e = self.parse_primary()
-        while self.at_sym("["):
-            self.next()
-            idx = self.parse_expr()
-            self.expect_sym("]")
-            e = Index(e, idx)
+        while toks[self.pos].text == "[":
+            e = Index(e, self.parse_enclosed("[", "]"))
         return e
 
     def parse_primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            if int(t.text) > INT_MAX:
-                raise ParseError(t.line, t.col, "int literal within 32-bit range", t.text)
-            return IntLit(int(t.text))
-        if t.kind == "double":
-            self.next()
-            return DoubleLit(float(t.text))
-        if self.at_kw("true"):
-            self.next()
-            return BoolLit(True)
-        if self.at_kw("false"):
-            self.next()
-            return BoolLit(False)
-        if self.at_kw("length"):
-            self.next()
-            self.expect_sym("(")
-            e = self.parse_expr()
-            self.expect_sym(")")
-            return Length(e)
-        if t.kind == "kw" and t.text in ("abs", "nan", "iterator", "hasNext", "next"):
-            self.next()
-            args = self.parse_call_args()
-            return Builtin(t.text, args)
-        if self.at_kw("new"):
-            return self.parse_collection_literal()
-        if t.kind == "ident":
-            if self.at_sym("(", 1):
+        t = self.toks[self.pos]
+        kind = t.kind
+        if kind == "ident":
+            if self.toks[self.pos + 1].text == "(":
                 raise ParseError(t.line, t.col, "an expression",
                                  f"'{t.text}(' (method calls cannot appear inside expressions)")
-            self.next()
+            self.pos += 1
             return Var(t.text)
-        if self.at_sym("("):
-            self.next()
-            e = self.parse_expr()
-            self.expect_sym(")")
-            return e
+        if kind == "int":
+            self.pos += 1
+            return IntLit(_int_value(t, t.text))
+        if kind == "double":
+            self.pos += 1
+            return DoubleLit(float(t.text))
+        text = t.text
+        if text == "(":
+            return self.parse_enclosed("(", ")")
+        if text == "true" or text == "false":
+            self.pos += 1
+            return BoolLit(text == "true")
+        if text == "length":
+            self.pos += 1
+            return Length(self.parse_enclosed("(", ")"))
+        if text in _BUILTINS:
+            self.pos += 1
+            return Builtin(text, self.parse_call_args())
+        if text == "new":
+            return self.parse_collection_literal()
         raise self.fail("an expression")
 
     def parse_collection_literal(self) -> Expr:
@@ -632,27 +623,39 @@ class _Parser:
         self.expect_kw("new")
         ty = self.parse_type()
         if ty.kind == "list":
-            return ListLit(ty.elem, self.parse_brace_elems())
+            return ListLit(ty.elem, self.parse_expr_list("{", "}"))
         if ty == OBJECT_ARRAY:
             elem = OBJECT
         elif ty.kind == "array":
             elem = ty.elem
         else:
             raise self.fail("an array or list type after 'new'")
-        return ArrayLit(elem, self.parse_brace_elems())
+        return ArrayLit(elem, self.parse_expr_list("{", "}"))
 
-    def parse_brace_elems(self) -> list:
-        self.expect_sym("{")
-        elems = []
-        if not self.at_sym("}"):
+    def parse_expr_list(self, open_: str, close: str) -> list:
+        """`open [expr (',' expr)*] close`, one nesting level."""
+        self.enter()
+        self.expect_sym(open_)
+        exprs = []
+        if not self.at_sym(close):
             while True:
-                elems.append(self.parse_expr())
+                exprs.append(self.parse_expr())
                 if self.at_sym(","):
-                    self.next()
+                    self.pos += 1
                     continue
                 break
-        self.expect_sym("}")
-        return elems
+        self.expect_sym(close)
+        self.depth -= 1
+        return exprs
+
+    def parse_enclosed(self, open_: str, close: str) -> Expr:
+        """`open expr close`, one nesting level."""
+        self.enter()
+        self.expect_sym(open_)
+        e = self.parse_expr()
+        self.expect_sym(close)
+        self.depth -= 1
+        return e
 
 
 def parse(text: str) -> Program:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from loop2rec.cli import main
-from loop2rec.parser import parse
+from loop2rec.parser import MAX_NESTING, parse
 from loop2rec.printer import pretty_print
 
 from conftest import CORPUS, TERMINATING
@@ -112,6 +112,46 @@ def test_semantic_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["run", "/nonexistent/nope.mj"]) == 3
+
+
+def test_non_utf8_file_is_an_io_error(tmp_path, capsys):
+    data = b"void main() { print(1); }\n// caf\xe9\n"
+    f = tmp_path / "latin1.mj"
+    f.write_bytes(data)
+    offset = data.index(0xE9)
+    for cmd in ("transform", "run", "diff", "analyze"):
+        assert main([cmd, str(f)]) == 3
+        assert capsys.readouterr().err == (
+            f"{f}: not valid UTF-8 (byte 0xe9 at offset {offset})\n")
+
+
+def deep_loop_program(parens: int) -> str:
+    """A loop whose body nests `parens` brackets; the body's braces are one
+    more level."""
+    return ("void main() {\n    int x = 0;\n    while (x < 3) {\n"
+            f"        x = x + {'(' * parens}1{')' * parens};\n"
+            "    }\n    print(x);\n}\n")
+
+
+def test_nesting_at_the_limit_runs_end_to_end(tmp_path, capsys):
+    f = tmp_path / "deep.mj"
+    f.write_text(deep_loop_program(MAX_NESTING - 1))
+    assert main(["run", str(f)]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert main(["transform", str(f), "--verify"]) == 0
+    assert "main_loop" in capsys.readouterr().out
+    assert main(["diff", str(f)]) == 0
+
+
+@pytest.mark.parametrize("parens", [MAX_NESTING, 3000])
+def test_nesting_over_the_limit_exits_2(tmp_path, capsys, parens):
+    f = tmp_path / "too_deep.mj"
+    f.write_text(deep_loop_program(parens))
+    for cmd in ("transform", "run", "diff", "analyze"):
+        assert main([cmd, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"{f}:4:{len('        x = x + ') + MAX_NESTING}: expected "
+                       f"nesting depth at most {MAX_NESTING}, found (\n")
 
 
 @pytest.mark.parametrize("name", TERMINATING)

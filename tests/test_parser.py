@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from loop2rec.ast import (
     iter_stmts,
 )
 from loop2rec.checker import check_semantics
-from loop2rec.parser import ParseError, parse
+from loop2rec.parser import MAX_NESTING, ParseError, parse, tokenize
 
 from conftest import CORPUS_FILES, corpus_text
 
@@ -169,6 +170,137 @@ def test_parse_total_on_noise():
             parse(text)
         except ParseError:
             pass  # the only acceptable failure mode
+
+
+# ------------------------------------------------------------ lexer
+
+# sha256 of "kind\ttext\tline\tcol\n" for every token, as the original
+# character-at-a-time tokenizer produced them; any rewrite must match.
+CORPUS_TOKENS_SHA256 = "82120ed759d321efd4fa578f405ce776a62fa4223301c02ca65304bff5620928"
+LEX_SAMPLE_SHA256 = "4de4cce3b51570acc54a35349961fe55f548a3094dc070547e3dd3483f5f7546"
+
+# every token kind, CRLF, a lone CR, tabs, comments, a blank line, exponents
+# with and without sign or digits, Arabic-Indic digits, non-ASCII identifiers
+LEX_SAMPLE = (
+    "// lexical sample: every token kind\r\n"
+    "void main() {\r\n"
+    "\tdouble d = 1.5e-3 + 2E+2 + 3e4 + 0.25 - 5e;\n"
+    "  int _x1 = ١٢ + 007;   bool b = !(a <= b) && c >= d || e != f == g;\r"
+    " List<List<int>> l; x[0]=y;//tail comment\n"
+    "\n"
+    "  1 1e 1ex e1 é_é ok\t}\n"
+)
+
+
+def token_digest(pairs):
+    h = hashlib.sha256()
+    for prefix, text in pairs:
+        for t in tokenize(text):
+            h.update(f"{prefix}{t.kind}\t{t.text}\t{t.line}\t{t.col}\n".encode())
+    return h.hexdigest()
+
+
+def test_corpus_token_stream_is_pinned():
+    digest = token_digest((f"{name}\t", corpus_text(name)) for name in CORPUS_FILES)
+    assert digest == CORPUS_TOKENS_SHA256
+
+
+def test_lex_sample_token_stream_is_pinned():
+    toks = tokenize(LEX_SAMPLE)
+    assert len(toks) == 72
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("eof", 7, 1)
+    assert token_digest([("", LEX_SAMPLE)]) == LEX_SAMPLE_SHA256
+
+
+@pytest.mark.parametrize("text, message", [
+    ("void main() {\n\t@ }", "2:2: expected a token, found '@'"),
+    ("void main() {\r\n  int x = 1;\r\n  # }", "3:3: expected a token, found '#'"),
+    ("void main() {\r int x = 1;\r @ }", "1:28: expected a token, found '@'"),
+    ("void main() { // note ~ $ `\n    int x = 1; ` }", "2:16: expected a token, found '`'"),
+    ("\n\n\n   $", "4:4: expected a token, found '$'"),
+    ("void main() { }\n~", "2:1: expected a token, found '~'"),
+    ("void main() { bool b = true & false; }", "1:29: expected a token, found '&'"),
+    ("void main() { double d = 1.; }", "1:27: expected a token, found '.'"),
+    ("void main() {", "1:14: expected '}', found <eof>"),
+    ("void main() {\n    int x = 1;\n  ", "3:3: expected '}', found <eof>"),
+])
+def test_lexical_error_positions(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("literal", ["²", "9²"])
+def test_non_decimal_digit_is_a_parse_error(literal):
+    # str.isdigit() holds for '²' but int() refuses it
+    text = f"void m() {{ int x = {literal}; }}"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, text.index("²") + 1)
+    assert exc.value.found == "'²'"
+
+
+def test_arabic_indic_digits_are_decimal_literals():
+    p = parse("void main() { int x = ١٢; print(x); }")
+    assert p.methods[0].body[0].init == IntLit(12)
+    assert [(t.kind, t.text) for t in tokenize("١٢")][0] == ("int", "١٢")
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_literal_too_long_for_int_is_a_range_error(sign):
+    # more digits than int() converts; out of range all the same
+    with pytest.raises(ParseError) as exc:
+        parse(f"void m() {{ int x = {sign}{'9' * 5000}; }}")
+    assert exc.value.expected == "int literal within 32-bit range"
+    assert (exc.value.line, exc.value.col) == (1, 20)
+
+
+# ------------------------------------------------------------ nesting limit
+
+def nested(kind, k):
+    """A statement for main's body whose innermost point nests k levels."""
+    if kind == "parens":
+        return f"int x = {'(' * k}1{')' * k};"
+    if kind == "unary":
+        return f"bool b = {'!' * k}true;"
+    if kind == "negation":
+        return f"int x = 1; x = {'-' * k}x;"
+    if kind == "index":
+        return "int[] a = new int[] { 0 }; int x = " + "a[" * k + "0" + "]" * k + ";"
+    if kind == "builtin":
+        return f"int x = {'abs(' * k}1{')' * k};"
+    if kind == "blocks":
+        return "{" * k + " print(1); " + "}" * k
+    if kind == "bodies":
+        return "if (true) " * k + "print(1);"
+    if kind == "types":
+        ty = "List<" * k + "int" + ">" * k
+        return f"{ty} l = new {ty} {{ }};"
+    raise ValueError(kind)
+
+
+NESTING_KINDS = ["parens", "unary", "negation", "index", "builtin", "blocks",
+                 "bodies", "types"]
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_nesting_at_the_limit_parses_and_checks(kind):
+    p = parse(f"void main() {{ {nested(kind, MAX_NESTING)} }}")
+    assert check_semantics(p) == []
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_nesting_over_the_limit_is_a_parse_error(kind):
+    with pytest.raises(ParseError) as exc:
+        parse(f"void main() {{ {nested(kind, MAX_NESTING + 1)} }}")
+    assert exc.value.expected == f"nesting depth at most {MAX_NESTING}"
+
+
+def test_nesting_error_points_at_the_opening_bracket():
+    text = f"void main() {{ {nested('parens', MAX_NESTING + 1)} }}"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, text.index("(1)") + 1)
 
 
 # ------------------------------------------------------------ checker

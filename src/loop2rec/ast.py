@@ -94,11 +94,26 @@ class Var(Expr):
     name: str
 
 
-@dataclass
+@dataclass(eq=False)
 class Binary(Expr):
     op: str  # + - * / == != < <= > >= && ||
     lhs: Expr
     rhs: Expr
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        # the left spine is compared in a loop, so a left-deep chain such as
+        # `1 + 1 + ...` is not bounded by the recursion limit
+        if other.__class__ is not Binary:
+            return NotImplemented
+        a, b = self, other
+        while True:
+            if a.op != b.op or a.rhs != b.rhs:
+                return False
+            a, b = a.lhs, b.lhs
+            if a.__class__ is not Binary or b.__class__ is not Binary:
+                return a == b
 
 
 @dataclass

@@ -23,6 +23,7 @@ division (division by integer zero is an error), doubles are IEEE binary64
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -58,7 +59,6 @@ from .ast import (
     Print,
     Program,
     Return,
-    Stmt,
     Type,
     Unary,
     Var,
@@ -373,6 +373,11 @@ def rem_frame(s: State) -> State:
 
 
 # --------------------------------------------------------------- evaluation
+#
+# Expressions and statements dispatch on the node's exact class through the
+# tables _EVAL and _EXEC, one handler per AST class. An expression handler
+# takes the node and the current frame's bindings and calls its operands'
+# handlers itself, so the host stack grows by one frame per nesting level.
 
 
 def _num(v, what: str):
@@ -421,117 +426,185 @@ def _arith(op: str, lv, rv):
     return IntV(wrap32(-q if (a < 0) != (b < 0) else q))
 
 
+class _NoFrame(dict):
+    """Bindings of an empty state: every variable read fails."""
+
+    def __missing__(self, name):
+        raise EmptyStateError(f"variable '{name}' read in an empty state")
+
+
+_NO_FRAME = _NoFrame()
+
+
 def eval_expr(e: Expr, s: State):
     """Evaluate an expression against the current frame. Standard semantics:
     IEEE doubles (NaN propagates), wrapping 32-bit ints, short-circuit boolean
     operators. `next(it)` advances the shared iterator in place."""
-    if isinstance(e, IntLit):
-        return IntV(e.value)
-    if isinstance(e, DoubleLit):
-        return DoubleV(e.value)
-    if isinstance(e, BoolLit):
-        return BoolV(e.value)
-    if isinstance(e, Var):
-        if not s.frames:
-            raise EmptyStateError(f"variable '{e.name}' read in an empty state")
-        try:
-            return s.frames[-1].bindings[e.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable '{e.name}' is not bound") from None
-    if isinstance(e, Binary):
-        op = e.op
-        if op in ("&&", "||"):
-            lv = _bool(eval_expr(e.lhs, s), f"'{op}'")
-            if op == "&&" and not lv:
-                return BoolV(False)
-            if op == "||" and lv:
-                return BoolV(True)
-            return BoolV(_bool(eval_expr(e.rhs, s), f"'{op}'"))
-        lv = eval_expr(e.lhs, s)
-        rv = eval_expr(e.rhs, s)
-        if op in ("+", "-", "*", "/"):
-            return _arith(op, _num(lv, f"'{op}'"), _num(rv, f"'{op}'"))
-        if op in ("<", "<=", ">", ">="):
-            a = _num(lv, f"'{op}'").value
-            b = _num(rv, f"'{op}'").value
-            return BoolV({"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op])
-        if op in ("==", "!="):
-            if isinstance(lv, BoolV) and isinstance(rv, BoolV):
-                eq = lv.value == rv.value
-            else:
-                a = _num(lv, f"'{op}'").value
-                b = _num(rv, f"'{op}'").value
-                eq = a == b
-            return BoolV(eq if op == "==" else not eq)
-        raise TypeMismatchError(f"unknown operator '{op}'")
-    if isinstance(e, Unary):
-        v = eval_expr(e.operand, s)
-        if e.op == "-":
-            v = _num(v, "unary '-'")
-            if isinstance(v, DoubleV):
-                return DoubleV(-v.value)
-            return IntV(wrap32(-v.value))
-        return BoolV(not _bool(v, "unary '!'"))
-    if isinstance(e, ArrayLit):
-        cells = [eval_expr(x, s) for x in e.elements]
-        if e.elem_type == OBJECT:
-            return ObjectArrayV(cells)
-        return ArrayV(e.elem_type, cells)
-    if isinstance(e, ListLit):
-        return ListV(e.elem_type, [eval_expr(x, s) for x in e.elements])
-    if isinstance(e, Index):
-        base = eval_expr(e.base, s)
-        idx = eval_expr(e.index, s)
-        if not isinstance(idx, IntV):
-            raise TypeMismatchError("index must be an int")
-        if not isinstance(base, (ArrayV, ObjectArrayV)):
-            raise TypeMismatchError(f"cannot index into {render_value(base)}")
-        if not 0 <= idx.value < len(base.cells):
-            raise IndexOutOfBoundsError(
-                f"index {idx.value} out of bounds for length {len(base.cells)}")
-        return base.cells[idx.value]
-    if isinstance(e, Length):
-        v = eval_expr(e.collection, s)
-        if not isinstance(v, (ArrayV, ListV, ObjectArrayV)):
-            raise TypeMismatchError(f"length() of non-collection {render_value(v)}")
-        return IntV(len(v.cells))
-    if isinstance(e, Builtin):
-        return _eval_builtin(e, s)
-    if isinstance(e, Cast):
-        return _eval_cast(e.type, eval_expr(e.expr, s))
-    if isinstance(e, Call):
-        raise TypeMismatchError("method calls cannot be evaluated as expressions")
-    raise TypeError(f"unknown expression: {e!r}")
+    b = s.frames[-1].bindings if s.frames else _NO_FRAME
+    return _EVAL[e.__class__](e, b)
 
 
-def _eval_builtin(e: Builtin, s: State):
-    if e.name == "nan":
+# values are immutable, so every bool result can share these two
+_TRUE = BoolV(True)
+_FALSE = BoolV(False)
+
+
+def _int_lit(e: IntLit, b: dict):
+    return IntV(e.value)
+
+
+def _double_lit(e: DoubleLit, b: dict):
+    return DoubleV(e.value)
+
+
+def _bool_lit(e: BoolLit, b: dict):
+    return _TRUE if e.value else _FALSE
+
+
+def _var(e: Var, b: dict):
+    try:
+        return b[e.name]
+    except KeyError:
+        raise UnboundVariableError(f"variable '{e.name}' is not bound") from None
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_NUMBERS = (IntV, DoubleV)
+
+
+def _binary(e: Binary, b: dict):
+    op = e.op
+    x = e.lhs
+    lv = _EVAL[x.__class__](x, b)
+    if op == "&&" or op == "||":
+        if lv.__class__ is not BoolV:
+            _bool(lv, f"'{op}'")  # raises
+        if lv.value == (op == "||"):
+            return lv
+        x = e.rhs
+        rv = _EVAL[x.__class__](x, b)
+        if rv.__class__ is not BoolV:
+            _bool(rv, f"'{op}'")  # raises
+        return rv
+    x = e.rhs
+    rv = _EVAL[x.__class__](x, b)
+    f = _ARITH.get(op)
+    if f is not None:
+        if lv.__class__ is IntV and rv.__class__ is IntV:
+            n = f(lv.value, rv.value)
+            if not INT_MIN <= n <= INT_MAX:
+                n = (n + 2**31) % 2**32 - 2**31  # wrap32
+            return IntV(n)
+        if lv.__class__ is DoubleV and rv.__class__ is DoubleV:
+            return DoubleV(f(lv.value, rv.value))
+    else:
+        f = _COMPARE.get(op)
+        if f is not None and lv.__class__ in _NUMBERS and rv.__class__ in _NUMBERS:
+            return _TRUE if f(lv.value, rv.value) else _FALSE
+    return _binary_checked(op, lv, rv)
+
+
+def _binary_checked(op: str, lv, rv):
+    """The operators and operand types the fast paths of _binary leave: `/`,
+    mixed int/double arithmetic, `==`/`!=` on bools, and type errors."""
+    what = f"'{op}'"
+    if op in _ARITH or op == "/":
+        return _arith(op, _num(lv, what), _num(rv, what))
+    if op == "==" or op == "!=":
+        if isinstance(lv, BoolV) and isinstance(rv, BoolV):
+            eq = lv.value == rv.value
+        else:
+            eq = _num(lv, what).value == _num(rv, what).value
+        if op == "!=":
+            eq = not eq
+        return _TRUE if eq else _FALSE
+    if op in _COMPARE:
+        return _TRUE if _COMPARE[op](_num(lv, what).value, _num(rv, what).value) else _FALSE
+    raise TypeMismatchError(f"unknown operator '{op}'")
+
+
+def _unary(e: Unary, b: dict):
+    x = e.operand
+    v = _EVAL[x.__class__](x, b)
+    if e.op == "-":
+        v = _num(v, "unary '-'")
+        if isinstance(v, DoubleV):
+            return DoubleV(-v.value)
+        return IntV(wrap32(-v.value))
+    return _FALSE if _bool(v, "unary '!'") else _TRUE
+
+
+def _array_lit(e: ArrayLit, b: dict):
+    cells = [_EVAL[x.__class__](x, b) for x in e.elements]
+    if e.elem_type == OBJECT:
+        return ObjectArrayV(cells)
+    return ArrayV(e.elem_type, cells)
+
+
+def _list_lit(e: ListLit, b: dict):
+    return ListV(e.elem_type, [_EVAL[x.__class__](x, b) for x in e.elements])
+
+
+def _index(e: Index, b: dict):
+    x = e.base
+    base = _EVAL[x.__class__](x, b)
+    x = e.index
+    idx = _EVAL[x.__class__](x, b)
+    if not isinstance(idx, IntV):
+        raise TypeMismatchError("index must be an int")
+    if not isinstance(base, (ArrayV, ObjectArrayV)):
+        raise TypeMismatchError(f"cannot index into {render_value(base)}")
+    if not 0 <= idx.value < len(base.cells):
+        raise IndexOutOfBoundsError(
+            f"index {idx.value} out of bounds for length {len(base.cells)}")
+    return base.cells[idx.value]
+
+
+def _length(e: Length, b: dict):
+    x = e.collection
+    v = _EVAL[x.__class__](x, b)
+    if not isinstance(v, (ArrayV, ListV, ObjectArrayV)):
+        raise TypeMismatchError(f"length() of non-collection {render_value(v)}")
+    return IntV(len(v.cells))
+
+
+def _builtin(e: Builtin, b: dict):
+    name = e.name
+    if name == "nan":
         return DoubleV(math.nan)
-    if e.name == "abs":
-        v = _num(eval_expr(e.args[0], s), "abs()")
+    if name == "abs":
+        x = e.args[0]
+        v = _num(_EVAL[x.__class__](x, b), "abs()")
         if isinstance(v, DoubleV):
             return DoubleV(math.fabs(v.value))
         return IntV(wrap32(abs(v.value)))
-    if e.name == "iterator":
-        v = eval_expr(e.args[0], s)
+    if name == "iterator":
+        x = e.args[0]
+        v = _EVAL[x.__class__](x, b)
         if not isinstance(v, ListV):
             raise TypeMismatchError(f"iterator() needs a list, got {render_value(v)}")
         return IterV(v, 0)
-    if e.name in ("hasNext", "next"):
-        v = eval_expr(e.args[0], s)
+    if name == "hasNext" or name == "next":
+        x = e.args[0]
+        v = _EVAL[x.__class__](x, b)
         if not isinstance(v, IterV):
-            raise TypeMismatchError(f"{e.name}() needs an iterator, got {render_value(v)}")
-        if e.name == "hasNext":
-            return BoolV(v.pos < len(v.target.cells))
+            raise TypeMismatchError(f"{name}() needs an iterator, got {render_value(v)}")
+        if name == "hasNext":
+            return _TRUE if v.pos < len(v.target.cells) else _FALSE
         if v.pos >= len(v.target.cells):
             raise IndexOutOfBoundsError("next() on an exhausted iterator")
         cell = v.target.cells[v.pos]
         v.pos += 1
         return cell
-    raise TypeError(f"unknown builtin {e.name}")
+    raise TypeError(f"unknown builtin {name}")
 
 
-def _eval_cast(ty: Type, v):
+def _cast(e: Cast, b: dict):
+    x = e.expr
+    v = _EVAL[x.__class__](x, b)
+    ty = e.type
     ok = (
         (ty == INT and isinstance(v, IntV))
         or (ty == DOUBLE and isinstance(v, DoubleV))
@@ -545,6 +618,33 @@ def _eval_cast(ty: Type, v):
     if not ok:
         raise TypeMismatchError(f"cannot cast {render_value(v)} to {ty}")
     return v
+
+
+def _call(e: Call, b: dict):
+    raise TypeMismatchError("method calls cannot be evaluated as expressions")
+
+
+_EVAL = {
+    IntLit: _int_lit,
+    DoubleLit: _double_lit,
+    BoolLit: _bool_lit,
+    Var: _var,
+    Binary: _binary,
+    Unary: _unary,
+    ArrayLit: _array_lit,
+    ListLit: _list_lit,
+    Index: _index,
+    Length: _length,
+    Builtin: _builtin,
+    Cast: _cast,
+    Call: _call,
+}
+
+
+def _locate(err: InterpError, loc: Optional[Loc]) -> None:
+    """Give an expression's error the location of its statement."""
+    if err.loc is None:
+        err.loc = loc
 
 
 # ---------------------------------------------------------------- execution
@@ -568,10 +668,17 @@ _RETURNED = "returned"
 
 
 class _Run:
+    """One execution. Statement handlers take the run, the statement and the
+    current frame's bindings, and return a signal: None = fell through,
+    _RETURNED = slot filled, (method, argument values) = tail call pending. With no recorder attached, the handlers change frames and
+    bindings directly instead of through the state operations."""
+
     def __init__(self, program: Program, budget: int,
                  tracer: Optional[Callable] = None, recorder=None):
         self.env = {m.name: m for m in program.methods}
         self.state = State(recorder=recorder)
+        self.frames = self.state.frames
+        self.recorder = recorder
         self.budget = budget
         self.tracer = tracer
         self.steps = 0
@@ -581,131 +688,21 @@ class _Run:
             self.trace.method_entries[m.name] = 0
         for _, loop in program_loops(program):
             self.trace.loop_iterations[loop.loop_id] = 0
+        self.iterations = self.trace.loop_iterations
 
     def step(self, rule: str, loc: Optional[Loc]) -> None:
         self.steps += 1
         if self.steps > self.budget:
             raise StepBudgetExceeded(f"exceeded {self.budget} steps", loc)
         if self.tracer is not None:
-            self.tracer(rule, loc, len(self.state.frames))
+            self.tracer(rule, loc, len(self.frames))
 
-    def eval(self, e: Expr, loc: Optional[Loc]):
-        try:
-            return eval_expr(e, self.state)
-        except InterpError as err:
-            if err.loc is None:
-                err.loc = loc
-            raise
-
-    # signals: None = fell through, _RETURNED = slot filled,
-    # ("tail", method, values, loc) = tail call pending
-    def exec_seq(self, stmts: list):
+    def exec_seq(self, stmts: list, b: dict):
         for st in stmts:
-            sig = self.exec_stmt(st)
+            sig = _EXEC[st.__class__](self, st, b)
             if sig is not None:
                 return sig
         return None
-
-    def exec_stmt(self, st: Stmt):
-        if isinstance(st, VarDecl):
-            self.step("assign", st.loc)
-            upd_v(self.state, st.name, self.eval(st.init, st.loc))
-            return None
-        if isinstance(st, Assign):
-            self.step("assign", st.loc)
-            upd_v(self.state, st.name, self.eval(st.value, st.loc))
-            return None
-        if isinstance(st, AssignIndex):
-            self.step("assign", st.loc)
-            base = self.eval(Var(st.name), st.loc)
-            if not isinstance(base, ArrayV):
-                raise TypeMismatchError(f"'{st.name}' is not an array", st.loc)
-            idx = self.eval(st.index, st.loc)
-            if not isinstance(idx, IntV) or not 0 <= idx.value < len(base.cells):
-                raise IndexOutOfBoundsError(
-                    f"index {getattr(idx, 'value', '?')} out of bounds for "
-                    f"length {len(base.cells)}", st.loc)
-            base.cells[idx.value] = self.eval(st.value, st.loc)
-            return None
-        if isinstance(st, CallAssign):
-            # the invocation step is counted at frame entry, in invoke()
-            values = [self.eval(a, st.loc) for a in st.args]
-            self.invoke(st.method, values, st.loc)
-            if st.target is not None:
-                upd_vr(self.state, st.target)
-            rem_frame(self.state)
-            return None
-        if isinstance(st, If):
-            self.step("if", st.loc)
-            if _bool(self.eval(st.cond, st.loc), "if condition"):
-                return self.exec_seq(st.then)
-            if st.orelse is not None:
-                return self.exec_seq(st.orelse)
-            return None
-        if isinstance(st, While):
-            while True:
-                self.step("while", st.loc)
-                if not _bool(self.eval(st.cond, st.loc), "while condition"):
-                    return None
-                self.trace.loop_iterations[st.loop_id] += 1
-                sig = self.exec_seq(st.body)
-                if sig is not None:  # unreachable from parsed programs
-                    return sig
-        if isinstance(st, DoWhile):
-            while True:
-                self.step("do", st.loc)
-                self.trace.loop_iterations[st.loop_id] += 1
-                sig = self.exec_seq(st.body)
-                if sig is not None:
-                    return sig
-                if not _bool(self.eval(st.cond, st.loc), "do condition"):
-                    return None
-        if isinstance(st, For):
-            for s in st.init:
-                sig = self.exec_stmt(s)
-                if sig is not None:
-                    return sig
-            while True:
-                self.step("for", st.loc)
-                if not _bool(self.eval(st.cond, st.loc), "for condition"):
-                    return None
-                self.trace.loop_iterations[st.loop_id] += 1
-                sig = self.exec_seq(st.body)
-                if sig is not None:
-                    return sig
-                for s in st.update:
-                    sig = self.exec_stmt(s)
-                    if sig is not None:
-                        return sig
-        if isinstance(st, Foreach):
-            self.step("foreach", st.loc)
-            coll = self.eval(st.collection, st.loc)
-            if not isinstance(coll, (ArrayV, ListV)):
-                raise TypeMismatchError(
-                    f"foreach needs an array or list, got {render_value(coll)}", st.loc)
-            for cell in list(coll.cells):
-                self.step("foreach", st.loc)
-                self.trace.loop_iterations[st.loop_id] += 1
-                upd_v(self.state, st.elem_name, cell)
-                sig = self.exec_seq(st.body)
-                if sig is not None:
-                    return sig
-            return None
-        if isinstance(st, Block):
-            self.step("block", st.loc)
-            return self.exec_seq(st.body)
-        if isinstance(st, Return):
-            self.step("return", st.loc)
-            if isinstance(st.value, Call):
-                values = [self.eval(a, st.loc) for a in st.value.args]
-                return ("tail", st.value.method, values, st.loc)
-            upd_r(self.state, self.eval(st.value, st.loc))
-            return _RETURNED
-        if isinstance(st, Print):
-            self.step("print", st.loc)
-            self.trace.prints.append(render_value(self.eval(st.value, st.loc)))
-            return None
-        raise TypeError(f"unknown statement: {st!r}")
 
     def invoke(self, name: str, values: list, loc: Optional[Loc]) -> None:
         """Run a method, leaving its frame on top of the state with the return
@@ -716,6 +713,7 @@ class _Run:
         if self.depth > MAX_CALL_DEPTH:
             self.depth -= 1
             raise CallDepthExceeded(f"call depth over {MAX_CALL_DEPTH}", loc)
+        frames = self.frames
         try:
             chain = 0
             while True:
@@ -726,35 +724,242 @@ class _Run:
                     raise ArityMismatchError(
                         f"'{name}' expects {len(m.params)} arguments, got {len(values)}", loc)
                 self.step("invoke", loc)
-                add_frame(self.state, [p.name for p in m.params], values)
+                params = [p.name for p in m.params]
+                if self.recorder is None:
+                    frames.append(Frame(dict(zip(params, values))))
+                else:
+                    add_frame(self.state, params, values)
+                b = frames[-1].bindings
                 self.trace.method_entries[name] += 1
-                sig = self.exec_seq(m.body)
+                sig = self.exec_seq(m.body, b)
                 if sig is None and m.ret is not None:
                     self.step("return", m.loc)
-                    if isinstance(m.ret, Call):
-                        sig = ("tail", m.ret.method,
-                               [self.eval(a, m.loc) for a in m.ret.args], m.loc)
-                    else:
-                        upd_r(self.state, self.eval(m.ret, m.loc))
-                if isinstance(sig, tuple):
-                    name, values = sig[1], sig[2]
+                    sig = _return_value(self, m.ret, b, m.loc)
+                if sig.__class__ is tuple:
+                    name, values = sig
                     chain += 1
                     continue
                 break
             for _ in range(chain):
-                value = self.state.top().ret_slot
-                rem_frame(self.state)
-                if value is not None:
-                    upd_r(self.state, value)
+                value = frames[-1].ret_slot
+                if self.recorder is None:
+                    frames.pop()
+                    if value is not None:
+                        frames[-1].ret_slot = value
+                else:
+                    rem_frame(self.state)
+                    if value is not None:
+                        upd_r(self.state, value)
         finally:
             self.depth -= 1
+
+
+def _return_value(r: _Run, x: Expr, b: dict, loc: Optional[Loc]):
+    """`return x`: a tail-call signal when x is a call, else fill the slot."""
+    try:
+        if x.__class__ is Call:
+            return x.method, [_EVAL[a.__class__](a, b) for a in x.args]
+        v = _EVAL[x.__class__](x, b)
+    except InterpError as err:
+        _locate(err, loc)
+        raise
+    if r.recorder is None:
+        r.frames[-1].ret_slot = v  # the return ends the frame: never set twice
+    else:
+        upd_r(r.state, v)
+    return _RETURNED
+
+
+def _assign(r: _Run, st, b: dict):
+    """VarDecl and Assign."""
+    r.step("assign", st.loc)
+    x = st.init if st.__class__ is VarDecl else st.value
+    try:
+        v = _EVAL[x.__class__](x, b)
+    except InterpError as err:
+        _locate(err, st.loc)
+        raise
+    if r.recorder is None:
+        b[st.name] = v
+    else:
+        upd_v(r.state, st.name, v)
+
+
+def _assign_index(r: _Run, st: AssignIndex, b: dict):
+    r.step("assign", st.loc)
+    try:
+        base = _var(Var(st.name), b)
+        if not isinstance(base, ArrayV):
+            raise TypeMismatchError(f"'{st.name}' is not an array", st.loc)
+        x = st.index
+        idx = _EVAL[x.__class__](x, b)
+        if not isinstance(idx, IntV) or not 0 <= idx.value < len(base.cells):
+            raise IndexOutOfBoundsError(
+                f"index {getattr(idx, 'value', '?')} out of bounds for "
+                f"length {len(base.cells)}", st.loc)
+        x = st.value
+        base.cells[idx.value] = _EVAL[x.__class__](x, b)
+    except InterpError as err:
+        _locate(err, st.loc)
+        raise
+
+
+def _call_assign(r: _Run, st: CallAssign, b: dict):
+    # the invocation step is counted at frame entry, in invoke()
+    try:
+        values = [_EVAL[a.__class__](a, b) for a in st.args]
+    except InterpError as err:
+        _locate(err, st.loc)
+        raise
+    r.invoke(st.method, values, st.loc)
+    if st.target is not None:
+        value = r.frames[-1].ret_slot
+        if value is None or r.recorder is not None:
+            upd_vr(r.state, st.target)  # records, or raises MissingReturnError
+        else:
+            b[st.target] = value
+    if r.recorder is None:
+        r.frames.pop()
+    else:
+        rem_frame(r.state)
+
+
+def _if(r: _Run, st: If, b: dict):
+    r.step("if", st.loc)
+    x = st.cond
+    try:
+        c = _EVAL[x.__class__](x, b)
+    except InterpError as err:
+        _locate(err, st.loc)
+        raise
+    if _bool(c, "if condition"):
+        return r.exec_seq(st.then, b)
+    if st.orelse is not None:
+        return r.exec_seq(st.orelse, b)
+    return None
+
+
+def _while(r: _Run, st: While, b: dict):
+    x = st.cond
+    while True:
+        r.step("while", st.loc)
+        try:
+            c = _EVAL[x.__class__](x, b)
+        except InterpError as err:
+            _locate(err, st.loc)
+            raise
+        if not _bool(c, "while condition"):
+            return None
+        r.iterations[st.loop_id] += 1
+        sig = r.exec_seq(st.body, b)
+        if sig is not None:  # unreachable from parsed programs
+            return sig
+
+
+def _do_while(r: _Run, st: DoWhile, b: dict):
+    x = st.cond
+    while True:
+        r.step("do", st.loc)
+        r.iterations[st.loop_id] += 1
+        sig = r.exec_seq(st.body, b)
+        if sig is not None:
+            return sig
+        try:
+            c = _EVAL[x.__class__](x, b)
+        except InterpError as err:
+            _locate(err, st.loc)
+            raise
+        if not _bool(c, "do condition"):
+            return None
+
+
+def _for(r: _Run, st: For, b: dict):
+    sig = r.exec_seq(st.init, b)
+    if sig is not None:
+        return sig
+    x = st.cond
+    while True:
+        r.step("for", st.loc)
+        try:
+            c = _EVAL[x.__class__](x, b)
+        except InterpError as err:
+            _locate(err, st.loc)
+            raise
+        if not _bool(c, "for condition"):
+            return None
+        r.iterations[st.loop_id] += 1
+        sig = r.exec_seq(st.body, b) or r.exec_seq(st.update, b)
+        if sig is not None:
+            return sig
+
+
+def _foreach(r: _Run, st: Foreach, b: dict):
+    r.step("foreach", st.loc)
+    x = st.collection
+    try:
+        coll = _EVAL[x.__class__](x, b)
+    except InterpError as err:
+        _locate(err, st.loc)
+        raise
+    if not isinstance(coll, (ArrayV, ListV)):
+        raise TypeMismatchError(
+            f"foreach needs an array or list, got {render_value(coll)}", st.loc)
+    for cell in list(coll.cells):
+        r.step("foreach", st.loc)
+        r.iterations[st.loop_id] += 1
+        if r.recorder is None:
+            b[st.elem_name] = cell
+        else:
+            upd_v(r.state, st.elem_name, cell)
+        sig = r.exec_seq(st.body, b)
+        if sig is not None:
+            return sig
+    return None
+
+
+def _block(r: _Run, st: Block, b: dict):
+    r.step("block", st.loc)
+    return r.exec_seq(st.body, b)
+
+
+def _return(r: _Run, st: Return, b: dict):
+    r.step("return", st.loc)
+    return _return_value(r, st.value, b, st.loc)
+
+
+def _print(r: _Run, st: Print, b: dict):
+    r.step("print", st.loc)
+    x = st.value
+    try:
+        v = _EVAL[x.__class__](x, b)
+    except InterpError as err:
+        _locate(err, st.loc)
+        raise
+    r.trace.prints.append(render_value(v))
+
+
+_EXEC = {
+    VarDecl: _assign,
+    Assign: _assign,
+    AssignIndex: _assign_index,
+    CallAssign: _call_assign,
+    If: _if,
+    While: _while,
+    DoWhile: _do_while,
+    For: _for,
+    Foreach: _foreach,
+    Block: _block,
+    Return: _return,
+    Print: _print,
+}
 
 
 def run(program: Program, budget: int = DEFAULT_BUDGET,
         tracer: Optional[Callable] = None, recorder=None) -> ExecTrace:
     """Execute the program from its entry method and report the observable
     trace. `tracer(rule, loc, frame_depth)` fires per rule application;
-    `recorder` (a StateRecorder) snapshots frames after every state change."""
+    `recorder` (a StateRecorder) snapshots frames after every state change.
+    Neither hook changes the run: steps, counts and results are the same."""
     entry = program.method(program.entry)
     if entry is None:
         raise NoEntryMethodError(f"program has no entry method '{program.entry}'")

@@ -15,6 +15,7 @@ Any input yields either a Program or a ParseError; nothing else escapes.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .ast import (
@@ -178,6 +179,15 @@ def _int_value(at: Token, text: str) -> int:
         value = None
     if value is None or not INT_MIN <= value <= INT_MAX:
         raise ParseError(at.line, at.col, "int literal within 32-bit range", text)
+    return value
+
+
+def _double_value(at: Token, text: str) -> float:
+    """Value of the double literal `text`, which is `at`'s text or that with
+    a leading '-'; a ParseError at `at` if it overflows to infinity."""
+    value = float(text)
+    if math.isinf(value):
+        raise ParseError(at.line, at.col, "double literal within binary64 range", text)
     return value
 
 
@@ -564,7 +574,7 @@ class _Parser:
                 return IntLit(_int_value(t, "-" + lit.text))
             if lit.kind == "double":
                 self.pos += 2
-                return DoubleLit(-float(lit.text))
+                return DoubleLit(_double_value(t, "-" + lit.text))
         if text == "-" or text == "!":
             self.enter()
             self.pos += 1
@@ -600,7 +610,7 @@ class _Parser:
             return IntLit(_int_value(t, t.text))
         if kind == "double":
             self.pos += 1
-            return DoubleLit(float(t.text))
+            return DoubleLit(_double_value(t, t.text))
         text = t.text
         if text == "(":
             return self.parse_enclosed("(", ")")

@@ -86,9 +86,20 @@ def _expr(e: Expr):
     if isinstance(e, Var):
         return e.name, _POSTFIX_PREC
     if isinstance(e, Binary):
-        p = _PREC[e.op]
-        # left-associative: right operand needs strictly higher precedence
-        return f"{fmt_expr(e.lhs, p)} {e.op} {fmt_expr(e.rhs, p + 1)}", p
+        # A left operand whose operator binds at least as tightly prints
+        # without parentheses, so a left-deep chain such as `1 + 1 + ...` is
+        # walked in a loop and its length is not bounded by the recursion limit.
+        top = p = _PREC[e.op]
+        parts = []
+        while True:
+            # left-associative: right operand needs strictly higher precedence
+            parts.append(f" {e.op} {fmt_expr(e.rhs, p + 1)}")
+            e = e.lhs
+            if not isinstance(e, Binary) or _PREC[e.op] < p:
+                break
+            p = _PREC[e.op]
+        parts.append(fmt_expr(e, p))
+        return "".join(reversed(parts)), top
     if isinstance(e, Unary):
         return f"{e.op}{fmt_expr(e.operand, _UNARY_PREC)}", _UNARY_PREC
     if isinstance(e, Cast):

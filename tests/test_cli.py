@@ -154,6 +154,20 @@ def test_nesting_over_the_limit_exits_2(tmp_path, capsys, parens):
                        f"nesting depth at most {MAX_NESTING}, found (\n")
 
 
+def test_infinite_double_literal_exits_2(tmp_path, capsys):
+    # `run` once accepted the literal as Infinity and `transform` then failed
+    # to print it
+    src = ("void main() { double d = 1e999; while (d > 0.0) { d = d - 1.0; } "
+           "print(d); }")
+    f = tmp_path / "inf.mj"
+    f.write_text(src)
+    for cmd in ("transform", "run"):
+        assert main([cmd, str(f)]) == 2
+        assert capsys.readouterr().err == (
+            f"{f}:1:{src.index('1e999') + 1}: expected double literal within "
+            f"binary64 range, found 1e999\n")
+
+
 @pytest.mark.parametrize("name", TERMINATING)
 def test_diff_corpus_all_equivalent(name, capsys):
     assert main(["diff", str(CORPUS / name)]) == 0

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
+from loop2rec.ast import Binary, BoolLit, IntLit, Unary
+from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import (
     ArityMismatchError,
     DivisionByZeroError,
@@ -9,11 +12,14 @@ from loop2rec.interp import (
     EmptyStateError,
     Frame,
     IndexOutOfBoundsError,
+    InterpError,
     IntV,
     MissingReturnError,
     SingleFrameError,
     State,
+    StateRecorder,
     StepBudgetExceeded,
+    TypeMismatchError,
     UnboundVariableError,
     add_frame,
     eval_expr,
@@ -25,8 +31,9 @@ from loop2rec.interp import (
     values_equal,
 )
 from loop2rec.parser import parse
+from loop2rec.transform import TransformOptions, transform_program
 
-from conftest import corpus_text
+from conftest import CORPUS_FILES, TERMINATING, corpus_text
 
 
 def state(*frames):
@@ -212,6 +219,9 @@ def test_unbound_variable_errors():
     from loop2rec.ast import Var
     with pytest.raises(UnboundVariableError):
         eval_expr(Var("ghost"), state({}))
+    with pytest.raises(EmptyStateError):
+        eval_expr(Binary("+", IntLit(1), Var("x")), state())
+    assert eval_expr(IntLit(1), state()) == IntV(1)
 
 
 def test_index_out_of_bounds():
@@ -362,10 +372,6 @@ def test_values_equal_is_bitwise_for_doubles():
 
 def test_frame_balance_every_push_is_popped():
     # one frame (the entry activation) remains at the end of every run
-    from loop2rec.interp import StateRecorder
-    from loop2rec.generator import GenConfig, generate
-    from loop2rec.transform import transform_program
-
     programs = [parse(corpus_text(n)) for n in
                 ("sqrt.mj", "nested.mj", "foreach_iterable.mj")]
     programs += [generate(GenConfig(seed=s)) for s in range(30)]
@@ -375,3 +381,130 @@ def test_frame_balance_every_push_is_popped():
         run(program, recorder=rec)
         ops = rec.ops()
         assert ops.count("add_frame") == ops.count("rem_frame") + 1
+
+
+# ----------------------------------------------------- operator fast paths
+
+
+def run_prints(body: str):
+    return run_src(f"void main() {{\n{body}\n}}").prints
+
+
+def test_mixed_int_double_arithmetic_and_comparison():
+    assert run_prints("print(1 + 0.5); print(0.5 * 2); print(3 - 0.5); "
+                      "print(7 / 2.0); print(7 / 2);") == ["1.5", "1.0", "2.5", "3.5", "3"]
+    assert run_prints("print(1 < 1.5); print(2.0 >= 2); print(1 == 1.0); "
+                      "print(2 != 2.0);") == ["true", "true", "true", "false"]
+
+
+def test_equality_on_bools_and_numbers():
+    assert run_prints("print(true == true); print(true != false); "
+                      "print(false == true); print(true != true);") == [
+        "true", "true", "false", "false"]
+    assert run_prints("print(3 == 3); print(3 != 4); print(2.5 == 2.5); "
+                      "print(-0.0 == 0.0);") == ["true", "true", "true", "true"]
+
+
+def test_int_multiplication_overflow_and_negated_int_min():
+    assert run_prints("int big = 65536; print(big * big); print(46341 * 46341); "
+                      "print(-2147483647 * 3);") == ["0", "-2147479015", "-2147483645"]
+    assert run_prints("int m = -2147483648; print(-m); print(m - 1);") == [
+        "-2147483648", "2147483647"]
+
+
+def test_nan_comparisons_are_false_except_not_equal():
+    assert run_prints("double n = nan(); print(n < 1.0); print(n >= n); "
+                      "print(n == n); print(n != n); print(n > 1); print(1 <= n);") == [
+        "false", "false", "false", "true", "false", "false"]
+
+
+@pytest.mark.parametrize("e, message", [
+    (Binary("+", BoolLit(True), IntLit(1)), "'+' needs a number, got true"),
+    (Binary("<", IntLit(1), BoolLit(False)), "'<' needs a number, got false"),
+    (Binary("==", BoolLit(True), IntLit(1)), "'==' needs a number, got true"),
+    (Binary("&&", IntLit(1), BoolLit(True)), "'&&' needs a bool, got 1"),
+    (Binary("||", BoolLit(False), IntLit(2)), "'||' needs a bool, got 2"),
+    (Unary("-", BoolLit(True)), "unary '-' needs a number, got true"),
+])
+def test_ill_typed_operands_are_type_mismatches(e, message):
+    with pytest.raises(TypeMismatchError) as exc:
+        eval_expr(e, state({}))
+    assert exc.value.message == message
+    assert exc.value.loc is None
+
+
+def test_deep_expression_chain_runs():
+    # one host frame per nesting level keeps 20,000 terms under the limit
+    trace = run_src("void main() { print(" + "+".join(["1"] * 20_000) + "); }")
+    assert trace.prints == ["20000"]
+
+
+# ---------------------------------------------------------- error locations
+
+
+@pytest.mark.parametrize("body, budget, message", [
+    ("int z = 0;\n    print(1 / z);", 100,
+     "3:5: DivisionByZero: integer division by zero"),
+    ("double[] xs = new double[] { 1.0 };\n    double y = xs[2];", 100,
+     "3:5: IndexOutOfBounds: index 2 out of bounds for length 1"),
+    ("double[] xs = new double[] { 1.0 };\n    xs[3] = 2.0;", 100,
+     "3:5: IndexOutOfBounds: index 3 out of bounds for length 1"),
+    ("List<double> l = new List<double> { };\n    Iterator<double> it = iterator(l);"
+     "\n    if (true) { double v = next(it); }", 100,
+     "4:17: IndexOutOfBounds: next() on an exhausted iterator"),
+    ("int i = 0;\n    while (true) {\n        i = i + 1;\n    }", 11,
+     "4:9: StepBudgetExceeded: exceeded 11 steps"),
+])
+def test_run_errors_carry_statement_locations(body, budget, message):
+    with pytest.raises(InterpError) as exc:
+        run_src(f"void main() {{\n    {body}\n}}", budget=budget)
+    assert str(exc.value) == message
+
+
+# ------------------------------------------------------------ behaviour pin
+
+PIN_BUDGET = 20_000
+
+# sha256 over the rendered runs of pin_programs below (every ExecTrace field,
+# or the error's kind, message and location), then the tracer events and
+# StateRecorder events of a subset, as the interpreter that dispatched on
+# isinstance chains produced them; a rewrite of the interpreter must match.
+INTERP_PIN_SHA256 = "e226f8eb65d1253aaa99419225a18dba2be745dbea5a4df0da8336c7f48c3242"
+
+
+def pin_programs(names, seeds):
+    originals = [parse(corpus_text(n)) for n in names]
+    originals += [generate(GenConfig(seed=s)) for s in seeds]
+    programs = []
+    for p in originals:
+        programs += [p, transform_program(p).program,
+                     transform_program(p, TransformOptions(optimize=False)).program]
+    return programs
+
+
+def render_run(program, **hooks) -> str:
+    try:
+        t = run(program, budget=PIN_BUDGET, **hooks)
+    except InterpError as err:
+        return f"{type(err).__name__}|{err.message}|{err.loc}"
+    return (f"{t.prints!r}|{list(t.final_bindings.items())!r}|"
+            f"{sorted(t.loop_iterations.items())!r}|{list(t.method_entries.items())!r}|"
+            f"{t.steps}|{t.result!r}")
+
+
+def test_runs_tracer_and_recorder_events_are_pinned():
+    h = hashlib.sha256()
+    for program in pin_programs(CORPUS_FILES, range(100)):
+        h.update(render_run(program).encode() + b"\n")
+    # the recorder copies every frame per event, which is quadratic on the
+    # diverging program's tail chain, so the hooks run on a subset
+    for program in pin_programs(TERMINATING, range(20)):
+        plain = render_run(program)
+        events = []
+        assert render_run(program, tracer=lambda rule, loc, depth:
+                          events.append(f"{rule} {loc} {depth}")) == plain
+        recorder = StateRecorder()
+        assert render_run(program, recorder=recorder) == plain
+        h.update("\n".join(events).encode() + b"\n")
+        h.update(repr(recorder.events).encode() + b"\n")
+    assert h.hexdigest() == INTERP_PIN_SHA256

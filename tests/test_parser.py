@@ -4,6 +4,7 @@ import random
 import pytest
 
 from loop2rec.ast import (
+    DoubleLit,
     IntLit,
     Program,
     While,
@@ -253,6 +254,22 @@ def test_literal_too_long_for_int_is_a_range_error(sign):
         parse(f"void m() {{ int x = {sign}{'9' * 5000}; }}")
     assert exc.value.expected == "int literal within 32-bit range"
     assert (exc.value.line, exc.value.col) == (1, 20)
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "(-1e999)", "1.8e308"])
+def test_double_literal_overflowing_to_infinity_is_an_error(literal):
+    # Java rejects such a literal too; it has no finite printed form
+    text = f"void m() {{ double d = {literal}; }}"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.expected == "double literal within binary64 range"
+    assert exc.value.found == literal.strip("()")
+    assert (exc.value.line, exc.value.col) == (1, text.index(literal.strip("()")) + 1)
+
+
+def test_largest_double_literal_parses():
+    p = parse("void m() { double d = -1.7976931348623157e308; }")
+    assert p.methods[0].body[0].init == DoubleLit(-1.7976931348623157e308)
 
 
 # ------------------------------------------------------------ nesting limit

@@ -68,6 +68,28 @@ def test_minimal_parentheses_preserve_structure():
     assert not structural_eq(p, q)
 
 
+@pytest.mark.parametrize("src, printed", [
+    ("(a - b) - c", "a - b - c"),
+    ("(a + b) * c + a * (b - c) / c", "(a + b) * c + a * (b - c) / c"),
+    ("((a * b) + c) - (a - b)", "a * b + c - (a - b)"),
+    ("(a < b) == ((b < c) == (a == c))", "a < b == (b < c == (a == c))"),
+    ("-(a + b) * c", "-(a + b) * c"),
+])
+def test_binary_chains_print_minimal_parentheses(src, printed):
+    p = parse(f"void m() {{ r = {src}; }}")
+    text = pretty_print(p)
+    assert text == f"void m() {{\n    r = {printed};\n}}\n"
+    assert structural_eq(p, parse(text))
+
+
+def test_long_chain_prints_and_round_trips():
+    # deeper than the recursion limit would allow one call per operator
+    p = parse("void main() { print(" + " + ".join(["1"] * 20_000) + "); }")
+    text = pretty_print(p)
+    assert text.count(" + 1") == 19_999
+    assert structural_eq(p, parse(text))
+
+
 def test_literal_forms_round_trip():
     src = ("void m() { double a = 1e-12; double b = 2.5; int c = 0; "
            "List<double> l = new List<double> { 1.0 }; "

@@ -14,6 +14,13 @@ Liveness is syntactic, not path-sensitive: a modified variable counts as live
 if it is read anywhere after the loop in document order, in the method's
 trailing return, or anywhere inside an enclosing loop (a read textually
 before the loop re-executes after it via the enclosing loop's back edge).
+
+All of it comes from one pass per method (`MethodFacts`). Each statement is
+summarised once, bottom-up; a loop's used and modified variables, the foreach
+collection check and its back-edge reads are left-to-right compositions of
+these summaries. One top-down walk then carries the scope and the declaration
+order, and takes each sequence's reads right to left:
+suffix(i) = reads(s_i) | (suffix(i+1) - decls(s_i)).
 """
 
 from __future__ import annotations
@@ -25,35 +32,29 @@ from typing import Optional
 from .ast import (
     Assign,
     AssignIndex,
-    Builtin,
-    Call,
+    Block,
     CallAssign,
+    COMPOUND_KINDS,
     DoWhile,
     Expr,
     For,
     Foreach,
     If,
-    Index,
-    Length,
-    Block,
-    Cast,
-    ArrayLit,
-    ListLit,
-    Binary,
-    Unary,
+    LOOP_KINDS,
     Loc,
     MethodDef,
     Param,
-    Print,
     Program,
-    Return,
     Stmt,
     Var,
     VarDecl,
     While,
     collect_identifiers,
+    expr_vars,
     is_loop,
+    stmt_exprs,
 )
+from .parser import KEYWORDS
 
 
 class UnsupportedConstruct(Exception):
@@ -84,211 +85,273 @@ class LoopAnalysis:
         return self.live_after[0].name if self.packing == Packing.SINGLE else None
 
 
-# ----------------------------------------------------------- free variables
+# ---------------------------------------------------------------- summaries
+#
+# A summary is (uses, writes, reads, decls, has_loop): free occurrences in
+# first-use order, assignment targets in first-write order, the names whose
+# value is read (array bases too, write-only targets not), and every name
+# declared anywhere inside. A declaration hides its name from the rest of the
+# scan, whatever block it sits in.
+
+_NONE = frozenset()
 
 
-class _VarScan:
-    """Document-order scan recording free-variable uses and writes.
+class _Acc:
+    """Composes summaries and single events left to right, dropping the names
+    declared so far (the initial `bound` names included)."""
 
-    `uses` collects every free occurrence (reads and write targets) in first
-    occurrence order; `writes` collects assignment targets in first-write
-    order; `reads` collects occurrences that need the variable's value
-    (write-only targets excluded, array bases included).
-    """
+    __slots__ = ("uses", "writes", "reads", "decls", "has_loop")
 
     def __init__(self, bound=()):
-        self.local = set(bound)
-        self.uses: list = []
-        self._seen_uses = set()
-        self.writes: list = []
-        self._seen_writes = set()
+        self.uses = {}  # insertion-ordered set
+        self.writes = {}
         self.reads = set()
-
-    def use(self, name: str, read: bool) -> None:
-        if name in self.local:
-            return
-        if name not in self._seen_uses:
-            self._seen_uses.add(name)
-            self.uses.append(name)
-        if read:
-            self.reads.add(name)
-
-    def write(self, name: str) -> None:
-        if name in self.local:
-            return
-        if name not in self._seen_writes:
-            self._seen_writes.add(name)
-            self.writes.append(name)
-        self.use(name, read=False)
+        self.decls = set(bound)
+        self.has_loop = False
 
     def expr(self, e: Expr) -> None:
-        if isinstance(e, Var):
-            self.use(e.name, read=True)
-        elif isinstance(e, Binary):
-            self.expr(e.lhs)
-            self.expr(e.rhs)
-        elif isinstance(e, Unary):
-            self.expr(e.operand)
-        elif isinstance(e, (ArrayLit, ListLit)):
-            for el in e.elements:
-                self.expr(el)
-        elif isinstance(e, Index):
-            self.expr(e.base)
-            self.expr(e.index)
-        elif isinstance(e, Length):
-            self.expr(e.collection)
-        elif isinstance(e, (Builtin, Call)):
-            for a in e.args:
-                self.expr(a)
-        elif isinstance(e, Cast):
-            self.expr(e.expr)
+        decls = self.decls
+        for name in expr_vars(e):
+            if name not in decls:
+                self.uses[name] = None
+                self.reads.add(name)
 
-    def stmt(self, st: Stmt) -> None:
-        if isinstance(st, VarDecl):
-            self.expr(st.init)
-            self.local.add(st.name)
-        elif isinstance(st, Assign):
-            self.expr(st.value)
-            self.write(st.name)
-        elif isinstance(st, AssignIndex):
-            self.use(st.name, read=True)
-            self.write(st.name)
-            self.expr(st.index)
-            self.expr(st.value)
-        elif isinstance(st, CallAssign):
-            for a in st.args:
-                self.expr(a)
-            if st.decl_type is not None:
-                self.local.add(st.target)
-            elif st.target is not None:
-                self.write(st.target)
-        elif isinstance(st, If):
-            self.expr(st.cond)
-            self.seq(st.then)
-            if st.orelse:
-                self.seq(st.orelse)
-        elif isinstance(st, While):
-            self.expr(st.cond)
-            self.seq(st.body)
-        elif isinstance(st, DoWhile):
-            self.seq(st.body)
-            self.expr(st.cond)
-        elif isinstance(st, For):
-            for s in st.init:
-                self.stmt(s)
-            self.expr(st.cond)
-            self.seq(st.body)
-            for s in st.update:
-                self.stmt(s)
-        elif isinstance(st, Foreach):
-            self.expr(st.collection)
-            self.local.add(st.elem_name)
-            self.seq(st.body)
-        elif isinstance(st, Block):
-            self.seq(st.body)
-        elif isinstance(st, (Return, Print)):
-            self.expr(st.value)
+    def part(self, summary) -> None:
+        uses, writes, reads, decls, has_loop = summary
+        hidden = self.decls
+        for name in uses:
+            if name not in hidden:
+                self.uses[name] = None
+        for name in writes:
+            if name not in hidden:
+                self.writes[name] = None
+        self.reads |= reads - hidden
+        hidden |= decls
+        self.has_loop = self.has_loop or has_loop
 
-    def seq(self, stmts: list) -> None:
+    def seq(self, stmts: list, memo: dict) -> None:
         for st in stmts:
-            self.stmt(st)
+            self.part(_summary(st, memo))
+
+    def done(self):
+        return (tuple(self.uses), tuple(self.writes), frozenset(self.reads),
+                frozenset(self.decls), self.has_loop)
 
 
-def _scan(body, cond, extra, bound):
-    scan = _VarScan(bound)
-    scan.seq(body)
+def _summary(st: Stmt, memo: dict):
+    """The statement's summary, computed once per memo."""
+    s = memo.get(id(st))
+    if s is not None:
+        return s
+    cls = st.__class__
+    if cls in COMPOUND_KINDS:
+        acc = _Acc()
+        if cls is If:
+            acc.expr(st.cond)
+            acc.seq(st.then, memo)
+            acc.seq(st.orelse or (), memo)
+        elif cls is Block:
+            acc.seq(st.body, memo)
+        elif cls is While:
+            acc.expr(st.cond)
+            acc.part(_seq(st.body, memo))
+        elif cls is DoWhile:
+            acc.part(_seq(st.body, memo))
+            acc.expr(st.cond)
+        elif cls is For:
+            acc.seq(st.init, memo)
+            acc.expr(st.cond)
+            acc.part(_seq(st.body, memo))
+            acc.seq(st.update, memo)
+        else:
+            acc.expr(st.collection)
+            acc.decls.add(st.elem_name)
+            acc.part(_seq(st.body, memo))
+        acc.has_loop = acc.has_loop or cls in LOOP_KINDS
+        s = acc.done()
+    else:
+        # a simple statement reads its expressions, then writes or declares
+        # at most one name
+        reads = [n for e in stmt_exprs(st) for n in expr_vars(e)]
+        written = declared = None
+        if cls is Assign:
+            written = st.name
+        elif cls is AssignIndex:
+            reads.insert(0, st.name)
+            written = st.name
+        elif cls is VarDecl:
+            declared = st.name
+        elif cls is CallAssign:
+            if st.decl_type is not None:
+                declared = st.target
+            else:
+                written = st.target
+        uses = dict.fromkeys(reads)
+        if written is not None:
+            uses[written] = None
+        s = (tuple(uses), () if written is None else (written,), frozenset(reads),
+             _NONE if declared is None else frozenset((declared,)), False)
+    memo[id(st)] = s
+    return s
+
+
+def _seq(stmts: list, memo: dict):
+    """Summary of a statement sequence, computed once per memo."""
+    s = memo.get(id(stmts))
+    if s is None:
+        acc = _Acc()
+        acc.seq(stmts, memo)
+        s = memo[id(stmts)] = acc.done()
+    return s
+
+
+def _compose(body: list, cond: Optional[Expr], extra, bound, memo: dict) -> _Acc:
+    """body, then cond, then extra (statements or expressions), with `bound`
+    names hidden throughout."""
+    acc = _Acc(bound)
+    acc.part(_seq(body, memo))
     if cond is not None:
-        scan.expr(cond)
+        acc.expr(cond)
     for item in extra:
         if isinstance(item, Stmt):
-            scan.stmt(item)
+            acc.part(_summary(item, memo))
         else:
-            scan.expr(item)
-    return scan
+            acc.expr(item)
+    return acc
 
 
 def used_vars(body: list, cond: Optional[Expr] = None, extra=(), bound=()) -> list:
     """Identifiers free in body + cond + extra, in first-use order. `extra`
     carries a for-loop's update statements (or any further expressions)."""
-    return list(_scan(body, cond, extra, bound).uses)
+    return list(_compose(body, cond, extra, bound, {}).uses)
 
 
 def modified_vars(body: list, extra=(), bound=()) -> list:
     """The used_vars subset written by the loop (assignment targets, indexed
     array bases, call-assignment targets), in first-write order."""
-    return list(_scan(body, None, extra, bound).writes)
+    return list(_compose(body, None, extra, bound, {}).writes)
 
 
-# ----------------------------------------------------------------- liveness
+def _loop_parts(loop: Stmt):
+    """(body, cond, extra, bound) of the loop's own scan."""
+    if isinstance(loop, While):
+        return loop.body, loop.cond, (), ()
+    if isinstance(loop, DoWhile):
+        return loop.body, loop.cond, (), ()
+    if isinstance(loop, For):
+        return loop.body, loop.cond, tuple(loop.update), ()
+    if isinstance(loop, Foreach):
+        return loop.body, None, (), (loop.elem_name,)
+    raise TypeError(f"not a loop: {loop!r}")
 
 
-def _reads_of(stmts: list, exprs=()) -> set:
-    scan = _VarScan()
-    scan.seq(stmts)
-    for e in exprs:
-        scan.expr(e)
-    return scan.reads
+def _back_edge_reads(loop: Stmt, memo: dict) -> set:
+    """What a loop re-reads after an inner loop finished: its body, updates
+    and condition on the next iteration."""
+    if isinstance(loop, For):
+        return _compose(loop.body, None, [*loop.update, loop.cond], (), memo).reads
+    cond = None if isinstance(loop, Foreach) else loop.cond
+    return _compose(loop.body, cond, (), (), memo).reads
 
 
-def _reads_after(stmts: list, loop: Stmt):
-    """Reads that can observe the loop's writes: everything after the loop in
-    its enclosing sequences, plus whole enclosing loops (their next iteration
-    re-reads), or None when the loop is not in this sequence."""
-    from .ast import stmt_blocks
+# ------------------------------------------------------------- method facts
 
-    for idx, st in enumerate(stmts):
-        if st is loop:
-            return _reads_of(stmts[idx + 1:])
-        for block in stmt_blocks(st):
-            inner = _reads_after(block, loop)
-            if inner is None:
+
+class MethodFacts:
+    """Everything the analysis needs about the loops of one method, from one
+    walk over it. `loops` maps id(loop) to (scope, reads after): the scope
+    is as `scope_at` returns it (None for a loop the scoping rules do not
+    reach, such as one inside a for header), the reads are every read that
+    can observe the loop's writes. Summaries stay in `memo` for the life of
+    the object, so build one per method and drop it afterwards."""
+
+    def __init__(self, method: MethodDef):
+        self.method = method
+        self.memo = {}
+        self.loops = {}
+        self.order = {}  # declared name -> position, parameters first
+        for p in method.params:
+            self.order.setdefault(p.name, len(self.order))
+        ret_reads = frozenset(expr_vars(method.ret)) if method.ret is not None else _NONE
+        self._walk(method.body, {p.name: p.type for p in method.params}, ret_reads)
+
+    def _walk(self, stmts, scope: Optional[dict], after: Optional[frozenset]) -> None:
+        """Visit a sequence in document order. `scope` is the caller's, copied
+        here (None below a for header, which the scoping rules never reach);
+        `after` holds the reads that follow the sequence. Both are None when
+        no loop sits inside, since only the declaration order is wanted."""
+        memo, order = self.memo, self.order
+        if after is not None:
+            scope = None if scope is None else dict(scope)
+            summaries = [_summary(st, memo) for st in stmts]
+            suffix = [_NONE] * len(stmts)  # suffix[i]: reads of stmts[i+1:]
+            reads = _NONE
+            for i in range(len(stmts) - 1, 0, -1):
+                _, _, r, d, _ = summaries[i]
+                if d:
+                    reads = r | (reads - d)
+                elif not r <= reads:
+                    reads = reads | r
+                suffix[i - 1] = reads
+        for i, st in enumerate(stmts):
+            cls = st.__class__
+            if cls is VarDecl or cls is CallAssign and st.decl_type is not None:
+                name = st.name if cls is VarDecl else st.target
+                order.setdefault(name, len(order))
+                if scope is not None:
+                    scope[name] = st.type if cls is VarDecl else st.decl_type
                 continue
-            reads = set(inner) | _reads_of(stmts[idx + 1:])
-            if is_loop(st):
-                # back edge: the enclosing loop re-runs its condition,
-                # body and updates after the inner loop finished
-                if isinstance(st, For):
-                    reads |= _reads_of(st.body + st.update, [st.cond])
-                elif isinstance(st, Foreach):
-                    reads |= _reads_of(st.body)
-                else:
-                    reads |= _reads_of(st.body, [st.cond])
-            return reads
-    return None
+            if cls not in COMPOUND_KINDS:
+                continue
+            if cls is Foreach:
+                order.setdefault(st.elem_name, len(order))
+            inner, inner_after = None, None
+            if after is not None and summaries[i][4]:
+                inner, inner_after = scope, after | suffix[i]
+                if cls is For and scope is not None:
+                    inner = dict(scope)
+                    inner.update((s.name, s.type) for s in st.init if isinstance(s, VarDecl))
+                if cls in LOOP_KINDS:
+                    self.loops.setdefault(id(st), (None if inner is None else dict(inner),
+                                                   inner_after))
+                    inner_after = inner_after | _back_edge_reads(st, memo)
+            if cls is If:
+                self._walk(st.then, inner, inner_after)
+                self._walk(st.orelse or (), inner, inner_after)
+            elif cls is For:
+                self._walk(st.init, None, inner_after)
+                self._walk(st.update, None, inner_after)
+                self._walk(st.body, inner, inner_after)
+            elif cls is Foreach and inner is not None:
+                self._walk(st.body, {**inner, st.elem_name: st.elem_type}, inner_after)
+            else:
+                self._walk(st.body, inner, inner_after)
 
+    def scope_at(self, loop: Stmt) -> dict:
+        """name -> Type for everything in scope where the loop statement sits,
+        plus a for loop's init declarations; the caller must not change it."""
+        entry = self.loops.get(id(loop))
+        if entry is None or entry[0] is None:
+            raise ValueError("loop does not occur in the given method")
+        return entry[0]
 
-def _decl_order(method: MethodDef) -> dict:
-    from .ast import iter_stmts
-
-    order = {}
-    for p in method.params:
-        order.setdefault(p.name, len(order))
-    for st in iter_stmts(method.body):
-        if isinstance(st, VarDecl):
-            order.setdefault(st.name, len(order))
-        elif isinstance(st, CallAssign) and st.decl_type is not None:
-            order.setdefault(st.target, len(order))
-        elif isinstance(st, Foreach):
-            order.setdefault(st.elem_name, len(order))
-    return order
+    def live_after(self, loop: Stmt, modified: list) -> list:
+        """The `modified` names read after the loop, in declaration order."""
+        entry = self.loops.get(id(loop))
+        if entry is None:
+            raise ValueError("loop does not occur in the given method")
+        reads, order = entry[1], self.order
+        live = [name for name in modified if name in reads]
+        live.sort(key=lambda n: order.get(n, len(order)))
+        return live
 
 
 def live_after(loop: Stmt, method: MethodDef, modified: Optional[list] = None) -> list:
     """Modified variables still read once the loop is done, in declaration
     order."""
     if modified is None:
-        modified = _loop_modified(loop)
-    reads = _reads_after(method.body, loop)
-    if reads is None:
-        raise ValueError("loop does not occur in the given method")
-    if method.ret is not None:
-        scan = _VarScan()
-        scan.expr(method.ret)
-        reads = reads | scan.reads
-    order = _decl_order(method)
-    live = [name for name in modified if name in reads]
-    live.sort(key=lambda n: order.get(n, len(order)))
-    return live
+        modified = list(_compose(*_loop_parts(loop), {}).writes)
+    return MethodFacts(method).live_after(loop, modified)
 
 
 # -------------------------------------------------------------- fresh names
@@ -301,17 +364,19 @@ class NameAllocator:
     re-parsing."""
 
     def __init__(self, program: Program):
-        from .parser import KEYWORDS
-
         self.used = collect_identifiers(program) | KEYWORDS
+        # base -> first suffix not yet tried; every smaller one is taken for
+        # good, because `used` only grows
+        self._next = {}
 
     def fresh(self, base: str) -> str:
         if base not in self.used:
             self.used.add(base)
             return base
-        k = 2
+        k = self._next.get(base, 2)
         while f"{base}{k}" in self.used:
             k += 1
+        self._next[base] = k + 1
         name = f"{base}{k}"
         self.used.add(name)
         return name
@@ -328,71 +393,11 @@ def fresh_names(base_method: str, program: Program):
 # ------------------------------------------------------------- loop summary
 
 
-def _scope_at(method: MethodDef, loop: Stmt) -> Optional[dict]:
-    """name -> Type for everything in scope where the loop statement sits."""
-
-    def walk(stmts, scope):
-        for st in stmts:
-            if st is loop:
-                return dict(scope)
-            if isinstance(st, VarDecl):
-                scope[st.name] = st.type
-            elif isinstance(st, CallAssign) and st.decl_type is not None:
-                scope[st.target] = st.decl_type
-            elif isinstance(st, If):
-                for block in (st.then, st.orelse or []):
-                    found = walk(block, dict(scope))
-                    if found is not None:
-                        return found
-            elif isinstance(st, (While, DoWhile, Block)):
-                found = walk(st.body, dict(scope))
-                if found is not None:
-                    return found
-            elif isinstance(st, For):
-                inner = dict(scope)
-                for s in st.init:
-                    if isinstance(s, VarDecl):
-                        inner[s.name] = s.type
-                found = walk(st.body, inner)
-                if found is not None:
-                    return found
-            elif isinstance(st, Foreach):
-                inner = dict(scope)
-                inner[st.elem_name] = st.elem_type
-                found = walk(st.body, inner)
-                if found is not None:
-                    return found
-        return None
-
-    scope = {p.name: p.type for p in method.params}
-    return walk(method.body, scope)
-
-
-def _loop_parts(loop: Stmt):
-    """(body, cond, extra, bound) suitable for used/modified scans."""
-    if isinstance(loop, While):
-        return loop.body, loop.cond, (), ()
-    if isinstance(loop, DoWhile):
-        return loop.body, loop.cond, (), ()
-    if isinstance(loop, For):
-        return loop.body, loop.cond, tuple(loop.update), ()
-    if isinstance(loop, Foreach):
-        return loop.body, None, (), (loop.elem_name,)
-    raise TypeError(f"not a loop: {loop!r}")
-
-
-def _loop_modified(loop: Stmt) -> list:
-    body, _, extra, bound = _loop_parts(loop)
-    return modified_vars(body, extra, bound)
-
-
-def _check_foreach_collection(loop: Foreach) -> None:
+def _check_foreach_collection(loop: Foreach, memo: dict) -> None:
     if not isinstance(loop.collection, Var):
         return
     coll = loop.collection.name
-    scan = _VarScan()
-    scan.seq(loop.body)
-    if coll in scan._seen_writes:
+    if coll in _seq(loop.body, memo)[1]:
         raise UnsupportedConstruct(
             loop.loc, f"foreach body must not modify the traversed collection '{coll}'")
 
@@ -403,22 +408,26 @@ def analyze_loop(
     program: Program,
     optimize: bool = True,
     names=None,
+    facts: Optional[dict] = None,
 ) -> LoopAnalysis:
     """Summarize a loop for extraction. `names` preassigns the fresh
     (method, result) pair; without it the names are derived from the program
-    as it stands."""
-    scope = _scope_at(method, loop)
-    if scope is None:
-        raise ValueError("loop does not occur in the given method")
-    if isinstance(loop, For):
-        for s in loop.init:
-            if isinstance(s, VarDecl):
-                scope[s.name] = s.type
+    as it stands. `facts` maps id(method) to its MethodFacts, filled in here
+    on first use: pass one dict for all the loops of a program, so that
+    each method is walked once."""
+    if not is_loop(loop):
+        raise TypeError(f"not a loop: {loop!r}")
+    if facts is None:
+        facts = {}
+    here = facts.get(id(method))
+    if here is None:
+        here = facts[id(method)] = MethodFacts(method)
+    scope = here.scope_at(loop)
     if isinstance(loop, Foreach):
-        _check_foreach_collection(loop)
+        _check_foreach_collection(loop, here.memo)
 
-    body, cond, extra, bound = _loop_parts(loop)
-    used = used_vars(body, cond, extra, bound)
+    scan = _compose(*_loop_parts(loop), here.memo)
+    used = list(scan.uses)
     if isinstance(loop, Foreach) and isinstance(loop.collection, Var):
         # the traversed collection is re-read by the generated guard and
         # element access; it leads the parameter list
@@ -435,8 +444,8 @@ def analyze_loop(
         return tuple(out)
 
     params = typed(used)
-    modified = typed(modified_vars(body, extra, bound))
-    live = typed(live_after(loop, method, [p.name for p in modified]))
+    modified = typed(scan.writes)
+    live = typed(here.live_after(loop, [p.name for p in modified]))
 
     if not optimize:
         packing = Packing.OBJECT_ARRAY

@@ -281,6 +281,7 @@ class Print(Stmt):
 
 
 LOOP_KINDS = (While, DoWhile, For, Foreach)
+COMPOUND_KINDS = (If, Block) + LOOP_KINDS  # the statements that hold statements
 
 
 def is_loop(st: Stmt) -> bool:
@@ -295,8 +296,7 @@ def loop_kind(st: Stmt) -> str:
     if isinstance(st, For):
         return "for"
     if isinstance(st, Foreach):
-        if isinstance(st.collection, Expr):
-            return "foreach"
+        return "foreach"
     raise TypeError(f"not a loop: {st!r}")
 
 
@@ -355,104 +355,131 @@ def iter_stmts(stmts: list) -> Iterator[Stmt]:
 
 def stmt_exprs(st: Stmt) -> list:
     """Expressions held directly by a statement (not those of nested blocks)."""
-    if isinstance(st, VarDecl):
+    cls = st.__class__
+    if cls is Assign or cls is Print or cls is Return:
+        return [st.value]
+    if cls is VarDecl:
         return [st.init]
-    if isinstance(st, Assign):
-        return [st.value]
-    if isinstance(st, AssignIndex):
+    if cls in _HAS_COND:
+        return [st.cond]
+    if cls is AssignIndex:
         return [st.index, st.value]
-    if isinstance(st, CallAssign):
+    if cls is CallAssign:
         return list(st.args)
-    if isinstance(st, If):
-        return [st.cond]
-    if isinstance(st, While):
-        return [st.cond]
-    if isinstance(st, DoWhile):
-        return [st.cond]
-    if isinstance(st, For):
-        return [st.cond]
-    if isinstance(st, Foreach):
+    if cls is Foreach:
         return [st.collection]
-    if isinstance(st, (Return, Print)):
-        return [st.value]
     return []
 
 
-def walk_expr(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, Binary):
-        yield from walk_expr(e.lhs)
-        yield from walk_expr(e.rhs)
-    elif isinstance(e, Unary):
-        yield from walk_expr(e.operand)
-    elif isinstance(e, (ArrayLit, ListLit)):
-        for el in e.elements:
-            yield from walk_expr(el)
-    elif isinstance(e, Index):
-        yield from walk_expr(e.base)
-        yield from walk_expr(e.index)
-    elif isinstance(e, Length):
-        yield from walk_expr(e.collection)
-    elif isinstance(e, (Builtin, Call)):
+_HAS_COND = (If, While, DoWhile, For)
+
+
+def walk_expr(e: Expr) -> list:
+    """An expression and all its subexpressions, pre-order."""
+    out = []
+    _walk_expr(e, out)
+    return out
+
+
+def _walk_expr(e: Expr, out: list) -> None:
+    # a left operand chain is walked in a loop, so `1 + 1 + ...` is not
+    # bounded by the recursion limit
+    rights = []
+    while e.__class__ is Binary:
+        out.append(e)
+        rights.append(e.rhs)
+        e = e.lhs
+    out.append(e)
+    cls = e.__class__
+    if cls is Unary:
+        _walk_expr(e.operand, out)
+    elif cls is Index:
+        _walk_expr(e.base, out)
+        _walk_expr(e.index, out)
+    elif cls is Builtin or cls is Call:
         for a in e.args:
-            yield from walk_expr(a)
-    elif isinstance(e, Cast):
-        yield from walk_expr(e.expr)
+            _walk_expr(a, out)
+    elif cls is ArrayLit or cls is ListLit:
+        for el in e.elements:
+            _walk_expr(el, out)
+    elif cls is Length:
+        _walk_expr(e.collection, out)
+    elif cls is Cast:
+        _walk_expr(e.expr, out)
+    for r in reversed(rights):
+        _walk_expr(r, out)
+
+
+def expr_vars(e: Expr) -> list:
+    """Names of the variables an expression reads, pre-order, repeats kept."""
+    return [sub.name for sub in walk_expr(e) if sub.__class__ is Var]
 
 
 def collect_identifiers(program: Program) -> set:
     """Every identifier occurring anywhere in the program: method names,
     parameters, declarations, assignment targets, call targets and variable
     references. Fresh-name generation must avoid all of them."""
-    ids = set()
-    for m in program.methods:
-        ids.add(m.name)
-        for p in m.params:
-            ids.add(p.name)
-        exprs = []
-        for st in iter_stmts(m.body):
-            if isinstance(st, VarDecl):
-                ids.add(st.name)
-            elif isinstance(st, (Assign, AssignIndex)):
-                ids.add(st.name)
-            elif isinstance(st, CallAssign):
-                if st.target is not None:
-                    ids.add(st.target)
-                ids.add(st.method)
-            elif isinstance(st, Foreach):
-                ids.add(st.elem_name)
-            exprs.extend(stmt_exprs(st))
-        if m.ret is not None:
-            exprs.append(m.ret)
-        for e in exprs:
+    ids = []
+
+    def exprs(es):
+        for e in es:
             for sub in walk_expr(e):
-                if isinstance(sub, Var):
-                    ids.add(sub.name)
-                elif isinstance(sub, Call):
-                    ids.add(sub.method)
-    return ids
+                cls = sub.__class__
+                if cls is Var:
+                    ids.append(sub.name)
+                elif cls is Call:
+                    ids.append(sub.method)
+
+    def stmts(block):
+        for st in block:
+            cls = st.__class__
+            if cls is VarDecl or cls is Assign or cls is AssignIndex:
+                ids.append(st.name)
+            elif cls is CallAssign:
+                if st.target is not None:
+                    ids.append(st.target)
+                ids.append(st.method)
+            elif cls is Foreach:
+                ids.append(st.elem_name)
+            exprs(stmt_exprs(st))
+            if cls in COMPOUND_KINDS:
+                for inner in stmt_blocks(st):
+                    stmts(inner)
+
+    for m in program.methods:
+        ids.append(m.name)
+        ids += [p.name for p in m.params]
+        stmts(m.body)
+        if m.ret is not None:
+            exprs([m.ret])
+    return set(ids)
 
 
 def assign_loop_ids(program: Program) -> int:
     """Number every loop in document order (outer loops before the loops they
     contain). Returns the loop count. The parser calls this; call it yourself
     on hand-built trees before interpreting or transforming them."""
-    n = 0
-    for m in program.methods:
-        for st in iter_stmts(m.body):
-            if is_loop(st):
-                st.loop_id = n
-                n += 1
-    return n
+    loops = program_loops(program)
+    for n, (_, st) in enumerate(loops):
+        st.loop_id = n
+    return len(loops)
 
 
 def program_loops(program: Program) -> list:
     """(method, loop) pairs in document order."""
     out = []
-    for m in program.methods:
-        for st in iter_stmts(m.body):
-            if is_loop(st):
+
+    def walk(m, stmts):
+        for st in stmts:
+            cls = st.__class__
+            if cls in LOOP_KINDS:
                 out.append((m, st))
+            if cls in COMPOUND_KINDS:
+                for block in stmt_blocks(st):
+                    walk(m, block)
+
+    for m in program.methods:
+        walk(m, m.body)
     return out
 
 

@@ -26,7 +26,7 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Optional
 
 from .ast import (
@@ -143,19 +143,48 @@ class UndefinedMethodError(InterpError):
 # ------------------------------------------------------------------- values
 
 
-@dataclass(frozen=True)
-class IntV:
-    value: int  # always within 32-bit two's complement
+class _Scalar:
+    """An immutable boxed scalar, equal and hashed by class and value like the
+    frozen dataclass it replaces. `__init__` stores through the slot
+    descriptor (`_store`), since ordinary assignment is refused."""
+
+    __slots__ = ()
+
+    def __init__(self, value):
+        self._store(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(value={self.value!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field '{name}'")
 
 
-@dataclass(frozen=True)
-class DoubleV:
-    value: float
+class IntV(_Scalar):
+    __slots__ = ("value",)  # always within 32-bit two's complement
 
 
-@dataclass(frozen=True)
-class BoolV:
-    value: bool
+class DoubleV(_Scalar):
+    __slots__ = ("value",)
+
+
+class BoolV(_Scalar):
+    __slots__ = ("value",)
+
+
+for _cls in (IntV, DoubleV, BoolV):
+    _cls._store = _cls.value.__set__
 
 
 class VoidV:

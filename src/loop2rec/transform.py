@@ -194,8 +194,7 @@ def _gen_method(analysis: LoopAnalysis, opts: TransformOptions, params: list,
 # ------------------------------------------------------------ per-loop kinds
 
 
-def transform_while(loop: While, method: MethodDef, analysis: LoopAnalysis,
-                    opts: TransformOptions):
+def transform_while(loop: While, analysis: LoopAnalysis, opts: TransformOptions):
     """`while` becomes `if (cond) <call+catch>`; the method runs the body,
     re-checks the condition for the tail call, then returns. The guard's own
     braces scope any declared result variable, so no extra block is needed."""
@@ -206,8 +205,7 @@ def transform_while(loop: While, method: MethodDef, analysis: LoopAnalysis,
     return replacement, gen
 
 
-def transform_do(loop: DoWhile, method: MethodDef, analysis: LoopAnalysis,
-                 opts: TransformOptions):
+def transform_do(loop: DoWhile, analysis: LoopAnalysis, opts: TransformOptions):
     """Same as the while case except the first call is unconditional (a do
     body always runs once); the unguarded catch code needs its own block when
     it declares anything."""
@@ -218,8 +216,7 @@ def transform_do(loop: DoWhile, method: MethodDef, analysis: LoopAnalysis,
     return replacement, gen
 
 
-def transform_for(loop: For, method: MethodDef, analysis: LoopAnalysis,
-                  opts: TransformOptions):
+def transform_for(loop: For, analysis: LoopAnalysis, opts: TransformOptions):
     """Init statements are hoisted to the top of the new block (keeping their
     scope confined to it), update statements run between the body and the
     condition check, and init-declared variables travel as parameters."""
@@ -234,9 +231,8 @@ def transform_for(loop: For, method: MethodDef, analysis: LoopAnalysis,
     return replacement, gen
 
 
-def transform_foreach_array(loop: Foreach, method: MethodDef, analysis: LoopAnalysis,
-                            opts: TransformOptions, index_name: str,
-                            coll_name: Optional[str] = None):
+def transform_foreach_array(loop: Foreach, analysis: LoopAnalysis, opts: TransformOptions,
+                            index_name: str, coll_name: Optional[str] = None):
     """Array traversal gets a fresh counter passed along every call; the
     element variable is declared from `coll[index]` at the top of the method.
     A non-variable collection expression is hoisted so it is evaluated once."""
@@ -268,8 +264,8 @@ def transform_foreach_array(loop: Foreach, method: MethodDef, analysis: LoopAnal
     return replacement, gen
 
 
-def transform_foreach_iterable(loop: Foreach, method: MethodDef, analysis: LoopAnalysis,
-                               opts: TransformOptions, iterator_name: str):
+def transform_foreach_iterable(loop: Foreach, analysis: LoopAnalysis, opts: TransformOptions,
+                               iterator_name: str):
     """List traversal threads an iterator instead of a counter: hasNext guards
     both calls and next() yields the element at the top of the method."""
     iter_type = iterator_of(loop.elem_type)
@@ -304,18 +300,18 @@ class _PlannedLoop:
 
 def _plan(program: Program, opts: TransformOptions) -> dict:
     """Analyze every loop against the untouched program, allocating fresh
-    names in document order (an outer loop is named before its inner loops)."""
-    from .analysis import _scope_at
-
+    names in document order (an outer loop is named before its inner loops).
+    Each method is walked once; its facts are dropped on return."""
     alloc = NameAllocator(program)
     plans = {}
+    facts = {}
     for method, loop in program_loops(program):
         names = (alloc.fresh(f"{method.name}_loop"), alloc.fresh("result"))
-        analysis = analyze_loop(loop, method, program, optimize=opts.optimize, names=names)
+        analysis = analyze_loop(loop, method, program, optimize=opts.optimize, names=names,
+                                facts=facts)
         plan = _PlannedLoop(analysis, loop_kind(loop), method.name)
         if isinstance(loop, Foreach):
-            scope = _scope_at(method, loop)
-            kind = _collection_static_kind(loop.collection, scope or {})
+            kind = _collection_static_kind(loop.collection, facts[id(method)].scope_at(loop))
             if kind == "list":
                 plan.kind = "foreach_list"
                 plan.iterator_name = alloc.fresh("it")
@@ -328,26 +324,26 @@ def _plan(program: Program, opts: TransformOptions) -> dict:
     return plans
 
 
-def _rewrite_seq(stmts: list, method: MethodDef, opts: TransformOptions,
-                 plans: dict, generated: list, report: list) -> list:
+def _rewrite_seq(stmts: list, opts: TransformOptions, plans: dict, generated: list,
+                 report: list) -> list:
     out = []
     for st in stmts:
         if is_loop(st):
-            body = _rewrite_seq(st.body, method, opts, plans, generated, report)
+            body = _rewrite_seq(st.body, opts, plans, generated, report)
             loop = replace(st, body=body)
             plan = plans[st.loop_id]
             if isinstance(loop, While):
-                repl, gen = transform_while(loop, method, plan.analysis, opts)
+                repl, gen = transform_while(loop, plan.analysis, opts)
             elif isinstance(loop, DoWhile):
-                repl, gen = transform_do(loop, method, plan.analysis, opts)
+                repl, gen = transform_do(loop, plan.analysis, opts)
             elif isinstance(loop, For):
-                repl, gen = transform_for(loop, method, plan.analysis, opts)
+                repl, gen = transform_for(loop, plan.analysis, opts)
             elif plan.kind == "foreach_array":
                 repl, gen = transform_foreach_array(
-                    loop, method, plan.analysis, opts, plan.index_name, plan.coll_name)
+                    loop, plan.analysis, opts, plan.index_name, plan.coll_name)
             else:
                 repl, gen = transform_foreach_iterable(
-                    loop, method, plan.analysis, opts, plan.iterator_name)
+                    loop, plan.analysis, opts, plan.iterator_name)
             generated.append(gen)
             report.append(LoopReport(
                 loop_id=st.loop_id,
@@ -361,12 +357,12 @@ def _rewrite_seq(stmts: list, method: MethodDef, opts: TransformOptions,
         elif isinstance(st, If):
             out.append(replace(
                 st,
-                then=_rewrite_seq(st.then, method, opts, plans, generated, report),
-                orelse=(_rewrite_seq(st.orelse, method, opts, plans, generated, report)
+                then=_rewrite_seq(st.then, opts, plans, generated, report),
+                orelse=(_rewrite_seq(st.orelse, opts, plans, generated, report)
                         if st.orelse else st.orelse),
             ))
         elif isinstance(st, Block):
-            out.append(replace(st, body=_rewrite_seq(st.body, method, opts, plans, generated, report)))
+            out.append(replace(st, body=_rewrite_seq(st.body, opts, plans, generated, report)))
         else:
             out.append(st)
     return out
@@ -393,7 +389,7 @@ def transform_program(program: Program, opts: Optional[TransformOptions] = None)
     report: list = []
     methods = []
     for m in program.methods:
-        body = _rewrite_seq(m.body, m, opts, plans, generated, report)
+        body = _rewrite_seq(m.body, opts, plans, generated, report)
         methods.append(MethodDef(m.ret_type, m.name, m.params, body, m.ret, loc=m.loc))
     out = Program(methods + generated, entry=program.entry)
     report.sort(key=lambda r: r.loop_id)

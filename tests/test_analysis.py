@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from loop2rec.analysis import (
+    NameAllocator,
     Packing,
     UnsupportedConstruct,
     analyze_loop,
@@ -9,12 +12,35 @@ from loop2rec.analysis import (
     modified_vars,
     used_vars,
 )
-from loop2rec.ast import DOUBLE, INT, collect_identifiers, is_loop, iter_stmts, program_loops
+from loop2rec.ast import (
+    DOUBLE,
+    INT,
+    VOID,
+    Assign,
+    Binary,
+    For,
+    IntLit,
+    Loc,
+    MethodDef,
+    Print,
+    Program,
+    Var,
+    VarDecl,
+    While,
+    collect_identifiers,
+    is_loop,
+    iter_stmts,
+    program_loops,
+    structural_eq,
+)
+from loop2rec.checker import check_semantics
+from loop2rec.cli import _analysis_json
 from loop2rec.generator import GenConfig, generate
 from loop2rec.parser import parse
-from loop2rec.transform import analyze_program, transform_program
+from loop2rec.printer import pretty_print
+from loop2rec.transform import TransformOptions, analyze_program, transform_program
 
-from conftest import corpus_text
+from conftest import CORPUS_FILES, corpus_text
 
 SQRT = corpus_text("sqrt.mj")
 
@@ -201,3 +227,214 @@ def test_fresh_names_never_collide_with_program_identifiers():
         result = transform_program(p)
         for row in result.report:
             assert row.loop_method_name not in before, f"seed {seed}"
+
+
+def test_fresh_suffixes_continue_past_taken_and_allocated_names():
+    alloc = NameAllocator(parse(
+        "void m() { int r = 1; int r3 = 2; int r12 = 3; print(r + r3 + r12); }"))
+    assert [alloc.fresh("r") for _ in range(4)] == ["r2", "r4", "r5", "r6"]
+    # another base can produce a candidate of this one; it is skipped
+    assert [alloc.fresh("r1") for _ in range(3)] == ["r1", "r13", "r14"]
+    assert [alloc.fresh("r") for _ in range(10)] == [
+        f"r{k}" for k in (7, 8, 9, 10, 11, 15, 16, 17, 18, 19)]
+
+
+# ------------------------------------------------------- behaviour pin
+
+# sha256 over `_analysis_json` and the printed rewrite in both modes (an error
+# renders as its class and message) of the corpus and seeds 0-199 in the
+# default and the deeper generator setting, as the analysis that re-walked the
+# method for every loop produced them; the one-pass analysis must match.
+ANALYSIS_PIN_SHA256 = "01f9f8360c300c63ea648a45d632486502595fcec40c2bca54d013ea5e28db3c"
+
+
+def render_analysis(program) -> str:
+    out = []
+    for show in (lambda: _analysis_json(program),
+                 lambda: pretty_print(transform_program(program).program),
+                 lambda: pretty_print(transform_program(
+                     program, TransformOptions(optimize=False)).program)):
+        try:
+            out.append(show())
+        except (UnsupportedConstruct, ValueError) as err:
+            out.append(f"{type(err).__name__}|{err}")
+    return "\0".join(out)
+
+
+def test_analysis_and_rewrites_are_pinned():
+    programs = [parse(corpus_text(n)) for n in CORPUS_FILES]
+    programs += [generate(GenConfig(seed=s)) for s in range(200)]
+    programs += [generate(GenConfig(seed=s, max_depth=4, max_loops=6)) for s in range(200)]
+    h = hashlib.sha256()
+    for p in programs:
+        h.update(render_analysis(p).encode() + b"\n")
+    assert h.hexdigest() == ANALYSIS_PIN_SHA256
+
+
+# ------------------------------------------- errors on unchecked trees
+
+NOT_IN_SCOPE = "loop references '{}' which is not in scope; run check_semantics first"
+WRITES_COLLECTION = "foreach body must not modify the traversed collection '{}'"
+
+
+@pytest.mark.parametrize("src, loc, message", [
+    # a name no one declares
+    ("void main() { int s = 0; while (s < 3) { s = s + k; } print(s); }",
+     "1:26", NOT_IN_SCOPE.format("k")),
+    # declared only after the loop
+    ("void main() { while (x < 3) { x = x + 1; } int x = 0; print(x); }",
+     "1:15", NOT_IN_SCOPE.format("x")),
+    # declared in the sibling branch of the loop's own `if`
+    ("void main() { int c = 1;\n  if (c > 0) { int t = 1; print(t); }\n"
+     "  else { while (t < 3) { t = t + 1; } } }",
+     "3:10", NOT_IN_SCOPE.format("t")),
+    ("void main() { double[] xs = new double[] { 1.0 };\n"
+     "  for (double v : xs) { xs[0] = v; } }",
+     "2:3", WRITES_COLLECTION.format("xs")),
+    # the collection check comes before the scope check
+    ("void main() { for (double v : ys) { ys[0] = q; } }",
+     "1:15", WRITES_COLLECTION.format("ys")),
+    # a write in a nested loop counts, and the outer loop is analyzed first
+    ("void main() { double[] xs = new double[] { 1.0 }; int i = 0;\n"
+     "  for (double v : xs) { while (i < 1) { xs = new double[] { v }; i = i + 1; } } }",
+     "2:3", WRITES_COLLECTION.format("xs")),
+])
+def test_unchecked_tree_errors(src, loc, message):
+    p = parse(src)  # never checked
+    expected = f"{loc}: {message}"
+    for call in (lambda: transform_program(p),
+                 lambda: transform_program(p, TransformOptions(optimize=False)),
+                 lambda: analyze_program(p)):
+        with pytest.raises(UnsupportedConstruct) as exc:
+            call()
+        assert (str(exc.value), str(exc.value.loc), exc.value.message) == (expected, loc, message)
+    method, loop = first_loop(p)
+    with pytest.raises(UnsupportedConstruct) as exc:
+        analyze_loop(loop, method, p)
+    assert str(exc.value) == expected
+
+
+def test_inner_loop_of_rejected_foreach_still_analyzes():
+    p = parse("void main() { double[] xs = new double[] { 1.0 }; int i = 0;\n"
+              "  for (double v : xs) { while (i < 1) { xs = new double[] { v }; i = i + 1; } } }")
+    (_, outer), (method, inner) = program_loops(p)
+    a = analyze_loop(inner, method, p)
+    assert [x.name for x in a.params] == ["v", "xs", "i"]
+    assert [x.name for x in a.modified] == ["xs", "i"]
+    # i is re-read by the outer body on the foreach's back edge; v is not
+    # written, xs is never read again
+    assert [x.name for x in a.live_after] == ["i"]
+    assert live_after(outer, method) == []
+
+
+def test_loop_with_the_wrong_method():
+    p = parse("int f(int a) { int b = a; while (b > 0) { b = b - 1; } return b; }\n"
+              "void main() { int z = 0; print(z); }")
+    (f, loop), main = first_loop(p), p.methods[1]
+    for call in (lambda: analyze_loop(loop, main, p), lambda: live_after(loop, main)):
+        with pytest.raises(ValueError, match="^loop does not occur in the given method$"):
+            call()
+    assert live_after(loop, f) == ["b"]
+
+
+def test_loop_inside_a_for_header_has_no_scope():
+    # hand-built: the scope rules never reach a loop in a for loop's init
+    # list, but liveness does
+    inner = While(Binary("<", Var("a"), IntLit(1)),
+                  [Assign("a", Binary("+", Var("a"), IntLit(1)))], loc=Loc(3, 5))
+    outer = For([VarDecl(INT, "i", IntLit(0)), inner], Binary("<", Var("i"), IntLit(1)),
+                [Assign("i", Binary("+", Var("i"), IntLit(1)))], [Print(Var("a"))],
+                loc=Loc(2, 3))
+    method = MethodDef(VOID, "main", [], [VarDecl(INT, "a", IntLit(0)), outer])
+    p = Program([method])
+    for call in (lambda: transform_program(p), lambda: analyze_program(p),
+                 lambda: analyze_loop(inner, method, p)):
+        with pytest.raises(ValueError, match="^loop does not occur in the given method$"):
+            call()
+    assert live_after(outer, method) == []
+    assert live_after(inner, method) == ["a"]
+
+
+def test_declarations_hide_names_for_the_rest_of_the_scan():
+    # t is declared in one branch, so the other branch's `t = 2` is not free
+    p = parse("void main() { int s = 0;\n"
+              "  while (s < 3) {\n"
+              "    if (s > 1) { int t = 1; s = s + t; } else { t = 2; }\n"
+              "    s = s + 1; }\n"
+              "  print(s); }")
+    _, loop = first_loop(p)
+    assert used_vars(loop.body, loop.cond) == ["s"]
+    assert modified_vars(loop.body) == ["s"]
+    # a later block that declares x again reads its own x, not the loop's
+    p = parse("void main() { int x = 0; int c = 1;\n"
+              "  while (x < 3) { x = x + 1; c = c + x; }\n"
+              "  if (c > 0) { int x = 5; print(x); } else { print(c); } }")
+    method, loop = first_loop(p)
+    a = analyze_loop(loop, method, p)
+    assert [x.name for x in a.params] == ["x", "c"]
+    assert [x.name for x in a.live_after] == ["c"]
+    # unchecked: after the block that declares x again, `print(x)` still
+    # counts as a read of that declaration, not of the loop's x
+    p = parse("void main() { int x = 0;\n"
+              "  while (x < 3) { x = x + 1; }\n"
+              "  { int x = 5; print(x); } print(x); }")
+    method, loop = first_loop(p)
+    assert live_after(loop, method) == []
+
+
+# ---------------------------------------------------------- large methods
+
+
+def sequential_loops(n: int) -> str:
+    """One method with n loops one after another, cycling through the four
+    loop kinds and the three packings."""
+    lines = ["void main() {", "    int s = 0;", "    int t = 1;", "    double d = 0.5;",
+             "    double[] xs = new double[] { 1.0, 2.0 };"]
+    for k in range(n):
+        kind = k % 4
+        if kind == 0:
+            lines += [f"    int i{k} = 0;",
+                      f"    while (i{k} < 2) {{ s = s + i{k}; i{k} = i{k} + 1; }}"]
+        elif kind == 1:
+            lines += [f"    int j{k} = 0;",
+                      f"    do {{ j{k} = j{k} + 1; t = t + j{k}; }} while (j{k} < 2);"]
+        elif kind == 2:
+            lines += [f"    for (int n{k} = 0; n{k} < 2; n{k} = n{k} + 1) "
+                      f"{{ s = s * 2 + n{k}; t = t - 1; }}"]
+        else:
+            lines += [f"    for (double v{k} : xs) {{ d = d + v{k}; }}"]
+    lines += ["    print(s);", "    print(t);", "    print(d);", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def while_nest(depth: int) -> str:
+    """One method holding `depth` while loops, each inside the last."""
+    lines = ["void main() {", "    int s = 0;"]
+    pad = "    "
+    for k in range(depth):
+        lines += [f"{pad}int c{k} = 0;", f"{pad}while (c{k} < 1) {{"]
+        pad += "    "
+    lines.append(f"{pad}s = s + 1;")
+    for k in reversed(range(depth)):
+        lines.append(f"{pad}c{k} = c{k} + 1;")
+        pad = pad[4:]
+        lines.append(f"{pad}}}")
+    lines += ["    print(s);", "}"]
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of `_analysis_json` and the printed rewrite, as the analysis that
+# re-walked the method for every loop produced them (it took seconds on each)
+@pytest.mark.parametrize("src, digest", [
+    (sequential_loops(1000), "39951f56f3b50e917d7a4c10ca9d75253a9a14de9ba69c6ff9e33dce2e79ccfb"),
+    (while_nest(200), "900ce6511089fe822d38b3534bd51886b56da2a7bf09f6b4d91b52e5649a3876"),
+], ids=["1000-sequential-loops", "200-deep-while-nest"])
+def test_large_methods_rewrite_and_round_trip(src, digest):
+    p = parse(src)
+    assert check_semantics(p) == []
+    result = transform_program(p)
+    text = pretty_print(result.program)
+    again = parse(text)
+    assert check_semantics(again) == []
+    assert structural_eq(again, result.program)
+    assert hashlib.sha256((_analysis_json(p) + "\0" + text).encode()).hexdigest() == digest

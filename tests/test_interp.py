@@ -1,12 +1,14 @@
 import hashlib
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from loop2rec.ast import Binary, BoolLit, IntLit, Unary
+from loop2rec.ast import Binary, BoolLit, IntLit, Unary, assign_loop_ids
 from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import (
     ArityMismatchError,
+    BoolV,
     DivisionByZeroError,
     DoubleV,
     EmptyStateError,
@@ -368,6 +370,30 @@ def test_values_equal_is_bitwise_for_doubles():
     assert values_equal(DoubleV(math.nan), DoubleV(math.nan))
     assert not values_equal(DoubleV(0.0), DoubleV(-0.0))
     assert not values_equal(DoubleV(1.0), IntV(1))
+
+
+def test_values_are_immutable_and_compare_by_class_and_value():
+    for v, text in ((IntV(5), "IntV(value=5)"), (DoubleV(0.5), "DoubleV(value=0.5)"),
+                    (BoolV(True), "BoolV(value=True)")):
+        assert repr(v) == text
+        same = type(v)(v.value)
+        assert v == same and hash(v) == hash(same) and not v != same
+        with pytest.raises(FrozenInstanceError):
+            v.value = v.value
+        with pytest.raises(FrozenInstanceError):
+            del v.value
+        with pytest.raises(FrozenInstanceError):
+            v.other = 1
+    assert IntV(1) != BoolV(True) and IntV(1) != DoubleV(1.0) and IntV(1) != 1
+    assert IntV(1) != IntV(2)
+
+
+def test_loop_iterations_are_keyed_in_document_order():
+    programs = [parse(corpus_text(n)) for n in TERMINATING]
+    programs += [generate(GenConfig(seed=s, max_depth=4, max_loops=6)) for s in range(30)]
+    for p in programs:
+        n = assign_loop_ids(p)
+        assert list(run(p).loop_iterations) == list(range(n))
 
 
 def test_frame_balance_every_push_is_popped():

@@ -2,16 +2,21 @@ import pytest
 
 from loop2rec.analysis import Packing
 from loop2rec.ast import (
+    Assign,
+    AssignIndex,
     Block,
     BoolLit,
     Call,
     CallAssign,
+    Foreach,
     If,
     Return,
+    Var,
     VarDecl,
     collect_identifiers,
     is_loop,
     iter_stmts,
+    stmt_blocks,
     structural_eq,
     walk_expr,
     stmt_exprs,
@@ -317,3 +322,49 @@ def test_transform_is_deterministic():
         q = generate(GenConfig(seed=seed))
         assert structural_eq(transform_program(p).program,
                              transform_program(q).program)
+
+
+def preorder(stmts):
+    out = []
+    for st in stmts:
+        out.append(st)
+        for block in stmt_blocks(st):
+            out += preorder(block)
+    return out
+
+
+def identifiers(program):
+    """collect_identifiers spelled out over iter_stmts and walk_expr."""
+    ids = set()
+    for m in program.methods:
+        ids.add(m.name)
+        ids.update(p.name for p in m.params)
+        exprs = [m.ret] if m.ret is not None else []
+        for st in iter_stmts(m.body):
+            if isinstance(st, (VarDecl, Assign, AssignIndex)):
+                ids.add(st.name)
+            elif isinstance(st, CallAssign):
+                ids.update(n for n in (st.target, st.method) if n is not None)
+            elif isinstance(st, Foreach):
+                ids.add(st.elem_name)
+            exprs += stmt_exprs(st)
+        for e in exprs:
+            for sub in walk_expr(e):
+                if isinstance(sub, Var):
+                    ids.add(sub.name)
+                elif isinstance(sub, Call):
+                    ids.add(sub.method)
+    return ids
+
+
+def test_tree_walks_agree_with_their_recursive_definitions():
+    programs = [parse(corpus_text(n)) for n in CORPUS_FILES]
+    programs += [generate(GenConfig(seed=s, max_depth=4, max_loops=6)) for s in range(40)]
+    programs += [transform_program(p).program for p in programs]
+    # unchecked: a call target that names no method
+    programs.append(parse("int f(int a) { return g(a + 1); }\n"
+                          "void main() { int r = f(1); print(r); }"))
+    for p in programs:
+        for m in p.methods:
+            assert [id(st) for st in iter_stmts(m.body)] == [id(st) for st in preorder(m.body)]
+        assert collect_identifiers(p) == identifiers(p)

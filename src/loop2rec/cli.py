@@ -9,6 +9,7 @@ so scripts can tell failure classes apart:
     3  I/O error
     4  step budget exceeded
     5  runtime error with a source location
+    6  internal error: an unexpected exception, reported in one line
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_FRONTEND = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_RUNTIME = 5
+EXIT_INTERNAL = 6
 
 
 def _load(path: str):
@@ -245,7 +247,11 @@ def main(argv=None) -> int:
     if getattr(args, "budget", 1) <= 0:
         print("budget must be positive", file=sys.stderr)
         return EXIT_FRONTEND
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as e:  # a bug in loop2rec: keep it out of codes 1-5
+        print(f"loop2rec: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

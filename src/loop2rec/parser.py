@@ -126,51 +126,50 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # ident | int | double | sym | kw | eof
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+# group numbers of the alternatives, which a match's `lastindex` names
+_NEWLINE, _WORD, _COMMENT, _SYM, _END, _BAD = (
+    _TOKEN_RE.groupindex[name] for name in ("newline", "word", "comment", "sym", "end", "bad"))
 
 
 def tokenize(text: str) -> list:
+    """One `(kind, text, line, col)` tuple per token, then an eof tuple; kind
+    is ident, kw, sym, int, double or eof, and line and col count from 1.
+    The per-token work is kept small, as it costs about as much as the regex
+    match itself: plain tuples, no object per token, and the branches test
+    the commonest alternatives first, by group number rather than name."""
     toks = []
     append = toks.append
     line = 1
     line_start = 0  # offset of the first character of the current line
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
+        group = m.lastindex
+        if group == _SYM:
+            append(("sym", m[group], line, m.start(group) - line_start + 1))
+        elif group == _WORD:
+            word = m[group]
+            col = m.start(group) - line_start + 1
+            if word >= "\x80" and not word[0].isalpha():
+                # a non-ASCII digit or numeral such as '²' cannot start a word
+                raise ParseError(line, col, "a token", repr(word[0]))
+            append(("kw" if word in KEYWORDS else "ident", word, line, col))
+        elif group == _NEWLINE:
             line += 1
             line_start = m.end()
-            continue
-        if kind == "comment":
-            continue
-        if kind == "end":
+        elif group == _END:
             break
-        lexeme = m.group(kind)
-        col = m.start(kind) - line_start + 1
-        if kind == "word":
-            if lexeme >= "\x80" and not lexeme[0].isalpha():
-                # a non-ASCII digit or numeral such as '²' cannot start a word
-                raise ParseError(line, col, "a token", repr(lexeme[0]))
-            kind = "kw" if lexeme in KEYWORDS else "ident"
-        elif kind == "bad":
-            raise ParseError(line, col, "a token", repr(lexeme))
-        # range checking of int literals happens in the parser: `-2147483648`
-        # is one negated literal there, while the bare magnitude is too big
-        append(Token(kind, lexeme, line, col))
-    append(Token("eof", "<eof>", line, len(text) - line_start + 1))
+        elif group != _COMMENT:  # int, double or bad
+            lexeme = m[group]
+            col = m.start(group) - line_start + 1
+            if group == _BAD:
+                raise ParseError(line, col, "a token", repr(lexeme))
+            # range checking of int literals happens in the parser: `-2147483648`
+            # is one negated literal there, while the bare magnitude is too big
+            append((m.lastgroup, lexeme, line, col))
+    append(("eof", "<eof>", line, len(text) - line_start + 1))
     return toks
 
 
-def _int_value(at: Token, text: str) -> int:
+def _int_value(at: tuple, text: str) -> int:
     """Value of the int literal `text`, which is `at`'s text or that with a
     leading '-'; a ParseError at `at` unless it fits in 32 bits."""
     try:
@@ -178,23 +177,24 @@ def _int_value(at: Token, text: str) -> int:
     except ValueError:  # more digits than int() converts: far out of range
         value = None
     if value is None or not INT_MIN <= value <= INT_MAX:
-        raise ParseError(at.line, at.col, "int literal within 32-bit range", text)
+        raise ParseError(at[2], at[3], "int literal within 32-bit range", text)
     return value
 
 
-def _double_value(at: Token, text: str) -> float:
+def _double_value(at: tuple, text: str) -> float:
     """Value of the double literal `text`, which is `at`'s text or that with
     a leading '-'; a ParseError at `at` if it overflows to infinity."""
     value = float(text)
     if math.isinf(value):
-        raise ParseError(at.line, at.col, "double literal within binary64 range", text)
+        raise ParseError(at[2], at[3], "double literal within binary64 range", text)
     return value
 
 
 class _Parser:
-    """Recursive descent over a token list. Two tokens of lookahead (`peek(1)`)
-    suffice, plus one backtrack in a `for` header to tell a foreach from a
-    counted loop.
+    """Recursive descent over the `(kind, text, line, col)` tuples of
+    `tokenize`, so `t[0]` is a token's kind, `t[1]` its text and `t[2]`,
+    `t[3]` its line and col. Two tokens of lookahead (`peek(1)`) suffice, plus
+    one backtrack in a `for` header to tell a foreach from a counted loop.
 
     A symbol's or keyword's text belongs to no other kind of token, so the
     lookahead helpers compare text alone. The token list is padded with a
@@ -209,47 +209,47 @@ class _Parser:
 
     # ------------------------------------------------------------ utilities
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> tuple:
         return self.toks[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
     def at_sym(self, s: str, ahead: int = 0) -> bool:
-        return self.toks[self.pos + ahead].text == s
+        return self.toks[self.pos + ahead][1] == s
 
     at_kw = at_sym
 
-    def expect_sym(self, s: str) -> Token:
+    def expect_sym(self, s: str) -> tuple:
         t = self.toks[self.pos]
-        if t.text != s:
-            raise ParseError(t.line, t.col, f"'{s}'", t.text)
+        if t[1] != s:
+            raise ParseError(t[2], t[3], f"'{s}'", t[1])
         self.pos += 1
         return t
 
     expect_kw = expect_sym
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect_ident(self, what: str = "identifier") -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "ident":
-            raise ParseError(t.line, t.col, what, t.text)
+        if t[0] != "ident":
+            raise ParseError(t[2], t[3], what, t[1])
         self.pos += 1
         return t
 
     def at_call(self) -> bool:
         """At `IDENT (`, the start of a method call."""
-        return self.toks[self.pos].kind == "ident" and self.toks[self.pos + 1].text == "("
+        return self.toks[self.pos][0] == "ident" and self.toks[self.pos + 1][1] == "("
 
     def loc(self) -> Loc:
         t = self.toks[self.pos]
-        return Loc(t.line, t.col)
+        return Loc(t[2], t[3])
 
     def fail(self, expected: str) -> ParseError:
         t = self.toks[self.pos]
-        return ParseError(t.line, t.col, expected, t.text)
+        return ParseError(t[2], t[3], expected, t[1])
 
     def enter(self) -> None:
         """Open one nesting level at the current token; close it with
@@ -261,28 +261,28 @@ class _Parser:
     # ------------------------------------------------------------ types
 
     def at_type(self) -> bool:
-        return self.toks[self.pos].text in _TYPE_STARTS
+        return self.toks[self.pos][1] in _TYPE_STARTS
 
     def parse_type(self) -> Type:
-        t = self.toks[self.pos]
-        if t.text not in _TYPE_STARTS:
+        _, name, line, col = self.toks[self.pos]
+        if name not in _TYPE_STARTS:
             raise self.fail("a type")
         self.pos += 1
-        if t.text == "List" or t.text == "Iterator":
+        if name == "List" or name == "Iterator":
             self.enter()
             self.expect_sym("<")
             elem = self.parse_type()
             if elem == VOID:
-                raise ParseError(t.line, t.col, "non-void element type", "void")
+                raise ParseError(line, col, "non-void element type", "void")
             self.expect_sym(">")
             self.depth -= 1
-            base = list_of(elem) if t.text == "List" else iterator_of(elem)
+            base = list_of(elem) if name == "List" else iterator_of(elem)
         else:
-            base = _BASE_TYPES[t.text]
+            base = _BASE_TYPES[name]
         while self.at_sym("[") and self.at_sym("]", 1):
             self.pos += 2
             if base == VOID:
-                raise ParseError(t.line, t.col, "non-void element type", "void[]")
+                raise ParseError(line, col, "non-void element type", "void[]")
             base = OBJECT_ARRAY if base == OBJECT else array_of(base)
         return base
 
@@ -291,7 +291,7 @@ class _Parser:
     def parse_program(self) -> Program:
         methods = []
         seen = set()
-        while not self.peek().kind == "eof":
+        while self.toks[self.pos][0] != "eof":
             m = self.parse_method()
             if m.name in seen:
                 raise ParseError(m.loc.line, m.loc.col, "a new method name",
@@ -303,7 +303,7 @@ class _Parser:
     def parse_method(self) -> MethodDef:
         loc = self.loc()
         ret_type = self.parse_type()
-        name = self.expect_ident("method name").text
+        name = self.expect_ident("method name")[1]
         self.expect_sym("(")
         params = []
         seen = set()
@@ -312,12 +312,12 @@ class _Parser:
                 pt = self.parse_type()
                 if pt == VOID:
                     raise self.fail("non-void parameter type")
-                pn = self.expect_ident("parameter name")
-                if pn.text in seen:
-                    raise ParseError(pn.line, pn.col, "a new parameter name",
-                                     f"duplicate parameter '{pn.text}'")
-                seen.add(pn.text)
-                params.append(Param(pn.text, pt))
+                _, pname, line, col = self.expect_ident("parameter name")
+                if pname in seen:
+                    raise ParseError(line, col, "a new parameter name",
+                                     f"duplicate parameter '{pname}'")
+                seen.add(pname)
+                params.append(Param(pname, pt))
                 if self.at_sym(","):
                     self.next()
                     continue
@@ -337,11 +337,11 @@ class _Parser:
         """Statements up to '}' . A `return` must be the last statement."""
         stmts = []
         toks = self.toks
-        while toks[self.pos].text != "}" and toks[self.pos].kind != "eof":
+        while toks[self.pos][1] != "}" and toks[self.pos][0] != "eof":
             if stmts and isinstance(stmts[-1], Return):
                 t = toks[self.pos]
-                raise ParseError(t.line, t.col, "'}' (return must be the last "
-                                 "statement in its block)", t.text)
+                raise ParseError(t[2], t[3], "'}' (return must be the last "
+                                 "statement in its block)", t[1])
             stmts.append(self.parse_stmt(in_loop))
         return stmts
 
@@ -358,9 +358,8 @@ class _Parser:
         return stmts
 
     def parse_stmt(self, in_loop: bool) -> Stmt:
-        t = self.toks[self.pos]
-        loc = Loc(t.line, t.col)
-        text = t.text
+        kind, text, line, col = self.toks[self.pos]
+        loc = Loc(line, col)
         if text == "if":
             return self.parse_if(loc, in_loop)
         if text == "while":
@@ -383,7 +382,7 @@ class _Parser:
             return self.parse_for(loc)
         if text == "return":
             if in_loop:
-                raise ParseError(t.line, t.col, "a statement",
+                raise ParseError(line, col, "a statement",
                                  "'return' (not allowed inside a loop)")
             self.pos += 1
             value = self.parse_return_value()
@@ -402,7 +401,7 @@ class _Parser:
             st = self.parse_decl(loc)
             self.expect_sym(";")
             return st
-        if t.kind == "ident":
+        if kind == "ident":
             st = self.parse_assign_or_call(loc)
             self.expect_sym(";")
             return st
@@ -422,7 +421,7 @@ class _Parser:
 
     def parse_return_value(self) -> Expr:
         if self.at_call():
-            name = self.next().text
+            name = self.next()[1]
             args = self.parse_call_args()
             return Call(name, args)
         return self.parse_expr()
@@ -432,17 +431,17 @@ class _Parser:
         ty = self.parse_type()
         if ty == VOID:
             raise self.fail("a non-void declaration type")
-        name = self.expect_ident("variable name").text
+        name = self.expect_ident("variable name")[1]
         self.expect_sym("=")
         if self.at_call():
-            mname = self.next().text
+            mname = self.next()[1]
             args = self.parse_call_args()
             return CallAssign(name, mname, args, decl_type=ty, loc=loc)
         init = self.parse_expr()
         return VarDecl(ty, name, init, loc=loc)
 
     def parse_assign_or_call(self, loc: Loc) -> Stmt:
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         if self.at_sym("("):
             args = self.parse_call_args()
             return CallAssign(None, name, args, loc=loc)
@@ -455,7 +454,7 @@ class _Parser:
             return AssignIndex(name, index, value, loc=loc)
         self.expect_sym("=")
         if self.at_call():
-            mname = self.next().text
+            mname = self.next()[1]
             args = self.parse_call_args()
             return CallAssign(name, mname, args, loc=loc)
         value = self.parse_expr()
@@ -471,8 +470,8 @@ class _Parser:
         if self.at_type():
             save = self.pos
             elem_type = self.parse_type()
-            if self.peek().kind == "ident" and self.at_sym(":", 1):
-                elem = self.expect_ident().text
+            if self.peek()[0] == "ident" and self.at_sym(":", 1):
+                elem = self.expect_ident()[1]
                 self.expect_sym(":")
                 coll = self.parse_expr()
                 self.expect_sym(")")
@@ -498,7 +497,7 @@ class _Parser:
                 raise self.fail("a non-void declaration type")
             decls = []
             while True:
-                name = self.expect_ident("variable name").text
+                name = self.expect_ident("variable name")[1]
                 self.expect_sym("=")
                 init = self.parse_expr()
                 decls.append(VarDecl(ty, name, init, loc=loc))
@@ -509,7 +508,7 @@ class _Parser:
             return decls
         assigns = []
         while True:
-            name = self.expect_ident("variable name").text
+            name = self.expect_ident("variable name")[1]
             self.expect_sym("=")
             value = self.parse_expr()
             assigns.append(Assign(name, value, loc=loc))
@@ -525,14 +524,14 @@ class _Parser:
         updates = []
         while True:
             loc = self.loc()
-            name = self.expect_ident("variable name").text
+            name = self.expect_ident("variable name")[1]
             if self.at_sym("("):
                 args = self.parse_call_args()
                 updates.append(CallAssign(None, name, args, loc=loc))
             else:
                 self.expect_sym("=")
                 if self.at_call():
-                    mname = self.next().text
+                    mname = self.next()[1]
                     args = self.parse_call_args()
                     updates.append(CallAssign(name, mname, args, loc=loc))
                 else:
@@ -553,7 +552,7 @@ class _Parser:
         lhs = self.parse_unary()
         toks = self.toks
         while True:
-            op = toks[self.pos].text
+            op = toks[self.pos][1]
             prec = _PREC.get(op, 0)
             if prec < min_prec:
                 return lhs
@@ -564,24 +563,24 @@ class _Parser:
         """A prefix operator or cast, then a primary with any `[index]`."""
         toks = self.toks
         t = toks[self.pos]
-        text = t.text
+        text = t[1]
         if text == "-":
             # fold a negated numeric literal so INT_MIN is writable and
             # printed negative literals re-parse to the same tree
             lit = toks[self.pos + 1]
-            if lit.kind == "int":
+            if lit[0] == "int":
                 self.pos += 2
-                return IntLit(_int_value(t, "-" + lit.text))
-            if lit.kind == "double":
+                return IntLit(_int_value(t, "-" + lit[1]))
+            if lit[0] == "double":
                 self.pos += 2
-                return DoubleLit(_double_value(t, "-" + lit.text))
+                return DoubleLit(_double_value(t, "-" + lit[1]))
         if text == "-" or text == "!":
             self.enter()
             self.pos += 1
             e = Unary(text, self.parse_unary())
             self.depth -= 1
             return e
-        if text == "(" and toks[self.pos + 1].text in _TYPE_STARTS:
+        if text == "(" and toks[self.pos + 1][1] in _TYPE_STARTS:
             self.enter()
             self.pos += 1
             ty = self.parse_type()
@@ -592,26 +591,25 @@ class _Parser:
             self.depth -= 1
             return e
         e = self.parse_primary()
-        while toks[self.pos].text == "[":
+        while toks[self.pos][1] == "[":
             e = Index(e, self.parse_enclosed("[", "]"))
         return e
 
     def parse_primary(self) -> Expr:
         t = self.toks[self.pos]
-        kind = t.kind
+        kind, text, line, col = t
         if kind == "ident":
-            if self.toks[self.pos + 1].text == "(":
-                raise ParseError(t.line, t.col, "an expression",
-                                 f"'{t.text}(' (method calls cannot appear inside expressions)")
+            if self.toks[self.pos + 1][1] == "(":
+                raise ParseError(line, col, "an expression",
+                                 f"'{text}(' (method calls cannot appear inside expressions)")
             self.pos += 1
-            return Var(t.text)
+            return Var(text)
         if kind == "int":
             self.pos += 1
-            return IntLit(_int_value(t, t.text))
+            return IntLit(_int_value(t, text))
         if kind == "double":
             self.pos += 1
-            return DoubleLit(_double_value(t, t.text))
-        text = t.text
+            return DoubleLit(_double_value(t, text))
         if text == "(":
             return self.parse_enclosed("(", ")")
         if text == "true" or text == "false":

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from loop2rec import cli
 from loop2rec.cli import main
 from loop2rec.parser import MAX_NESTING, parse
 from loop2rec.printer import pretty_print
@@ -215,3 +216,18 @@ def test_fuzz_deterministic(capsys):
 
 def test_budget_must_be_positive(capsys):
     assert main(["run", str(CORPUS / "sqrt.mj"), "--budget", "0"]) == 2
+
+
+@pytest.mark.parametrize("command, target", [
+    (["transform"], "pretty_print"),
+    (["run"], "run"),
+    (["diff"], "diff_run"),
+    (["analyze"], "analyze_program"),
+])
+def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys, command, target):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, target, boom)
+    assert main(command + [str(CORPUS / "sqrt.mj")]) == cli.EXIT_INTERNAL == 6
+    assert capsys.readouterr().err == "loop2rec: internal error: RuntimeError: boom\n"

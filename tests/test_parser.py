@@ -10,8 +10,12 @@ from loop2rec.ast import (
     While,
     iter_stmts,
 )
+from loop2rec import parser
 from loop2rec.checker import check_semantics
+from loop2rec.generator import GenConfig, generate
 from loop2rec.parser import MAX_NESTING, ParseError, parse, tokenize
+from loop2rec.printer import pretty_print
+from loop2rec.transform import TransformOptions, transform_program
 
 from conftest import CORPUS_FILES, corpus_text
 
@@ -177,8 +181,11 @@ def test_parse_total_on_noise():
 
 # sha256 of "kind\ttext\tline\tcol\n" for every token, as the original
 # character-at-a-time tokenizer produced them; any rewrite must match.
+# GENERATED_TOKENS_SHA256 was taken from the lexer that built a Token object
+# per token, over generated programs printed and rewritten in both modes.
 CORPUS_TOKENS_SHA256 = "82120ed759d321efd4fa578f405ce776a62fa4223301c02ca65304bff5620928"
 LEX_SAMPLE_SHA256 = "4de4cce3b51570acc54a35349961fe55f548a3094dc070547e3dd3483f5f7546"
+GENERATED_TOKENS_SHA256 = "1a164b72613561258e33be5e7781769cae26c809fe902b3e748a1b1b503765db"
 
 # every token kind, CRLF, a lone CR, tabs, comments, a blank line, exponents
 # with and without sign or digits, Arabic-Indic digits, non-ASCII identifiers
@@ -196,8 +203,8 @@ LEX_SAMPLE = (
 def token_digest(pairs):
     h = hashlib.sha256()
     for prefix, text in pairs:
-        for t in tokenize(text):
-            h.update(f"{prefix}{t.kind}\t{t.text}\t{t.line}\t{t.col}\n".encode())
+        for kind, lexeme, line, col in tokenize(text):
+            h.update(f"{prefix}{kind}\t{lexeme}\t{line}\t{col}\n".encode())
     return h.hexdigest()
 
 
@@ -206,10 +213,41 @@ def test_corpus_token_stream_is_pinned():
     assert digest == CORPUS_TOKENS_SHA256
 
 
+def generated_texts():
+    """Seeds 0-199 in the default and the deeper generator setting, each
+    printed and rewritten in both modes."""
+    for cfg in ({}, {"max_depth": 4, "max_loops": 6}):
+        for seed in range(200):
+            program = generate(GenConfig(seed=seed, **cfg))
+            yield pretty_print(program)
+            for optimize in (True, False):
+                yield pretty_print(transform_program(
+                    program, TransformOptions(optimize=optimize)).program)
+
+
+def test_generated_token_stream_is_pinned():
+    assert token_digest(("", text) for text in generated_texts()) == GENERATED_TOKENS_SHA256
+
+
+def test_parse_tokenizes_once_through_the_module_function(monkeypatch):
+    # the benchmark's traced run wraps `parser.tokenize` to count tokens
+    calls = []
+    real = parser.tokenize
+
+    def counting(text):
+        calls.append(real(text))
+        return calls[-1]
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    parse("void main() { int x = 1; }")
+    assert len(calls) == 1
+    assert len(calls[0]) == 11 + 1  # eleven tokens, then eof
+
+
 def test_lex_sample_token_stream_is_pinned():
     toks = tokenize(LEX_SAMPLE)
     assert len(toks) == 72
-    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("eof", 7, 1)
+    assert toks[-1] == ("eof", "<eof>", 7, 1)
     assert token_digest([("", LEX_SAMPLE)]) == LEX_SAMPLE_SHA256
 
 
@@ -244,7 +282,7 @@ def test_non_decimal_digit_is_a_parse_error(literal):
 def test_arabic_indic_digits_are_decimal_literals():
     p = parse("void main() { int x = ١٢; print(x); }")
     assert p.methods[0].body[0].init == IntLit(12)
-    assert [(t.kind, t.text) for t in tokenize("١٢")][0] == ("int", "١٢")
+    assert tokenize("١٢")[0][:2] == ("int", "١٢")
 
 
 @pytest.mark.parametrize("sign", ["", "-"])

@@ -8,7 +8,6 @@ from .analysis import (
     Packing,
     UnsupportedConstruct,
     analyze_loop,
-    fresh_names,
     live_after,
     modified_vars,
     used_vars,
@@ -78,7 +77,6 @@ __all__ = [
     "check_semantics",
     "diff_run",
     "eval_expr",
-    "fresh_names",
     "fuzz_campaign",
     "generate",
     "iteration_call_equality",

@@ -80,9 +80,13 @@ class LoopAnalysis:
     loop_method_name: str
     result_var_name: str
 
-    @property
-    def single_var(self) -> Optional[str]:
-        return self.live_after[0].name if self.packing == Packing.SINGLE else None
+
+def packing_for(returned, optimize: bool) -> Packing:
+    """How the variables sent back to the caller travel: nothing, one typed
+    value, or an Object[] (always, with optimization off)."""
+    if not optimize or len(returned) > 1:
+        return Packing.OBJECT_ARRAY
+    return Packing.SINGLE if returned else Packing.NONE
 
 
 # ---------------------------------------------------------------- summaries
@@ -234,9 +238,7 @@ def modified_vars(body: list, extra=(), bound=()) -> list:
 
 def _loop_parts(loop: Stmt):
     """(body, cond, extra, bound) of the loop's own scan."""
-    if isinstance(loop, While):
-        return loop.body, loop.cond, (), ()
-    if isinstance(loop, DoWhile):
+    if isinstance(loop, (While, DoWhile)):
         return loop.body, loop.cond, (), ()
     if isinstance(loop, For):
         return loop.body, loop.cond, tuple(loop.update), ()
@@ -381,13 +383,11 @@ class NameAllocator:
         self.used.add(name)
         return name
 
-
-def fresh_names(base_method: str, program: Program):
-    """(loopMethodName, resultVarName) for a loop extracted from
-    `base_method`: `<base>_loop` and `result`, suffixed with 2, 3, ... until
-    free of every identifier in the program."""
-    alloc = NameAllocator(program)
-    return alloc.fresh(f"{base_method}_loop"), alloc.fresh("result")
+    def loop_names(self, method_name: str):
+        """(loop method, result variable) for a loop extracted from
+        `method_name`: `<method>_loop` and `result`, suffixed as `fresh`
+        does."""
+        return self.fresh(f"{method_name}_loop"), self.fresh("result")
 
 
 # ------------------------------------------------------------- loop summary
@@ -446,23 +446,13 @@ def analyze_loop(
     params = typed(used)
     modified = typed(scan.writes)
     live = typed(here.live_after(loop, [p.name for p in modified]))
-
-    if not optimize:
-        packing = Packing.OBJECT_ARRAY
-    elif len(live) == 0:
-        packing = Packing.NONE
-    elif len(live) == 1:
-        packing = Packing.SINGLE
-    else:
-        packing = Packing.OBJECT_ARRAY
-
     if names is None:
-        names = fresh_names(method.name, program)
+        names = NameAllocator(program).loop_names(method.name)
     return LoopAnalysis(
         params=params,
         modified=modified,
         live_after=live,
-        packing=packing,
+        packing=packing_for(live, optimize),
         loop_method_name=names[0],
         result_var_name=names[1],
     )

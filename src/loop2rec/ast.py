@@ -116,6 +116,17 @@ class Binary(Expr):
                 return a == b
 
 
+# binary operator -> precedence, loosest first; every level is left-associative
+BINARY_PREC = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6,
+}
+
+
 @dataclass
 class Unary(Expr):
     op: str  # - !
@@ -168,7 +179,7 @@ class Call(Expr):
     args: list
 
 
-BUILTIN_NAMES = ("abs", "nan", "iterator", "hasNext", "next")
+BUILTIN_NAMES = frozenset({"abs", "nan", "iterator", "hasNext", "next"})
 
 
 # ---------------------------------------------------------------- statements

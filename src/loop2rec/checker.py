@@ -391,3 +391,11 @@ class _Checker:
 def check_semantics(program: Program) -> list:
     """All semantic errors in the program; empty means well-formed."""
     return _Checker(program).check()
+
+
+def static_type(expr: Expr, scope: dict) -> Optional[Type]:
+    """The checker's type of `expr` with `scope` (name -> Type) in scope, or
+    None where the checker reports it untyped."""
+    checker = _Checker(Program([]))
+    checker.scopes = [scope]
+    return checker.expr_type(expr, None)

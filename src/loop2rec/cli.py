@@ -40,7 +40,8 @@ EXIT_INTERNAL = 6
 def _load(path: str):
     """Parse and check a source file; (program, None) or (None, exit code)."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        # no newline translation: only '\n' starts a line, as in `parse`
+        with open(path, "r", encoding="utf-8", newline="") as f:
             text = f.read()
     except OSError as e:
         print(f"{path}: {e.strerror or e}", file=sys.stderr)

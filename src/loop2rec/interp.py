@@ -187,21 +187,6 @@ for _cls in (IntV, DoubleV, BoolV):
     _cls._store = _cls.value.__set__
 
 
-class VoidV:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "VoidV()"
-
-
-VOID_VALUE = VoidV()
-
-
 class ArrayV:
     """Mutable cell sequence with identity; bindings share the cells."""
 
@@ -270,8 +255,6 @@ def render_value(v) -> str:
         return "[" + ", ".join(render_value(c) for c in v.cells) + "]"
     if isinstance(v, IterV):
         return f"iterator({v.pos})"
-    if isinstance(v, VoidV):
-        return "void"
     raise TypeError(f"not a value: {v!r}")
 
 
@@ -284,8 +267,6 @@ def values_equal(a, b) -> bool:
         return struct.pack("<d", a.value) == struct.pack("<d", b.value)
     if isinstance(a, (IntV, BoolV)):
         return a.value == b.value
-    if isinstance(a, VoidV):
-        return True
     if isinstance(a, (ArrayV, ListV)):
         return (a.elem_type == b.elem_type and len(a.cells) == len(b.cells)
                 and all(values_equal(x, y) for x, y in zip(a.cells, b.cells)))
@@ -638,7 +619,7 @@ def _cast(e: Cast, b: dict):
         (ty == INT and isinstance(v, IntV))
         or (ty == DOUBLE and isinstance(v, DoubleV))
         or (ty == BOOL and isinstance(v, BoolV))
-        or (ty == OBJECT and not isinstance(v, VoidV))
+        or ty == OBJECT
         or (ty == OBJECT_ARRAY and isinstance(v, ObjectArrayV))
         or (ty.kind == "array" and isinstance(v, ArrayV) and v.elem_type == ty.elem)
         or (ty.kind == "list" and isinstance(v, ListV) and v.elem_type == ty.elem)

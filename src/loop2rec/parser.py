@@ -22,7 +22,9 @@ from .ast import (
     ArrayLit,
     Assign,
     AssignIndex,
+    BINARY_PREC,
     BOOL,
+    BUILTIN_NAMES,
     Binary,
     Block,
     BoolLit,
@@ -81,29 +83,15 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: expected {expected}, found {found}")
 
 
-KEYWORDS = {
-    "void", "int", "double", "bool", "Object", "List", "Iterator",
-    "if", "else", "while", "do", "for", "return", "print",
-    "true", "false", "new",
-    "abs", "nan", "length", "iterator", "hasNext", "next",
-}
-
 _TYPE_STARTS = {"void", "int", "double", "bool", "Object", "List", "Iterator"}
+
+KEYWORDS = _TYPE_STARTS | {
+    "if", "else", "while", "do", "for", "return", "print",
+    "true", "false", "new", "length", *BUILTIN_NAMES,
+}
 
 _BASE_TYPES = {"void": VOID, "int": INT, "double": DOUBLE, "bool": BOOL,
                "Object": OBJECT}
-
-_BUILTINS = {"abs", "nan", "iterator", "hasNext", "next"}
-
-# binary operator -> precedence, loosest first; every level is left-associative
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6,
-}
 
 # One match per token, newline or comment, each with the blanks before it; the
 # "Writing a Tokenizer" recipe of the `re` documentation. Only '\n' ends a
@@ -553,7 +541,7 @@ class _Parser:
         toks = self.toks
         while True:
             op = toks[self.pos][1]
-            prec = _PREC.get(op, 0)
+            prec = BINARY_PREC.get(op, 0)
             if prec < min_prec:
                 return lhs
             self.pos += 1
@@ -618,7 +606,7 @@ class _Parser:
         if text == "length":
             self.pos += 1
             return Length(self.parse_enclosed("(", ")"))
-        if text in _BUILTINS:
+        if text in BUILTIN_NAMES:
             self.pos += 1
             return Builtin(text, self.parse_call_args())
         if text == "new":

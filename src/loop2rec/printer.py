@@ -14,6 +14,7 @@ from .ast import (
     ArrayLit,
     Assign,
     AssignIndex,
+    BINARY_PREC,
     Binary,
     Block,
     BoolLit,
@@ -43,20 +44,6 @@ from .ast import (
     While,
 )
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-}
 _UNARY_PREC = 7
 _POSTFIX_PREC = 8
 
@@ -89,15 +76,15 @@ def _expr(e: Expr):
         # A left operand whose operator binds at least as tightly prints
         # without parentheses, so a left-deep chain such as `1 + 1 + ...` is
         # walked in a loop and its length is not bounded by the recursion limit.
-        top = p = _PREC[e.op]
+        top = p = BINARY_PREC[e.op]
         parts = []
         while True:
             # left-associative: right operand needs strictly higher precedence
             parts.append(f" {e.op} {fmt_expr(e.rhs, p + 1)}")
             e = e.lhs
-            if not isinstance(e, Binary) or _PREC[e.op] < p:
+            if not isinstance(e, Binary) or BINARY_PREC[e.op] < p:
                 break
-            p = _PREC[e.op]
+            p = BINARY_PREC[e.op]
         parts.append(fmt_expr(e, p))
         return "".join(reversed(parts)), top
     if isinstance(e, Unary):

@@ -30,6 +30,7 @@ from .analysis import (
     NameAllocator,
     Packing,
     analyze_loop,
+    packing_for,
 )
 from .ast import (
     ArrayLit,
@@ -49,7 +50,6 @@ from .ast import (
     Index,
     IntLit,
     Length,
-    ListLit,
     Loc,
     MethodDef,
     OBJECT,
@@ -57,7 +57,6 @@ from .ast import (
     Param,
     Program,
     Return,
-    Type,
     VOID,
     Var,
     VarDecl,
@@ -69,6 +68,7 @@ from .ast import (
     loop_kind,
     program_loops,
 )
+from .checker import static_type
 
 
 class Mutation(Enum):
@@ -104,51 +104,32 @@ class TransformResult:
 # ----------------------------------------------------------------- plumbing
 
 
-def _collection_static_kind(expr: Expr, scope: dict) -> Optional[str]:
-    """'array' or 'list' for a checked foreach collection expression."""
-    ty = _expr_static_type(expr, scope)
-    return ty.kind if ty is not None else None
+@dataclass
+class _PlannedLoop:
+    """A loop's analysis plus every decision its rewrite needs; `returned`
+    is what travels back to the caller, mutant applied, packed as
+    `packing`."""
+
+    analysis: LoopAnalysis
+    kind: str  # while | do | for | foreach_array | foreach_list
+    in_method: str
+    packing: Packing
+    returned: list  # Param
+    index_name: Optional[str] = None
+    iterator_name: Optional[str] = None
+    coll_name: Optional[str] = None
 
 
-def _expr_static_type(expr: Expr, scope: dict) -> Optional[Type]:
-    if isinstance(expr, Var):
-        return scope.get(expr.name)
-    if isinstance(expr, ArrayLit):
-        return OBJECT_ARRAY if expr.elem_type == OBJECT else array_of(expr.elem_type)
-    if isinstance(expr, ListLit):
-        return Type("list", expr.elem_type)
-    if isinstance(expr, Index):
-        base = _expr_static_type(expr.base, scope)
-        return base.elem if base is not None and base.kind == "array" else None
-    if isinstance(expr, Cast):
-        return expr.type
-    return None
-
-
-def _returned(analysis: LoopAnalysis, opts: TransformOptions):
-    """(packing, params to send back) after applying options and mutations."""
-    returned = list(analysis.live_after if opts.optimize else analysis.params)
-    if opts.mutation == Mutation.OMIT_RETURN_VAR and returned:
-        returned = returned[:-1]
-    if not opts.optimize:
-        return Packing.OBJECT_ARRAY, returned
-    if len(returned) == 0:
-        return Packing.NONE, returned
-    if len(returned) == 1:
-        return Packing.SINGLE, returned
-    return Packing.OBJECT_ARRAY, returned
-
-
-def _invoke_seq(analysis: LoopAnalysis, opts: TransformOptions, args: list,
-                loc: Optional[Loc]) -> list:
+def _invoke_seq(plan: _PlannedLoop, params: list, loc: Optional[Loc]) -> list:
     """Caller-side first call plus catch/update of the modified variables."""
-    packing, returned = _returned(analysis, opts)
-    name = analysis.loop_method_name
+    packing, returned = plan.packing, plan.returned
+    name = plan.analysis.loop_method_name
+    args = [Var(p.name) for p in params]
     if packing == Packing.NONE:
         return [CallAssign(None, name, args, loc=loc)]
     if packing == Packing.SINGLE:
         return [CallAssign(returned[0].name, name, args, loc=loc)]
-    result = analysis.result_var_name
+    result = plan.analysis.result_var_name
     out = [CallAssign(result, name, args, decl_type=OBJECT_ARRAY, loc=loc)]
     for i, p in enumerate(returned):
         out.append(Assign(p.name, Cast(p.type, Index(Var(result), IntLit(i))), loc=loc))
@@ -170,13 +151,13 @@ def _maybe_block(stmts: list, opts: TransformOptions, loc: Optional[Loc]) -> lis
     return [Block(stmts, loc=loc)]
 
 
-def _gen_method(analysis: LoopAnalysis, opts: TransformOptions, params: list,
-                core: list, tail_cond: Expr, args: list,
-                loc: Optional[Loc]) -> MethodDef:
+def _gen_method(plan: _PlannedLoop, opts: TransformOptions, params: list,
+                core: list, tail_cond: Expr, loc: Optional[Loc]) -> MethodDef:
     """The recursive method: one iteration, a guarded tail call, and a return
     of the modified variables."""
-    packing, returned = _returned(analysis, opts)
-    tail = If(tail_cond, [Return(Call(analysis.loop_method_name, list(args)), loc=loc)], loc=loc)
+    packing, returned = plan.packing, plan.returned
+    name = plan.analysis.loop_method_name
+    tail = If(tail_cond, [Return(Call(name, [Var(p.name) for p in params]), loc=loc)], loc=loc)
     if opts.mutation == Mutation.COND_BEFORE_BODY:
         body = [tail] + core
     else:
@@ -188,71 +169,67 @@ def _gen_method(analysis: LoopAnalysis, opts: TransformOptions, params: list,
     else:
         ret_type = OBJECT_ARRAY
         ret = ArrayLit(OBJECT, [Var(p.name) for p in returned])
-    return MethodDef(ret_type, analysis.loop_method_name, params, body, ret, loc=loc)
+    return MethodDef(ret_type, name, params, body, ret, loc=loc)
 
 
 # ------------------------------------------------------------ per-loop kinds
 
 
-def transform_while(loop: While, analysis: LoopAnalysis, opts: TransformOptions):
+def transform_while(loop: While, plan: _PlannedLoop, opts: TransformOptions):
     """`while` becomes `if (cond) <call+catch>`; the method runs the body,
     re-checks the condition for the tail call, then returns. The guard's own
     braces scope any declared result variable, so no extra block is needed."""
-    params = list(analysis.params)
-    args = [Var(p.name) for p in params]
-    replacement = [If(loop.cond, _invoke_seq(analysis, opts, args, loop.loc), loc=loop.loc)]
-    gen = _gen_method(analysis, opts, params, list(loop.body), loop.cond, args, loop.loc)
+    params = list(plan.analysis.params)
+    replacement = [If(loop.cond, _invoke_seq(plan, params, loop.loc), loc=loop.loc)]
+    gen = _gen_method(plan, opts, params, list(loop.body), loop.cond, loop.loc)
     return replacement, gen
 
 
-def transform_do(loop: DoWhile, analysis: LoopAnalysis, opts: TransformOptions):
+def transform_do(loop: DoWhile, plan: _PlannedLoop, opts: TransformOptions):
     """Same as the while case except the first call is unconditional (a do
     body always runs once); the unguarded catch code needs its own block when
     it declares anything."""
-    params = list(analysis.params)
-    args = [Var(p.name) for p in params]
-    replacement = _maybe_block(_invoke_seq(analysis, opts, args, loop.loc), opts, loop.loc)
-    gen = _gen_method(analysis, opts, params, list(loop.body), loop.cond, args, loop.loc)
+    params = list(plan.analysis.params)
+    replacement = _maybe_block(_invoke_seq(plan, params, loop.loc), opts, loop.loc)
+    gen = _gen_method(plan, opts, params, list(loop.body), loop.cond, loop.loc)
     return replacement, gen
 
 
-def transform_for(loop: For, analysis: LoopAnalysis, opts: TransformOptions):
+def transform_for(loop: For, plan: _PlannedLoop, opts: TransformOptions):
     """Init statements are hoisted to the top of the new block (keeping their
     scope confined to it), update statements run between the body and the
     condition check, and init-declared variables travel as parameters."""
-    params = list(analysis.params)
-    args = [Var(p.name) for p in params]
-    seq = list(loop.init) + [If(loop.cond, _invoke_seq(analysis, opts, args, loop.loc), loc=loop.loc)]
+    params = list(plan.analysis.params)
+    seq = list(loop.init) + [If(loop.cond, _invoke_seq(plan, params, loop.loc), loc=loop.loc)]
     replacement = _maybe_block(seq, opts, loop.loc)
     core = list(loop.body)
     if opts.mutation != Mutation.DROP_FOR_UPDATE:
         core += list(loop.update)
-    gen = _gen_method(analysis, opts, params, core, loop.cond, args, loop.loc)
+    gen = _gen_method(plan, opts, params, core, loop.cond, loop.loc)
     return replacement, gen
 
 
-def transform_foreach_array(loop: Foreach, analysis: LoopAnalysis, opts: TransformOptions,
-                            index_name: str, coll_name: Optional[str] = None):
+def transform_foreach_array(loop: Foreach, plan: _PlannedLoop, opts: TransformOptions):
     """Array traversal gets a fresh counter passed along every call; the
     element variable is declared from `coll[index]` at the top of the method.
     A non-variable collection expression is hoisted so it is evaluated once."""
     coll_type = array_of(loop.elem_type)
+    index_name = plan.index_name
     hoist = []
     if isinstance(loop.collection, Var):
         cname = loop.collection.name
-        coll_param = next(p for p in analysis.params if p.name == cname)
-        rest = [p for p in analysis.params if p.name != cname]
+        coll_param = next(p for p in plan.analysis.params if p.name == cname)
+        rest = [p for p in plan.analysis.params if p.name != cname]
     else:
-        cname = coll_name
+        cname = plan.coll_name
         hoist = [VarDecl(coll_type, cname, loop.collection, loc=loop.loc)]
         coll_param = Param(cname, coll_type)
-        rest = list(analysis.params)
+        rest = list(plan.analysis.params)
     params = [coll_param] + rest + [Param(index_name, INT)]
-    args = [Var(p.name) for p in params]
     guard = Binary("<", Var(index_name), Length(Var(cname)))
     seq = hoist + [
         VarDecl(INT, index_name, IntLit(0), loc=loop.loc),
-        If(guard, _invoke_seq(analysis, opts, args, loop.loc), loc=loop.loc),
+        If(guard, _invoke_seq(plan, params, loop.loc), loc=loop.loc),
     ]
     replacement = _maybe_block(seq, opts, loop.loc)
     core = (
@@ -260,59 +237,61 @@ def transform_foreach_array(loop: Foreach, analysis: LoopAnalysis, opts: Transfo
         + list(loop.body)
         + [Assign(index_name, Binary("+", Var(index_name), IntLit(1)), loc=loop.loc)]
     )
-    gen = _gen_method(analysis, opts, params, core, guard, args, loop.loc)
+    gen = _gen_method(plan, opts, params, core, guard, loop.loc)
     return replacement, gen
 
 
-def transform_foreach_iterable(loop: Foreach, analysis: LoopAnalysis, opts: TransformOptions,
-                               iterator_name: str):
+def transform_foreach_iterable(loop: Foreach, plan: _PlannedLoop, opts: TransformOptions):
     """List traversal threads an iterator instead of a counter: hasNext guards
     both calls and next() yields the element at the top of the method."""
     iter_type = iterator_of(loop.elem_type)
-    params = list(analysis.params) + [Param(iterator_name, iter_type)]
-    args = [Var(p.name) for p in params]
+    iterator_name = plan.iterator_name
+    params = list(plan.analysis.params) + [Param(iterator_name, iter_type)]
     guard = Builtin("hasNext", [Var(iterator_name)])
     seq = [
         VarDecl(iter_type, iterator_name, Builtin("iterator", [loop.collection]), loc=loop.loc),
-        If(guard, _invoke_seq(analysis, opts, args, loop.loc), loc=loop.loc),
+        If(guard, _invoke_seq(plan, params, loop.loc), loc=loop.loc),
     ]
     replacement = _maybe_block(seq, opts, loop.loc)
     core = (
         [VarDecl(loop.elem_type, loop.elem_name, Builtin("next", [Var(iterator_name)]), loc=loop.loc)]
         + list(loop.body)
     )
-    gen = _gen_method(analysis, opts, params, core, guard, args, loop.loc)
+    gen = _gen_method(plan, opts, params, core, guard, loop.loc)
     return replacement, gen
+
+
+_TEMPLATES = {
+    "while": transform_while,
+    "do": transform_do,
+    "for": transform_for,
+    "foreach_array": transform_foreach_array,
+    "foreach_list": transform_foreach_iterable,
+}
 
 
 # ------------------------------------------------------------------- driver
 
 
-@dataclass
-class _PlannedLoop:
-    analysis: LoopAnalysis
-    kind: str  # while | do | for | foreach_array | foreach_list
-    in_method: str
-    index_name: Optional[str] = None
-    iterator_name: Optional[str] = None
-    coll_name: Optional[str] = None
-
-
 def _plan(program: Program, opts: TransformOptions) -> dict:
     """Analyze every loop against the untouched program, allocating fresh
-    names in document order (an outer loop is named before its inner loops).
-    Each method is walked once; its facts are dropped on return."""
+    names in document order (an outer loop is named before its inner loops),
+    and decide its template and packing. Each method is walked once; its
+    facts are dropped on return."""
     alloc = NameAllocator(program)
     plans = {}
     facts = {}
     for method, loop in program_loops(program):
-        names = (alloc.fresh(f"{method.name}_loop"), alloc.fresh("result"))
-        analysis = analyze_loop(loop, method, program, optimize=opts.optimize, names=names,
-                                facts=facts)
-        plan = _PlannedLoop(analysis, loop_kind(loop), method.name)
-        if isinstance(loop, Foreach):
-            kind = _collection_static_kind(loop.collection, facts[id(method)].scope_at(loop))
-            if kind == "list":
+        analysis = analyze_loop(loop, method, program, optimize=opts.optimize,
+                                names=alloc.loop_names(method.name), facts=facts)
+        returned = list(analysis.live_after if opts.optimize else analysis.params)
+        if opts.mutation == Mutation.OMIT_RETURN_VAR:
+            returned = returned[:-1]
+        plan = _PlannedLoop(analysis, loop_kind(loop), method.name,
+                            packing_for(returned, opts.optimize), returned)
+        if plan.kind == "foreach":
+            ty = static_type(loop.collection, facts[id(method)].scope_at(loop))
+            if ty is not None and ty.kind == "list":
                 plan.kind = "foreach_list"
                 plan.iterator_name = alloc.fresh("it")
             else:
@@ -330,27 +309,15 @@ def _rewrite_seq(stmts: list, opts: TransformOptions, plans: dict, generated: li
     for st in stmts:
         if is_loop(st):
             body = _rewrite_seq(st.body, opts, plans, generated, report)
-            loop = replace(st, body=body)
             plan = plans[st.loop_id]
-            if isinstance(loop, While):
-                repl, gen = transform_while(loop, plan.analysis, opts)
-            elif isinstance(loop, DoWhile):
-                repl, gen = transform_do(loop, plan.analysis, opts)
-            elif isinstance(loop, For):
-                repl, gen = transform_for(loop, plan.analysis, opts)
-            elif plan.kind == "foreach_array":
-                repl, gen = transform_foreach_array(
-                    loop, plan.analysis, opts, plan.index_name, plan.coll_name)
-            else:
-                repl, gen = transform_foreach_iterable(
-                    loop, plan.analysis, opts, plan.iterator_name)
+            repl, gen = _TEMPLATES[plan.kind](replace(st, body=body), plan, opts)
             generated.append(gen)
             report.append(LoopReport(
                 loop_id=st.loop_id,
                 kind=plan.kind,
                 in_method=plan.in_method,
                 loop_method_name=plan.analysis.loop_method_name,
-                packing=_returned(plan.analysis, opts)[0],
+                packing=plan.packing,
                 loc=st.loc,
             ))
             out.extend(repl)

@@ -7,7 +7,6 @@ from loop2rec.analysis import (
     Packing,
     UnsupportedConstruct,
     analyze_loop,
-    fresh_names,
     live_after,
     modified_vars,
     used_vars,
@@ -136,12 +135,12 @@ void main() {
 
 
 def test_fresh_names_default():
-    assert fresh_names("sqrt", parse(SQRT)) == ("sqrt_loop", "result")
+    assert NameAllocator(parse(SQRT)).loop_names("sqrt") == ("sqrt_loop", "result")
 
 
 def test_fresh_names_skip_taken():
     p = parse("void m() { int m_loop = 1; print(m_loop); }")
-    assert fresh_names("m", p) == ("m_loop2", "result")
+    assert NameAllocator(p).loop_names("m") == ("m_loop2", "result")
 
 
 def test_nested_loops_named_in_document_order():
@@ -158,7 +157,7 @@ def test_analyze_sqrt_loop():
     assert [x.name for x in a.modified] == ["b"]
     assert [x.name for x in a.live_after] == ["b"]
     assert a.packing == Packing.SINGLE
-    assert a.single_var == "b"
+    assert live_after(loop, method) == ["b"]
     assert (a.loop_method_name, a.result_var_name) == ("sqrt_loop", "result")
 
 

@@ -22,6 +22,9 @@ CASES = {
                      "1:26: expected a token, found '\\x00'", ""),
     "lone_cr": ("void main() {\r    int x = 1;\r    while (x < 3) {\r        x = x + 1;\r    }\r"
                 "    print(x);\r}\r", ALL_OK, "", "3\n"),
+    # a lone CR is a blank, not a line break, so the error stays on line 1
+    "lone_cr_error": ("void main() {\r int x = 1;\r @ }", dict.fromkeys(COMMANDS, 2),
+                      "1:28: expected a token, found '@'", ""),
     "deep_minus": ("void main() { int y = 1; int x = " + "-" * DEPTH + "y; print(x); }",
                    ALL_OK, "", "-1\n"),
     "deep_not": ("void main() { bool x = " + "!" * DEPTH + "true; print(x); }",

@@ -1,9 +1,11 @@
 import hashlib
 import random
+import re
 
 import pytest
 
 from loop2rec.ast import (
+    BINARY_PREC,
     DoubleLit,
     IntLit,
     Program,
@@ -17,7 +19,7 @@ from loop2rec.parser import MAX_NESTING, ParseError, parse, tokenize
 from loop2rec.printer import pretty_print
 from loop2rec.transform import TransformOptions, transform_program
 
-from conftest import CORPUS_FILES, corpus_text
+from conftest import CORPUS_FILES, ROOT, corpus_text
 
 SQRT_METHOD = """
 double sqrt(double x) {
@@ -439,3 +441,13 @@ double twice(double x) { return x + x; }
 void main() { double t = twice(2.0); print(t); }
 """)
     assert check_semantics(p) == []
+
+
+def test_documented_precedence_groups_match_the_operator_table():
+    text = (ROOT / "docs" / "language.md").read_text(encoding="utf-8")
+    line = text.split("### Operator precedence", 1)[1].split("```")[1].strip()
+    groups = [g.split() for g in re.split(r"\s{3,}", line)]
+    levels = sorted(set(BINARY_PREC.values()))
+    want = [[op for op, p in BINARY_PREC.items() if p == level] for level in levels]
+    assert groups[:len(want)] == want
+    assert groups[len(want)][0] == "unary"

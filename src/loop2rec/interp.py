@@ -17,7 +17,9 @@ arbitrarily long tail recursions only cost state memory and step budget.
 
 Numbers behave like Java's: ints are 32-bit two's complement with truncating
 division (division by integer zero is an error), doubles are IEEE binary64
-(division by zero gives infinities/NaN).
+(division by zero gives infinities/NaN). Inside a run an int, double or bool
+is a plain Python int, float or bool, told apart by exact class (`bool` is a
+subclass of `int`); the API boxes them into IntV, DoubleV and BoolV.
 """
 
 from __future__ import annotations
@@ -186,9 +188,23 @@ class BoolV(_Scalar):
 for _cls in (IntV, DoubleV, BoolV):
     _cls._store = _cls.value.__set__
 
+_BOXES = {int: IntV, float: DoubleV, bool: BoolV}
+
+
+def _box(v):
+    """The API form of a value: a raw int, float or bool boxed, anything else
+    (a collection, an iterator, None) as it is."""
+    box = _BOXES.get(v.__class__)
+    return v if box is None else box(v)
+
+
+def _unbox(v):
+    return v.value if isinstance(v, _Scalar) else v
+
 
 class ArrayV:
-    """Mutable cell sequence with identity; bindings share the cells."""
+    """Mutable cell sequence with identity; bindings share the cells. Cells
+    hold raw values, which `repr` shows boxed."""
 
     __slots__ = ("elem_type", "cells")
 
@@ -197,7 +213,7 @@ class ArrayV:
         self.cells = cells
 
     def __repr__(self):
-        return f"ArrayV({self.elem_type}, {self.cells!r})"
+        return f"ArrayV({self.elem_type}, {list(map(_box, self.cells))!r})"
 
 
 class ListV:
@@ -208,7 +224,7 @@ class ListV:
         self.cells = cells
 
     def __repr__(self):
-        return f"ListV({self.elem_type}, {self.cells!r})"
+        return f"ListV({self.elem_type}, {list(map(_box, self.cells))!r})"
 
 
 class IterV:
@@ -232,7 +248,7 @@ class ObjectArrayV:
         self.cells = cells
 
     def __repr__(self):
-        return f"ObjectArrayV({self.cells!r})"
+        return f"ObjectArrayV({list(map(_box, self.cells))!r})"
 
 
 def wrap32(x: int) -> int:
@@ -240,33 +256,41 @@ def wrap32(x: int) -> int:
 
 
 def render_value(v) -> str:
-    if isinstance(v, IntV):
-        return str(v.value)
-    if isinstance(v, DoubleV):
-        x = v.value
-        if math.isnan(x):
+    """A raw or boxed value as `print` shows it."""
+    c = v.__class__
+    if c is int:
+        return str(v)
+    if c is float:
+        if math.isnan(v):
             return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return repr(x)
-    if isinstance(v, BoolV):
-        return "true" if v.value else "false"
+        if math.isinf(v):
+            return "Infinity" if v > 0 else "-Infinity"
+        return repr(v)
+    if c is bool:
+        return "true" if v else "false"
     if isinstance(v, (ArrayV, ListV, ObjectArrayV)):
-        return "[" + ", ".join(render_value(c) for c in v.cells) + "]"
+        return "[" + ", ".join(render_value(x) for x in v.cells) + "]"
     if isinstance(v, IterV):
         return f"iterator({v.pos})"
+    if isinstance(v, _Scalar):
+        return render_value(v.value)
     raise TypeError(f"not a value: {v!r}")
 
 
 def values_equal(a, b) -> bool:
-    """Strict observable equality; doubles compare bit for bit (NaN equals
-    NaN, 0.0 differs from -0.0)."""
-    if type(a) is not type(b):
+    """Strict observable equality of raw or boxed values: an int, a double
+    and a bool never equal each other, and doubles compare bit for bit (NaN
+    equals NaN, 0.0 differs from -0.0)."""
+    c = a.__class__
+    if c is b.__class__:
+        if c is float:
+            return struct.pack("<d", a) == struct.pack("<d", b)
+        if c is int or c is bool:
+            return a == b
+    if isinstance(a, _Scalar) or isinstance(b, _Scalar):
+        return values_equal(_unbox(a), _unbox(b))
+    if c is not b.__class__:
         return False
-    if isinstance(a, DoubleV):
-        return struct.pack("<d", a.value) == struct.pack("<d", b.value)
-    if isinstance(a, (IntV, BoolV)):
-        return a.value == b.value
     if isinstance(a, (ArrayV, ListV)):
         return (a.elem_type == b.elem_type and len(a.cells) == len(b.cells)
                 and all(values_equal(x, y) for x, y in zip(a.cells, b.cells)))
@@ -289,7 +313,8 @@ class Frame:
         self.ret_slot = None  # written at most once, by return
 
     def snapshot(self):
-        return dict(self.bindings), self.ret_slot
+        """The bindings and return slot, scalars boxed."""
+        return {k: _box(v) for k, v in self.bindings.items()}, _box(self.ret_slot)
 
     def __repr__(self):
         return f"Frame({self.bindings!r}, ret={self.ret_slot!r})"
@@ -315,7 +340,7 @@ class State:
 
 class StateRecorder:
     """Collects (operation, frame snapshots) pairs for state-level assertions.
-    Snapshots copy the binding maps; values are shared."""
+    Snapshots copy the binding maps and box scalars; collections are shared."""
 
     def __init__(self):
         self.events: list = []
@@ -391,14 +416,14 @@ def rem_frame(s: State) -> State:
 
 
 def _num(v, what: str):
-    if isinstance(v, (IntV, DoubleV)):
+    if v.__class__ in _NUMBERS:
         return v
     raise TypeMismatchError(f"{what} needs a number, got {render_value(v)}")
 
 
 def _bool(v, what: str) -> bool:
-    if isinstance(v, BoolV):
-        return v.value
+    if v.__class__ is bool:
+        return v
     raise TypeMismatchError(f"{what} needs a bool, got {render_value(v)}")
 
 
@@ -409,31 +434,6 @@ def _ddiv(a: float, b: float) -> float:
         sign = math.copysign(1.0, a) * math.copysign(1.0, b)
         return math.copysign(math.inf, sign)
     return a / b
-
-
-def _arith(op: str, lv, rv):
-    if isinstance(lv, DoubleV) or isinstance(rv, DoubleV):
-        a = float(lv.value)
-        b = float(rv.value)
-        if op == "+":
-            return DoubleV(a + b)
-        if op == "-":
-            return DoubleV(a - b)
-        if op == "*":
-            return DoubleV(a * b)
-        return DoubleV(_ddiv(a, b))
-    a = lv.value
-    b = rv.value
-    if op == "+":
-        return IntV(wrap32(a + b))
-    if op == "-":
-        return IntV(wrap32(a - b))
-    if op == "*":
-        return IntV(wrap32(a * b))
-    if b == 0:
-        raise DivisionByZeroError("integer division by zero")
-    q = abs(a) // abs(b)
-    return IntV(wrap32(-q if (a < 0) != (b < 0) else q))
 
 
 class _NoFrame(dict):
@@ -447,28 +447,17 @@ _NO_FRAME = _NoFrame()
 
 
 def eval_expr(e: Expr, s: State):
-    """Evaluate an expression against the current frame. Standard semantics:
-    IEEE doubles (NaN propagates), wrapping 32-bit ints, short-circuit boolean
+    """Evaluate an expression against the current frame, whose scalars may be
+    raw or boxed, and return the value boxed. Standard semantics: IEEE
+    doubles (NaN propagates), wrapping 32-bit ints, short-circuit boolean
     operators. `next(it)` advances the shared iterator in place."""
-    b = s.frames[-1].bindings if s.frames else _NO_FRAME
-    return _EVAL[e.__class__](e, b)
+    b = {k: _unbox(v) for k, v in s.frames[-1].bindings.items()} if s.frames else _NO_FRAME
+    return _box(_EVAL[e.__class__](e, b))
 
 
-# values are immutable, so every bool result can share these two
-_TRUE = BoolV(True)
-_FALSE = BoolV(False)
-
-
-def _int_lit(e: IntLit, b: dict):
-    return IntV(e.value)
-
-
-def _double_lit(e: DoubleLit, b: dict):
-    return DoubleV(e.value)
-
-
-def _bool_lit(e: BoolLit, b: dict):
-    return _TRUE if e.value else _FALSE
+def _lit(e, b: dict):
+    """IntLit, DoubleLit and BoolLit."""
+    return e.value
 
 
 def _var(e: Var, b: dict):
@@ -481,7 +470,7 @@ def _var(e: Var, b: dict):
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
-_NUMBERS = (IntV, DoubleV)
+_NUMBERS = (int, float)
 
 
 def _binary(e: Binary, b: dict):
@@ -489,49 +478,53 @@ def _binary(e: Binary, b: dict):
     x = e.lhs
     lv = _EVAL[x.__class__](x, b)
     if op == "&&" or op == "||":
-        if lv.__class__ is not BoolV:
+        if lv.__class__ is not bool:
             _bool(lv, f"'{op}'")  # raises
-        if lv.value == (op == "||"):
+        if lv is (op == "||"):
             return lv
         x = e.rhs
         rv = _EVAL[x.__class__](x, b)
-        if rv.__class__ is not BoolV:
+        if rv.__class__ is not bool:
             _bool(rv, f"'{op}'")  # raises
         return rv
     x = e.rhs
     rv = _EVAL[x.__class__](x, b)
+    lc = lv.__class__
+    rc = rv.__class__
     f = _ARITH.get(op)
     if f is not None:
-        if lv.__class__ is IntV and rv.__class__ is IntV:
-            n = f(lv.value, rv.value)
+        if lc is int and rc is int:
+            n = f(lv, rv)
             if not INT_MIN <= n <= INT_MAX:
                 n = (n + 2**31) % 2**32 - 2**31  # wrap32
-            return IntV(n)
-        if lv.__class__ is DoubleV and rv.__class__ is DoubleV:
-            return DoubleV(f(lv.value, rv.value))
+            return n
+        if lc in _NUMBERS and rc in _NUMBERS:  # a double, and an int promoted exactly
+            return f(lv, rv)
     else:
         f = _COMPARE.get(op)
-        if f is not None and lv.__class__ in _NUMBERS and rv.__class__ in _NUMBERS:
-            return _TRUE if f(lv.value, rv.value) else _FALSE
+        if f is not None and lc in _NUMBERS and rc in _NUMBERS:
+            return f(lv, rv)
     return _binary_checked(op, lv, rv)
 
 
 def _binary_checked(op: str, lv, rv):
     """The operators and operand types the fast paths of _binary leave: `/`,
-    mixed int/double arithmetic, `==`/`!=` on bools, and type errors."""
+    `==`/`!=` on bools, and type errors."""
     what = f"'{op}'"
-    if op in _ARITH or op == "/":
-        return _arith(op, _num(lv, what), _num(rv, what))
-    if op == "==" or op == "!=":
-        if isinstance(lv, BoolV) and isinstance(rv, BoolV):
-            eq = lv.value == rv.value
-        else:
-            eq = _num(lv, what).value == _num(rv, what).value
-        if op == "!=":
-            eq = not eq
-        return _TRUE if eq else _FALSE
-    if op in _COMPARE:
-        return _TRUE if _COMPARE[op](_num(lv, what).value, _num(rv, what).value) else _FALSE
+    if op == "/":
+        a = _num(lv, what)
+        d = _num(rv, what)
+        if a.__class__ is not int or d.__class__ is not int:
+            return _ddiv(float(a), float(d))
+        if d == 0:
+            raise DivisionByZeroError("integer division by zero")
+        q = abs(a) // abs(d)
+        return wrap32(-q if (a < 0) != (d < 0) else q)
+    if (op == "==" or op == "!=") and lv.__class__ is bool and rv.__class__ is bool:
+        return (lv is rv) is (op == "==")
+    if op in _ARITH or op in _COMPARE:
+        _num(lv, what)
+        _num(rv, what)  # one of the two is no number: raises
     raise TypeMismatchError(f"unknown operator '{op}'")
 
 
@@ -539,11 +532,10 @@ def _unary(e: Unary, b: dict):
     x = e.operand
     v = _EVAL[x.__class__](x, b)
     if e.op == "-":
-        v = _num(v, "unary '-'")
-        if isinstance(v, DoubleV):
-            return DoubleV(-v.value)
-        return IntV(wrap32(-v.value))
-    return _FALSE if _bool(v, "unary '!'") else _TRUE
+        if _num(v, "unary '-'").__class__ is float:
+            return -v
+        return wrap32(-v)
+    return not _bool(v, "unary '!'")
 
 
 def _array_lit(e: ArrayLit, b: dict):
@@ -562,14 +554,14 @@ def _index(e: Index, b: dict):
     base = _EVAL[x.__class__](x, b)
     x = e.index
     idx = _EVAL[x.__class__](x, b)
-    if not isinstance(idx, IntV):
+    if idx.__class__ is not int:
         raise TypeMismatchError("index must be an int")
     if not isinstance(base, (ArrayV, ObjectArrayV)):
         raise TypeMismatchError(f"cannot index into {render_value(base)}")
-    if not 0 <= idx.value < len(base.cells):
+    if not 0 <= idx < len(base.cells):
         raise IndexOutOfBoundsError(
-            f"index {idx.value} out of bounds for length {len(base.cells)}")
-    return base.cells[idx.value]
+            f"index {idx} out of bounds for length {len(base.cells)}")
+    return base.cells[idx]
 
 
 def _length(e: Length, b: dict):
@@ -577,19 +569,19 @@ def _length(e: Length, b: dict):
     v = _EVAL[x.__class__](x, b)
     if not isinstance(v, (ArrayV, ListV, ObjectArrayV)):
         raise TypeMismatchError(f"length() of non-collection {render_value(v)}")
-    return IntV(len(v.cells))
+    return len(v.cells)
 
 
 def _builtin(e: Builtin, b: dict):
     name = e.name
     if name == "nan":
-        return DoubleV(math.nan)
+        return math.nan
     if name == "abs":
         x = e.args[0]
         v = _num(_EVAL[x.__class__](x, b), "abs()")
-        if isinstance(v, DoubleV):
-            return DoubleV(math.fabs(v.value))
-        return IntV(wrap32(abs(v.value)))
+        if v.__class__ is float:
+            return math.fabs(v)
+        return wrap32(abs(v))
     if name == "iterator":
         x = e.args[0]
         v = _EVAL[x.__class__](x, b)
@@ -602,7 +594,7 @@ def _builtin(e: Builtin, b: dict):
         if not isinstance(v, IterV):
             raise TypeMismatchError(f"{name}() needs an iterator, got {render_value(v)}")
         if name == "hasNext":
-            return _TRUE if v.pos < len(v.target.cells) else _FALSE
+            return v.pos < len(v.target.cells)
         if v.pos >= len(v.target.cells):
             raise IndexOutOfBoundsError("next() on an exhausted iterator")
         cell = v.target.cells[v.pos]
@@ -616,9 +608,9 @@ def _cast(e: Cast, b: dict):
     v = _EVAL[x.__class__](x, b)
     ty = e.type
     ok = (
-        (ty == INT and isinstance(v, IntV))
-        or (ty == DOUBLE and isinstance(v, DoubleV))
-        or (ty == BOOL and isinstance(v, BoolV))
+        (ty == INT and v.__class__ is int)
+        or (ty == DOUBLE and v.__class__ is float)
+        or (ty == BOOL and v.__class__ is bool)
         or ty == OBJECT
         or (ty == OBJECT_ARRAY and isinstance(v, ObjectArrayV))
         or (ty.kind == "array" and isinstance(v, ArrayV) and v.elem_type == ty.elem)
@@ -635,9 +627,9 @@ def _call(e: Call, b: dict):
 
 
 _EVAL = {
-    IntLit: _int_lit,
-    DoubleLit: _double_lit,
-    BoolLit: _bool_lit,
+    IntLit: _lit,
+    DoubleLit: _lit,
+    BoolLit: _lit,
     Var: _var,
     Binary: _binary,
     Unary: _unary,
@@ -680,8 +672,9 @@ _RETURNED = "returned"
 class _Run:
     """One execution. Statement handlers take the run, the statement and the
     current frame's bindings, and return a signal: None = fell through,
-    _RETURNED = slot filled, (method, argument values) = tail call pending. With no recorder attached, the handlers change frames and
-    bindings directly instead of through the state operations."""
+    _RETURNED = slot filled, (method, argument values) = tail call pending.
+    With no recorder attached, the handlers change frames and bindings
+    directly instead of through the state operations."""
 
     def __init__(self, program: Program, budget: int,
                  tracer: Optional[Callable] = None, recorder=None):
@@ -798,17 +791,19 @@ def _assign(r: _Run, st, b: dict):
 def _assign_index(r: _Run, st: AssignIndex, b: dict):
     r.step("assign", st.loc)
     try:
-        base = _var(Var(st.name), b)
-        if not isinstance(base, ArrayV):
+        base = b.get(st.name)
+        if base.__class__ is not ArrayV:
+            if base is None:
+                raise UnboundVariableError(f"variable '{st.name}' is not bound")
             raise TypeMismatchError(f"'{st.name}' is not an array", st.loc)
         x = st.index
         idx = _EVAL[x.__class__](x, b)
-        if not isinstance(idx, IntV) or not 0 <= idx.value < len(base.cells):
+        if idx.__class__ is not int or not 0 <= idx < len(base.cells):
             raise IndexOutOfBoundsError(
-                f"index {getattr(idx, 'value', '?')} out of bounds for "
+                f"index {idx if idx.__class__ in _BOXES else '?'} out of bounds for "
                 f"length {len(base.cells)}", st.loc)
         x = st.value
-        base.cells[idx.value] = _EVAL[x.__class__](x, b)
+        base.cells[idx] = _EVAL[x.__class__](x, b)
     except InterpError as err:
         _locate(err, st.loc)
         raise
@@ -979,7 +974,7 @@ def run(program: Program, budget: int = DEFAULT_BUDGET,
     r.invoke(entry.name, [], entry.loc)
     assert len(r.state.frames) == 1, "frame imbalance"
     top = r.state.top()
-    r.trace.final_bindings = dict(top.bindings)
-    r.trace.result = top.ret_slot
+    r.trace.final_bindings = {k: _box(v) for k, v in top.bindings.items()}
+    r.trace.result = _box(top.ret_slot)
     r.trace.steps = r.steps
     return r.trace

@@ -254,7 +254,8 @@ def transform_foreach_iterable(loop: Foreach, plan: _PlannedLoop, opts: Transfor
     ]
     replacement = _maybe_block(seq, opts, loop.loc)
     core = (
-        [VarDecl(loop.elem_type, loop.elem_name, Builtin("next", [Var(iterator_name)]), loc=loop.loc)]
+        [VarDecl(loop.elem_type, loop.elem_name, Builtin("next", [Var(iterator_name)]),
+                 loc=loop.loc)]
         + list(loop.body)
     )
     gen = _gen_method(plan, opts, params, core, guard, loop.loc)

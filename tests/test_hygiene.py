@@ -1,6 +1,7 @@
 """Dead-code hygiene of the package, from its syntax trees alone: every import
 is used by the module that makes it, and every module-level function, class
-or constant is named somewhere in `src/`, `tests/` or `bench/`."""
+or constant is named somewhere in `src/`, `tests/` or `bench/`. Also, no
+line in `src/` is longer than MAX_LINE characters."""
 
 import ast
 import pathlib
@@ -11,6 +12,7 @@ from conftest import ROOT
 
 PACKAGE = ROOT / "src" / "loop2rec"
 MODULES = sorted(PACKAGE.glob("*.py"))
+MAX_LINE = 100
 
 
 def parse_file(path: pathlib.Path) -> ast.Module:
@@ -91,3 +93,19 @@ def test_the_checks_see_dead_code():
     assert unused_imports(tree) == ["os", "z"]
     assert module_definitions(tree) == ["A", "f"]
     assert "f" not in mentions(tree) and "A" in mentions(tree)
+
+
+def long_lines(path: pathlib.Path) -> list:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [f"{path.name}:{i}" for i, line in enumerate(lines, 1) if len(line) > MAX_LINE]
+
+
+def test_no_source_line_is_too_long():
+    assert [hit for path in sorted((ROOT / "src").rglob("*.py"))
+            for hit in long_lines(path)] == []
+
+
+def test_the_line_check_sees_long_lines(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("x" * 100 + "\n" + "y" * 101 + "\n", encoding="utf-8")
+    assert long_lines(path) == ["m.py:2"]

@@ -4,10 +4,11 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from loop2rec.ast import Binary, BoolLit, IntLit, Unary, assign_loop_ids
+from loop2rec.ast import Binary, BoolLit, IntLit, Unary, Var, assign_loop_ids
 from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import (
     ArityMismatchError,
+    ArrayV,
     BoolV,
     DivisionByZeroError,
     DoubleV,
@@ -353,6 +354,47 @@ def test_entry_result_recorded():
     assert trace.result == IntV(41)
 
 
+BOXED = (IntV, DoubleV, BoolV)
+
+
+def test_the_api_returns_boxed_scalars():
+    program = parse("int main() { int i = 0; double d = 0.5; bool ok = true; "
+                    "double[] xs = new double[] { 1.5 }; "
+                    "while (i < 3) { i = i + 1; } return i; }")
+    trace = run(program)
+    assert trace.result.__class__ is IntV
+    assert {k: v.__class__ for k, v in trace.final_bindings.items()} == {
+        "i": IntV, "d": DoubleV, "ok": BoolV, "xs": ArrayV}
+    assert repr(trace.final_bindings["xs"]) == "ArrayV(double, [DoubleV(value=1.5)])"
+    recorder = StateRecorder()
+    run(program, recorder=recorder)
+    snapshot_values = [v for _, frames in recorder.events for bindings, ret in frames
+                       for v in [*bindings.values(), ret] if v is not None]
+    assert {v.__class__ for v in snapshot_values} == {*BOXED, ArrayV}
+    v = eval_expr(Binary("+", Var("i"), IntLit(1)), state({"i": IntV(3)}))
+    assert v.__class__ is IntV and v == IntV(4)
+    assert eval_expr(Binary("<", Var("d"), Var("i")),
+                     state({"d": DoubleV(0.5), "i": 1})) == BoolV(True)
+
+
+@pytest.mark.parametrize("name", ["nested.mj", "sqrt_for.mj", "foreach_iterable.mj"])
+def test_a_run_boxes_only_its_final_bindings_and_result(monkeypatch, name):
+    # scalars are raw inside a run, so boxing does not grow with the steps
+    made = []
+    for cls in BOXED:
+        def counting(self, value, _init=cls.__init__):
+            made.append(value)
+            _init(self, value)
+        monkeypatch.setattr(cls, "__init__", counting)
+    original = parse(corpus_text(name))
+    for program in (original, transform_program(original).program):
+        made.clear()
+        trace = run(program)
+        assert trace.steps > 20
+        outputs = [*trace.final_bindings.values(), trace.result]
+        assert len(made) <= sum(v.__class__ in BOXED for v in outputs)
+
+
 def test_determinism_bit_for_bit():
     src = corpus_text("sqrt_for.mj")
     a = run(parse(src))
@@ -370,6 +412,11 @@ def test_values_equal_is_bitwise_for_doubles():
     assert values_equal(DoubleV(math.nan), DoubleV(math.nan))
     assert not values_equal(DoubleV(0.0), DoubleV(-0.0))
     assert not values_equal(DoubleV(1.0), IntV(1))
+    # raw values, as cells and a run's own bindings hold them
+    assert not values_equal(True, 1)
+    assert not values_equal(1, 1.0)
+    assert not values_equal(0.0, -0.0)
+    assert values_equal(1, IntV(1)) and values_equal(math.nan, DoubleV(math.nan))
 
 
 def test_values_are_immutable_and_compare_by_class_and_value():
@@ -438,6 +485,23 @@ def test_int_multiplication_overflow_and_negated_int_min():
         "-2147483648", "2147483647"]
 
 
+def test_mixed_operands_promote_without_wrapping():
+    assert run_prints("print(2147483647 + 0.5); print(-2147483648 - 1.0); print(0 * -1.0); "
+                      "print(1 / 0.0); print(0 / 0.0);") == [
+        "2147483647.5", "-2147483649.0", "-0.0", "Infinity", "NaN"]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("Object[] o = new Object[] { 1.5 };\nint i = (int) o[0];", "cannot cast 1.5 to int"),
+    ("Object[] o = new Object[] { 2 };\ndouble d = (double) o[0];", "cannot cast 2 to double"),
+    ("print(true == 1);", "'==' needs a number, got true"),
+])
+def test_scalar_classes_stay_apart_at_run_time(body, message):
+    with pytest.raises(TypeMismatchError) as exc:
+        run_prints(body)
+    assert exc.value.message == message
+
+
 def test_nan_comparisons_are_false_except_not_equal():
     assert run_prints("double n = nan(); print(n < 1.0); print(n >= n); "
                       "print(n == n); print(n != n); print(n > 1); print(1 <= n);") == [
@@ -475,6 +539,10 @@ def test_deep_expression_chain_runs():
      "3:5: IndexOutOfBounds: index 2 out of bounds for length 1"),
     ("double[] xs = new double[] { 1.0 };\n    xs[3] = 2.0;", 100,
      "3:5: IndexOutOfBounds: index 3 out of bounds for length 1"),
+    ("double[] xs = new double[] { 1.0 };\n    xs[1.5] = 2.0;", 100,
+     "3:5: IndexOutOfBounds: index 1.5 out of bounds for length 1"),
+    ("xs[0] = 1.0;", 100, "2:5: UnboundVariable: variable 'xs' is not bound"),
+    ("int xs = 1;\n    xs[0] = 1.0;", 100, "3:5: TypeMismatch: 'xs' is not an array"),
     ("List<double> l = new List<double> { };\n    Iterator<double> it = iterator(l);"
      "\n    if (true) { double v = next(it); }", 100,
      "4:17: IndexOutOfBounds: next() on an exhausted iterator"),

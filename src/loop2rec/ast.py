@@ -328,6 +328,7 @@ class MethodDef:
     body: list
     ret: Optional[Expr] = None  # trailing `return <expr>;`
     loc: Optional[Loc] = _loc_field()
+    ret_loc: Optional[Loc] = _loc_field()  # of the trailing `return`
 
 
 @dataclass
@@ -386,7 +387,8 @@ _HAS_COND = (If, While, DoWhile, For)
 
 
 def walk_expr(e: Expr) -> list:
-    """An expression and all its subexpressions, pre-order."""
+    """An expression and all its subexpressions, pre-order. The package walks
+    names with `_names`; the tests keep this as its reference."""
     out = []
     _walk_expr(e, out)
     return out
@@ -423,7 +425,41 @@ def _walk_expr(e: Expr, out: list) -> None:
 
 def expr_vars(e: Expr) -> list:
     """Names of the variables an expression reads, pre-order, repeats kept."""
-    return [sub.name for sub in walk_expr(e) if sub.__class__ is Var]
+    out = []
+    _names(e, out, False)
+    return out
+
+
+def _names(e: Expr, out: list, calls: bool) -> None:
+    """Append the variable names e reads, pre-order, and with `calls` the
+    method each Call names too. A left operand chain is walked in a loop, so
+    `a + a + ...` is not bounded by the recursion limit."""
+    rights = []
+    while e.__class__ is Binary:
+        rights.append(e.rhs)
+        e = e.lhs
+    cls = e.__class__
+    if cls is Var:
+        out.append(e.name)
+    elif cls is Unary:
+        _names(e.operand, out, calls)
+    elif cls is Index:
+        _names(e.base, out, calls)
+        _names(e.index, out, calls)
+    elif cls is Builtin or cls is Call:
+        if calls and cls is Call:
+            out.append(e.method)
+        for a in e.args:
+            _names(a, out, calls)
+    elif cls is ArrayLit or cls is ListLit:
+        for el in e.elements:
+            _names(el, out, calls)
+    elif cls is Length:
+        _names(e.collection, out, calls)
+    elif cls is Cast:
+        _names(e.expr, out, calls)
+    for r in reversed(rights):
+        _names(r, out, calls)
 
 
 def collect_identifiers(program: Program) -> set:
@@ -431,18 +467,14 @@ def collect_identifiers(program: Program) -> set:
     parameters, declarations, assignment targets, call targets and variable
     references. Fresh-name generation must avoid all of them."""
     ids = []
-
-    def exprs(es):
-        for e in es:
-            for sub in walk_expr(e):
-                cls = sub.__class__
-                if cls is Var:
-                    ids.append(sub.name)
-                elif cls is Call:
-                    ids.append(sub.method)
-
-    def stmts(block):
-        for st in block:
+    for m in program.methods:
+        ids.append(m.name)
+        ids += [p.name for p in m.params]
+        if m.ret is not None:
+            _names(m.ret, ids, True)
+        stack = list(m.body)
+        while stack:
+            st = stack.pop()
             cls = st.__class__
             if cls is VarDecl or cls is Assign or cls is AssignIndex:
                 ids.append(st.name)
@@ -452,17 +484,11 @@ def collect_identifiers(program: Program) -> set:
                 ids.append(st.method)
             elif cls is Foreach:
                 ids.append(st.elem_name)
-            exprs(stmt_exprs(st))
+            for e in stmt_exprs(st):
+                _names(e, ids, True)
             if cls in COMPOUND_KINDS:
-                for inner in stmt_blocks(st):
-                    stmts(inner)
-
-    for m in program.methods:
-        ids.append(m.name)
-        ids += [p.name for p in m.params]
-        stmts(m.body)
-        if m.ret is not None:
-            exprs([m.ret])
+                for block in stmt_blocks(st):
+                    stack += block
     return set(ids)
 
 

@@ -471,12 +471,21 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _NUMBERS = (int, float)
+_LITERALS = frozenset((IntLit, DoubleLit, BoolLit))
+
+# A Var or literal operand is read inline where it is most common (binary
+# operands, assigned values, call arguments, array cells): a leaf read gives
+# None only for a name not bound, which falls back to its _EVAL handler and
+# raises there, as does every other class.
 
 
 def _binary(e: Binary, b: dict):
     op = e.op
     x = e.lhs
-    lv = _EVAL[x.__class__](x, b)
+    c = x.__class__
+    lv = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
+    if lv is None:
+        lv = _EVAL[c](x, b)
     if op == "&&" or op == "||":
         if lv.__class__ is not bool:
             _bool(lv, f"'{op}'")  # raises
@@ -488,7 +497,10 @@ def _binary(e: Binary, b: dict):
             _bool(rv, f"'{op}'")  # raises
         return rv
     x = e.rhs
-    rv = _EVAL[x.__class__](x, b)
+    c = x.__class__
+    rv = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
+    if rv is None:
+        rv = _EVAL[c](x, b)
     lc = lv.__class__
     rc = rv.__class__
     f = _ARITH.get(op)
@@ -538,8 +550,18 @@ def _unary(e: Unary, b: dict):
     return not _bool(v, "unary '!'")
 
 
+def _values(xs: list, b: dict) -> list:
+    """The values of call arguments or array cells, in order."""
+    out = []
+    for x in xs:
+        c = x.__class__
+        v = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
+        out.append(_EVAL[c](x, b) if v is None else v)
+    return out
+
+
 def _array_lit(e: ArrayLit, b: dict):
-    cells = [_EVAL[x.__class__](x, b) for x in e.elements]
+    cells = _values(e.elements, b)
     if e.elem_type == OBJECT:
         return ObjectArrayV(cells)
     return ArrayV(e.elem_type, cells)
@@ -672,18 +694,26 @@ _RETURNED = "returned"
 class _Run:
     """One execution. Statement handlers take the run, the statement and the
     current frame's bindings, and return a signal: None = fell through,
-    _RETURNED = slot filled, (method, argument values) = tail call pending.
-    With no recorder attached, the handlers change frames and bindings
-    directly instead of through the state operations."""
+    _RETURNED = slot filled, ((method, parameter names), argument values) =
+    tail call pending. With no recorder attached, the handlers change frames
+    and bindings directly instead of through the state operations.
+
+    Each rule application counts its step inline, as
+    `r.steps += 1; if r.steps > r.limit: r.slow_step(rule, loc)`. `limit` is
+    the budget with no tracer attached and -1 with one, so the budget check
+    and the tracer share one slow lane and an untraced step costs one
+    comparison."""
 
     def __init__(self, program: Program, budget: int,
                  tracer: Optional[Callable] = None, recorder=None):
-        self.env = {m.name: m for m in program.methods}
+        self.methods = {m.name: (m, tuple(p.name for p in m.params))
+                        for m in program.methods}
         self.state = State(recorder=recorder)
         self.frames = self.state.frames
         self.recorder = recorder
         self.budget = budget
         self.tracer = tracer
+        self.limit = budget if tracer is None else -1
         self.steps = 0
         self.depth = 0
         self.trace = ExecTrace()
@@ -693,12 +723,21 @@ class _Run:
             self.trace.loop_iterations[loop.loop_id] = 0
         self.iterations = self.trace.loop_iterations
 
-    def step(self, rule: str, loc: Optional[Loc]) -> None:
-        self.steps += 1
+    def slow_step(self, rule: str, loc: Optional[Loc]) -> None:
+        """The rest of a step past `limit`: fail over the budget, else trace."""
         if self.steps > self.budget:
             raise StepBudgetExceeded(f"exceeded {self.budget} steps", loc)
-        if self.tracer is not None:
-            self.tracer(rule, loc, len(self.frames))
+        self.tracer(rule, loc, len(self.frames))
+
+    def resolve(self, name: str, values: list, loc: Optional[Loc]) -> tuple:
+        """(method, parameter names) of a call, checked against its arguments."""
+        entry = self.methods.get(name)
+        if entry is None:
+            raise UndefinedMethodError(f"no method '{name}'", loc)
+        if len(entry[1]) != len(values):
+            raise ArityMismatchError(
+                f"'{name}' expects {len(entry[1])} arguments, got {len(values)}", loc)
+        return entry
 
     def exec_seq(self, stmts: list, b: dict):
         for st in stmts:
@@ -713,36 +752,33 @@ class _Run:
         extend the chain iteratively: every link gets its own frame, and on
         completion each link's slot is copied down as the frames unwind."""
         self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
-            self.depth -= 1
-            raise CallDepthExceeded(f"call depth over {MAX_CALL_DEPTH}", loc)
         frames = self.frames
+        entries = self.trace.method_entries
         try:
+            if self.depth > MAX_CALL_DEPTH:
+                raise CallDepthExceeded(f"call depth over {MAX_CALL_DEPTH}", loc)
+            m, params = self.resolve(name, values, loc)
             chain = 0
             while True:
-                m = self.env.get(name)
-                if m is None:
-                    raise UndefinedMethodError(f"no method '{name}'", loc)
-                if len(m.params) != len(values):
-                    raise ArityMismatchError(
-                        f"'{name}' expects {len(m.params)} arguments, got {len(values)}", loc)
-                self.step("invoke", loc)
-                params = [p.name for p in m.params]
+                self.steps += 1
+                if self.steps > self.limit:
+                    self.slow_step("invoke", loc)
                 if self.recorder is None:
                     frames.append(Frame(dict(zip(params, values))))
                 else:
                     add_frame(self.state, params, values)
                 b = frames[-1].bindings
-                self.trace.method_entries[name] += 1
+                entries[m.name] += 1
                 sig = self.exec_seq(m.body, b)
                 if sig is None and m.ret is not None:
-                    self.step("return", m.loc)
-                    sig = _return_value(self, m.ret, b, m.loc)
-                if sig.__class__ is tuple:
-                    name, values = sig
-                    chain += 1
-                    continue
-                break
+                    self.steps += 1
+                    if self.steps > self.limit:
+                        self.slow_step("return", m.loc)
+                    sig = _return_value(self, m.ret, b, m.ret_loc or m.loc)
+                if sig.__class__ is not tuple:
+                    break
+                (m, params), values = sig
+                chain += 1
             for _ in range(chain):
                 value = frames[-1].ret_slot
                 if self.recorder is None:
@@ -758,10 +794,13 @@ class _Run:
 
 
 def _return_value(r: _Run, x: Expr, b: dict, loc: Optional[Loc]):
-    """`return x`: a tail-call signal when x is a call, else fill the slot."""
+    """`return x`: fill the slot, or, when x is a call, give the tail-call
+    signal with the callee already resolved, so that an undefined callee or
+    an arity mismatch is reported at this `return`."""
     try:
         if x.__class__ is Call:
-            return x.method, [_EVAL[a.__class__](a, b) for a in x.args]
+            values = _values(x.args, b)
+            return r.resolve(x.method, values, loc), values
         v = _EVAL[x.__class__](x, b)
     except InterpError as err:
         _locate(err, loc)
@@ -775,13 +814,18 @@ def _return_value(r: _Run, x: Expr, b: dict, loc: Optional[Loc]):
 
 def _assign(r: _Run, st, b: dict):
     """VarDecl and Assign."""
-    r.step("assign", st.loc)
+    r.steps += 1
+    if r.steps > r.limit:
+        r.slow_step("assign", st.loc)
     x = st.init if st.__class__ is VarDecl else st.value
-    try:
-        v = _EVAL[x.__class__](x, b)
-    except InterpError as err:
-        _locate(err, st.loc)
-        raise
+    c = x.__class__
+    v = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
+    if v is None:
+        try:
+            v = _EVAL[c](x, b)
+        except InterpError as err:
+            _locate(err, st.loc)
+            raise
     if r.recorder is None:
         b[st.name] = v
     else:
@@ -789,7 +833,9 @@ def _assign(r: _Run, st, b: dict):
 
 
 def _assign_index(r: _Run, st: AssignIndex, b: dict):
-    r.step("assign", st.loc)
+    r.steps += 1
+    if r.steps > r.limit:
+        r.slow_step("assign", st.loc)
     try:
         base = b.get(st.name)
         if base.__class__ is not ArrayV:
@@ -812,7 +858,7 @@ def _assign_index(r: _Run, st: AssignIndex, b: dict):
 def _call_assign(r: _Run, st: CallAssign, b: dict):
     # the invocation step is counted at frame entry, in invoke()
     try:
-        values = [_EVAL[a.__class__](a, b) for a in st.args]
+        values = _values(st.args, b)
     except InterpError as err:
         _locate(err, st.loc)
         raise
@@ -830,15 +876,19 @@ def _call_assign(r: _Run, st: CallAssign, b: dict):
 
 
 def _if(r: _Run, st: If, b: dict):
-    r.step("if", st.loc)
+    r.steps += 1
+    if r.steps > r.limit:
+        r.slow_step("if", st.loc)
     x = st.cond
     try:
         c = _EVAL[x.__class__](x, b)
     except InterpError as err:
         _locate(err, st.loc)
         raise
-    if _bool(c, "if condition"):
+    if c is True:
         return r.exec_seq(st.then, b)
+    if c is not False:
+        _bool(c, "if condition")  # raises
     if st.orelse is not None:
         return r.exec_seq(st.orelse, b)
     return None
@@ -847,14 +897,18 @@ def _if(r: _Run, st: If, b: dict):
 def _while(r: _Run, st: While, b: dict):
     x = st.cond
     while True:
-        r.step("while", st.loc)
+        r.steps += 1
+        if r.steps > r.limit:
+            r.slow_step("while", st.loc)
         try:
             c = _EVAL[x.__class__](x, b)
         except InterpError as err:
             _locate(err, st.loc)
             raise
-        if not _bool(c, "while condition"):
+        if c is False:
             return None
+        if c is not True:
+            _bool(c, "while condition")  # raises
         r.iterations[st.loop_id] += 1
         sig = r.exec_seq(st.body, b)
         if sig is not None:  # unreachable from parsed programs
@@ -864,7 +918,9 @@ def _while(r: _Run, st: While, b: dict):
 def _do_while(r: _Run, st: DoWhile, b: dict):
     x = st.cond
     while True:
-        r.step("do", st.loc)
+        r.steps += 1
+        if r.steps > r.limit:
+            r.slow_step("do", st.loc)
         r.iterations[st.loop_id] += 1
         sig = r.exec_seq(st.body, b)
         if sig is not None:
@@ -874,8 +930,10 @@ def _do_while(r: _Run, st: DoWhile, b: dict):
         except InterpError as err:
             _locate(err, st.loc)
             raise
-        if not _bool(c, "do condition"):
+        if c is False:
             return None
+        if c is not True:
+            _bool(c, "do condition")  # raises
 
 
 def _for(r: _Run, st: For, b: dict):
@@ -884,14 +942,18 @@ def _for(r: _Run, st: For, b: dict):
         return sig
     x = st.cond
     while True:
-        r.step("for", st.loc)
+        r.steps += 1
+        if r.steps > r.limit:
+            r.slow_step("for", st.loc)
         try:
             c = _EVAL[x.__class__](x, b)
         except InterpError as err:
             _locate(err, st.loc)
             raise
-        if not _bool(c, "for condition"):
+        if c is False:
             return None
+        if c is not True:
+            _bool(c, "for condition")  # raises
         r.iterations[st.loop_id] += 1
         sig = r.exec_seq(st.body, b) or r.exec_seq(st.update, b)
         if sig is not None:
@@ -899,7 +961,9 @@ def _for(r: _Run, st: For, b: dict):
 
 
 def _foreach(r: _Run, st: Foreach, b: dict):
-    r.step("foreach", st.loc)
+    r.steps += 1
+    if r.steps > r.limit:
+        r.slow_step("foreach", st.loc)
     x = st.collection
     try:
         coll = _EVAL[x.__class__](x, b)
@@ -910,7 +974,9 @@ def _foreach(r: _Run, st: Foreach, b: dict):
         raise TypeMismatchError(
             f"foreach needs an array or list, got {render_value(coll)}", st.loc)
     for cell in list(coll.cells):
-        r.step("foreach", st.loc)
+        r.steps += 1
+        if r.steps > r.limit:
+            r.slow_step("foreach", st.loc)
         r.iterations[st.loop_id] += 1
         if r.recorder is None:
             b[st.elem_name] = cell
@@ -923,17 +989,23 @@ def _foreach(r: _Run, st: Foreach, b: dict):
 
 
 def _block(r: _Run, st: Block, b: dict):
-    r.step("block", st.loc)
+    r.steps += 1
+    if r.steps > r.limit:
+        r.slow_step("block", st.loc)
     return r.exec_seq(st.body, b)
 
 
 def _return(r: _Run, st: Return, b: dict):
-    r.step("return", st.loc)
+    r.steps += 1
+    if r.steps > r.limit:
+        r.slow_step("return", st.loc)
     return _return_value(r, st.value, b, st.loc)
 
 
 def _print(r: _Run, st: Print, b: dict):
-    r.step("print", st.loc)
+    r.steps += 1
+    if r.steps > r.limit:
+        r.slow_step("print", st.loc)
     x = st.value
     try:
         v = _EVAL[x.__class__](x, b)

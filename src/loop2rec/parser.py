@@ -314,10 +314,11 @@ class _Parser:
         self.expect_sym("{")
         body = self.parse_seq(in_loop=False)
         self.expect_sym("}")
-        ret = None
+        ret = ret_loc = None
         if body and isinstance(body[-1], Return):
-            ret = body.pop().value
-        return MethodDef(ret_type, name, params, body, ret, loc=loc)
+            last = body.pop()
+            ret, ret_loc = last.value, last.loc
+        return MethodDef(ret_type, name, params, body, ret, loc=loc, ret_loc=ret_loc)
 
     # ------------------------------------------------------------ statements
 

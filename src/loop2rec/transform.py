@@ -322,15 +322,16 @@ def _rewrite_seq(stmts: list, opts: TransformOptions, plans: dict, generated: li
                 loc=st.loc,
             ))
             out.extend(repl)
-        elif isinstance(st, If):
-            out.append(replace(
-                st,
-                then=_rewrite_seq(st.then, opts, plans, generated, report),
-                orelse=(_rewrite_seq(st.orelse, opts, plans, generated, report)
-                        if st.orelse else st.orelse),
+        elif st.__class__ is If:
+            out.append(If(
+                st.cond,
+                _rewrite_seq(st.then, opts, plans, generated, report),
+                (_rewrite_seq(st.orelse, opts, plans, generated, report)
+                 if st.orelse else st.orelse),
+                loc=st.loc,
             ))
-        elif isinstance(st, Block):
-            out.append(replace(st, body=_rewrite_seq(st.body, opts, plans, generated, report)))
+        elif st.__class__ is Block:
+            out.append(Block(_rewrite_seq(st.body, opts, plans, generated, report), loc=st.loc))
         else:
             out.append(st)
     return out
@@ -358,7 +359,8 @@ def transform_program(program: Program, opts: Optional[TransformOptions] = None)
     methods = []
     for m in program.methods:
         body = _rewrite_seq(m.body, opts, plans, generated, report)
-        methods.append(MethodDef(m.ret_type, m.name, m.params, body, m.ret, loc=m.loc))
+        methods.append(MethodDef(m.ret_type, m.name, m.params, body, m.ret, loc=m.loc,
+                                 ret_loc=m.ret_loc))
     out = Program(methods + generated, entry=program.entry)
     report.sort(key=lambda r: r.loop_id)
     return TransformResult(out, report)

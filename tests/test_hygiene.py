@@ -19,10 +19,9 @@ def parse_file(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def loaded_names(tree: ast.Module) -> set:
-    """Names the module reads, plus the strings of its `__all__`."""
-    names = {n.id for n in ast.walk(tree)
-             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+def exported_names(tree: ast.Module) -> set:
+    """The strings of the module's `__all__`."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -48,18 +47,43 @@ def mentions(tree: ast.Module) -> set:
     return out
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
 def unused_imports(tree: ast.Module) -> list:
-    used = loaded_names(tree)
+    """Names an import binds that the scope making it never reads. A function,
+    lambda or class is a scope of its own: a read inside it counts for an
+    enclosing scope's import only when it binds no name of its own by that
+    name (an import, an assignment or a parameter)."""
     out = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+    scope_reads(tree, out)
+    exported = exported_names(tree)
+    return [name for name in out if name not in exported]
+
+
+def scope_reads(scope: ast.AST, out: list) -> set:
+    """The names `scope` reads and does not bind, after appending to `out`
+    the names its own imports bind and it never reads."""
+    imports, bound, reads = [], set(), set()
+    stack = list(reversed(list(ast.iter_child_nodes(scope))))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SCOPES):
+            if not isinstance(node, ast.Lambda):
+                bound.add(node.name)
+            reads |= scope_reads(node, out)
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
             for alias in node.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                if bound not in used:
-                    out.append(bound)
-    return out
+                imports.append(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.Name):
+            (bound if isinstance(node.ctx, ast.Store) else reads).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        stack += reversed(list(ast.iter_child_nodes(node)))
+    out += [name for name in imports if name not in reads]
+    return reads - bound - set(imports)
 
 
 def module_definitions(tree: ast.Module) -> list:
@@ -91,6 +115,10 @@ def test_every_module_level_definition_is_named_somewhere():
 def test_the_checks_see_dead_code():
     tree = ast.parse("import os\nfrom x import y as z\nA = 1\ndef f():\n    return A\n")
     assert unused_imports(tree) == ["os", "z"]
+    # a function's own import hides the module's from the function body
+    scoped = ast.parse("import os\ndef f():\n    import os\n    return os.sep\n"
+                       "def g():\n    import sys\n")
+    assert unused_imports(scoped) == ["sys", "os"]
     assert module_definitions(tree) == ["A", "f"]
     assert "f" not in mentions(tree) and "A" in mentions(tree)
 

@@ -34,6 +34,7 @@ from loop2rec.interp import (
     values_equal,
 )
 from loop2rec.parser import parse
+from loop2rec.printer import pretty_print
 from loop2rec.transform import TransformOptions, transform_program
 
 from conftest import CORPUS_FILES, TERMINATING, corpus_text
@@ -555,6 +556,23 @@ def test_run_errors_carry_statement_locations(body, budget, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("f_body, call, message", [
+    ("return g(a, a);", "f(1)", "5:5: ArityMismatch: 'g' expects 1 arguments, got 2"),
+    ("return h(a);", "f(1)", "5:5: UndefinedMethod: no method 'h'"),
+    ("if (a > 0) {\n        return g(a, a);\n    }\n    return g(a);", "f(1)",
+     "6:9: ArityMismatch: 'g' expects 1 arguments, got 2"),
+    ("return g(a);", "f(1, 2)", "8:5: ArityMismatch: 'f' expects 1 arguments, got 2"),
+    ("return a / 0;", "f(1)", "5:5: DivisionByZero: integer division by zero"),
+])
+def test_a_return_error_carries_the_location_of_its_return(f_body, call, message):
+    # a tail call's callee is checked at its `return`; a plain call's at the call
+    src = (f"double g(int a) {{\n    return a;\n}}\ndouble f(int a) {{\n    {f_body}\n}}\n"
+           f"void main() {{\n    double r = {call};\n    print(r);\n}}\n")
+    with pytest.raises(InterpError) as exc:
+        run_src(src)
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------------ behaviour pin
 
 PIN_BUDGET = 20_000
@@ -576,9 +594,9 @@ def pin_programs(names, seeds):
     return programs
 
 
-def render_run(program, **hooks) -> str:
+def render_run(program, budget=PIN_BUDGET, **hooks) -> str:
     try:
-        t = run(program, budget=PIN_BUDGET, **hooks)
+        t = run(program, budget=budget, **hooks)
     except InterpError as err:
         return f"{type(err).__name__}|{err.message}|{err.loc}"
     return (f"{t.prints!r}|{list(t.final_bindings.items())!r}|"
@@ -602,3 +620,25 @@ def test_runs_tracer_and_recorder_events_are_pinned():
         h.update("\n".join(events).encode() + b"\n")
         h.update(repr(recorder.events).encode() + b"\n")
     assert h.hexdigest() == INTERP_PIN_SHA256
+
+
+def test_a_run_fits_a_budget_of_exactly_its_steps():
+    # printed and re-parsed, so that generated programs carry locations
+    originals = [parse(corpus_text(n)) for n in TERMINATING]
+    originals += [parse(pretty_print(generate(GenConfig(seed=s, **kw))))
+                  for s in range(50) for kw in ({}, {"max_depth": 4, "max_loops": 6})]
+    for p in originals:
+        for program in (p, transform_program(p).program,
+                        transform_program(p, TransformOptions(optimize=False)).program):
+            events = []
+            t = run(program, tracer=lambda rule, loc, depth: events.append((rule, loc)))
+            assert len(events) == t.steps
+            assert render_run(program, budget=t.steps) == render_run(program, budget=10 ** 9)
+            # one step short, traced or not, the run stops at the last event's step
+            for traced in (False, True):
+                short = []
+                tracer = (lambda rule, loc, depth: short.append((rule, loc))) if traced else None
+                with pytest.raises(StepBudgetExceeded) as exc:
+                    run(program, budget=t.steps - 1, tracer=tracer)
+                assert exc.value.loc == events[-1][1]
+                assert short == (events[:-1] if traced else [])

@@ -16,6 +16,7 @@ from loop2rec.ast import (
     Var,
     VarDecl,
     collect_identifiers,
+    expr_vars,
     is_loop,
     iter_stmts,
     stmt_blocks,
@@ -366,9 +367,17 @@ def test_tree_walks_agree_with_their_recursive_definitions():
     # unchecked: a call target that names no method
     programs.append(parse("int f(int a) { return g(a + 1); }\n"
                           "void main() { int r = f(1); print(r); }"))
+    # a method whose value is a call, and a chain deeper than the recursion limit
+    programs.append(parse("double h(int a, double[] xs) { return h(a - 1, xs[a] * abs(-a)); }"
+                          "\nvoid main() { double r = h(1, new double[] { 1.0 }); }"))
+    programs.append(parse("void main() { int a = 1; print(" + " + ".join(["a"] * 20_000)
+                          + "); }"))
     for p in programs:
         for m in p.methods:
             assert [id(st) for st in iter_stmts(m.body)] == [id(st) for st in preorder(m.body)]
+            exprs = [e for st in iter_stmts(m.body) for e in stmt_exprs(st)]
+            for e in exprs + ([m.ret] if m.ret is not None else []):
+                assert expr_vars(e) == [s.name for s in walk_expr(e) if s.__class__ is Var]
         assert collect_identifiers(p) == identifiers(p)
 
 

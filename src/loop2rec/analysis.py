@@ -11,8 +11,8 @@ For each loop this module computes:
   * clash-free fresh names for the generated method and helper variables.
 
 Liveness is syntactic, not path-sensitive: a modified variable counts as live
-if it is read anywhere after the loop in document order, in the method's
-trailing return, or anywhere inside an enclosing loop (a read textually
+if it is read anywhere after the loop in document order (the method's final
+`return` included), or anywhere inside an enclosing loop (a read textually
 before the loop re-executes after it via the enclosing loop's back edge).
 
 All of it comes from one pass per method (`MethodFacts`). Each statement is
@@ -274,8 +274,7 @@ class MethodFacts:
         self.order = {}  # declared name -> position, parameters first
         for p in method.params:
             self.order.setdefault(p.name, len(self.order))
-        ret_reads = frozenset(expr_vars(method.ret)) if method.ret is not None else _NONE
-        self._walk(method.body, {p.name: p.type for p in method.params}, ret_reads)
+        self._walk(method.body, {p.name: p.type for p in method.params}, _NONE)
 
     def _walk(self, stmts, scope: Optional[dict], after: Optional[frozenset]) -> None:
         """Visit a sequence in document order. `scope` is the caller's, copied

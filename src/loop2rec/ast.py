@@ -325,10 +325,8 @@ class MethodDef:
     ret_type: Type
     name: str
     params: list
-    body: list
-    ret: Optional[Expr] = None  # trailing `return <expr>;`
+    body: list  # a final `return e;` is its last statement, a `Return`
     loc: Optional[Loc] = _loc_field()
-    ret_loc: Optional[Loc] = _loc_field()  # of the trailing `return`
 
 
 @dataclass
@@ -470,8 +468,6 @@ def collect_identifiers(program: Program) -> set:
     for m in program.methods:
         ids.append(m.name)
         ids += [p.name for p in m.params]
-        if m.ret is not None:
-            _names(m.ret, ids, True)
         stack = list(m.body)
         while stack:
             st = stack.pop()

@@ -108,19 +108,10 @@ class _Checker:
         self.scopes = [{}]
         for p in m.params:
             self.declare(m.loc, p.name, p.type)
-        # the trailing return shares the body's scope
-        self.scopes.append({})
-        for st in m.body:
-            self.check_stmt(st)
-        if m.ret is not None:
-            self.check_return(m.ret, m.loc)
-        elif m.ret_type != VOID and not self._body_ends_returning(m.body):
+        self.check_seq(m.body)
+        if m.ret_type != VOID and not (m.body and isinstance(m.body[-1], Return)):
             self.error(m.loc, f"method '{m.name}' must end with a return of type {m.ret_type}")
         self.scopes = []
-
-    @staticmethod
-    def _body_ends_returning(body: list) -> bool:
-        return bool(body) and isinstance(body[-1], Return)
 
     def check_return(self, value: Expr, loc) -> None:
         want = self.current.ret_type

@@ -37,6 +37,7 @@ from .ast import (
     Param,
     Print,
     Program,
+    Return,
     VOID,
     Var,
     VarDecl,
@@ -97,10 +98,10 @@ class _Gen:
                 Assign(a, Binary("+", Var(a), Binary("*", DoubleLit(0.5), Var(b)))),
                 Assign(k, Binary("-", Var(k), IntLit(1))),
             ]),
+            Return(Binary("+", Var(a), Var(b))),
         ]
         self.helper = name
-        return MethodDef(DOUBLE, name, [Param(a, DOUBLE), Param(b, INT)],
-                         body, ret=Binary("+", Var(a), Var(b)))
+        return MethodDef(DOUBLE, name, [Param(a, DOUBLE), Param(b, INT)], body)
 
     # ------------------------------------------------------------- literals
 

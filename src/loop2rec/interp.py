@@ -748,7 +748,8 @@ class _Run:
 
     def invoke(self, name: str, values: list, loc: Optional[Loc]) -> None:
         """Run a method, leaving its frame on top of the state with the return
-        slot filled (for non-void methods). Tail calls (`return m(...)`)
+        slot filled (for non-void methods) by the `return` that ends its body,
+        a statement like any other. Tail calls (`return m(...)`)
         extend the chain iteratively: every link gets its own frame, and on
         completion each link's slot is copied down as the frames unwind."""
         self.depth += 1
@@ -770,11 +771,6 @@ class _Run:
                 b = frames[-1].bindings
                 entries[m.name] += 1
                 sig = self.exec_seq(m.body, b)
-                if sig is None and m.ret is not None:
-                    self.steps += 1
-                    if self.steps > self.limit:
-                        self.slow_step("return", m.loc)
-                    sig = _return_value(self, m.ret, b, m.ret_loc or m.loc)
                 if sig.__class__ is not tuple:
                     break
                 (m, params), values = sig
@@ -791,25 +787,6 @@ class _Run:
                         upd_r(self.state, value)
         finally:
             self.depth -= 1
-
-
-def _return_value(r: _Run, x: Expr, b: dict, loc: Optional[Loc]):
-    """`return x`: fill the slot, or, when x is a call, give the tail-call
-    signal with the callee already resolved, so that an undefined callee or
-    an arity mismatch is reported at this `return`."""
-    try:
-        if x.__class__ is Call:
-            values = _values(x.args, b)
-            return r.resolve(x.method, values, loc), values
-        v = _EVAL[x.__class__](x, b)
-    except InterpError as err:
-        _locate(err, loc)
-        raise
-    if r.recorder is None:
-        r.frames[-1].ret_slot = v  # the return ends the frame: never set twice
-    else:
-        upd_r(r.state, v)
-    return _RETURNED
 
 
 def _assign(r: _Run, st, b: dict):
@@ -996,10 +973,26 @@ def _block(r: _Run, st: Block, b: dict):
 
 
 def _return(r: _Run, st: Return, b: dict):
+    """`return x`: fill the slot, or, when x is a call, give the tail-call
+    signal with the callee already resolved, so that an undefined callee or
+    an arity mismatch is reported at this `return`."""
     r.steps += 1
     if r.steps > r.limit:
         r.slow_step("return", st.loc)
-    return _return_value(r, st.value, b, st.loc)
+    x = st.value
+    try:
+        if x.__class__ is Call:
+            values = _values(x.args, b)
+            return r.resolve(x.method, values, st.loc), values
+        v = _EVAL[x.__class__](x, b)
+    except InterpError as err:
+        _locate(err, st.loc)
+        raise
+    if r.recorder is None:
+        r.frames[-1].ret_slot = v  # the return ends the frame: never set twice
+    else:
+        upd_r(r.state, v)
+    return _RETURNED
 
 
 def _print(r: _Run, st: Print, b: dict):

@@ -314,11 +314,7 @@ class _Parser:
         self.expect_sym("{")
         body = self.parse_seq(in_loop=False)
         self.expect_sym("}")
-        ret = ret_loc = None
-        if body and isinstance(body[-1], Return):
-            last = body.pop()
-            ret, ret_loc = last.value, last.loc
-        return MethodDef(ret_type, name, params, body, ret, loc=loc, ret_loc=ret_loc)
+        return MethodDef(ret_type, name, params, body, loc=loc)
 
     # ------------------------------------------------------------ statements
 

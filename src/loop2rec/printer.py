@@ -191,12 +191,10 @@ def _seq_lines(stmts: list, depth: int, out: list) -> None:
 def fmt_method(m: MethodDef) -> str:
     params = ", ".join(f"{p.type} {p.name}" for p in m.params)
     header = f"{m.ret_type} {m.name}({params})"
-    if not m.body and m.ret is None:
+    if not m.body:
         return f"{header} {{ }}"
     lines = [f"{header} {{"]
     _seq_lines(m.body, 1, lines)
-    if m.ret is not None:
-        lines.append(f"{INDENT}return {fmt_expr(m.ret)};")
     lines.append("}")
     return "\n".join(lines)
 

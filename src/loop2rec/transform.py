@@ -163,13 +163,14 @@ def _gen_method(plan: _PlannedLoop, opts: TransformOptions, params: list,
     else:
         body = core + [tail]
     if packing == Packing.NONE:
-        ret_type, ret = VOID, None
+        ret_type = VOID
     elif packing == Packing.SINGLE:
-        ret_type, ret = returned[0].type, Var(returned[0].name)
+        ret_type = returned[0].type
+        body.append(Return(Var(returned[0].name), loc=loc))
     else:
         ret_type = OBJECT_ARRAY
-        ret = ArrayLit(OBJECT, [Var(p.name) for p in returned])
-    return MethodDef(ret_type, name, params, body, ret, loc=loc)
+        body.append(Return(ArrayLit(OBJECT, [Var(p.name) for p in returned]), loc=loc))
+    return MethodDef(ret_type, name, params, body, loc=loc)
 
 
 # ------------------------------------------------------------ per-loop kinds
@@ -359,8 +360,7 @@ def transform_program(program: Program, opts: Optional[TransformOptions] = None)
     methods = []
     for m in program.methods:
         body = _rewrite_seq(m.body, opts, plans, generated, report)
-        methods.append(MethodDef(m.ret_type, m.name, m.params, body, m.ret, loc=m.loc,
-                                 ret_loc=m.ret_loc))
+        methods.append(MethodDef(m.ret_type, m.name, m.params, body, loc=m.loc))
     out = Program(methods + generated, entry=program.entry)
     report.sort(key=lambda r: r.loop_id)
     return TransformResult(out, report)

@@ -111,6 +111,13 @@ def test_semantic_error_exit_code(tmp_path, capsys):
     assert main(["diff", str(f)]) == 2
 
 
+def test_final_return_error_is_reported_at_the_return(tmp_path, capsys):
+    f = tmp_path / "bad.mj"
+    f.write_text("int f(int a) {\n    int b = a;\n    return 1.5;\n}\n")
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err == f"{f}:3:5: return type mismatch: expected int, got double\n"
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["run", "/nonexistent/nope.mj"]) == 3
 

@@ -9,6 +9,7 @@ from loop2rec.ast import (
     DoubleLit,
     IntLit,
     Program,
+    Return,
     While,
     iter_stmts,
 )
@@ -47,13 +48,13 @@ def test_parse_sqrt_single_method_single_while():
     p = parse(SQRT_METHOD)
     assert [m.name for m in p.methods] == ["sqrt"]
     assert len(loops_of(p)) == 1
-    assert p.methods[0].ret is not None
+    assert isinstance(p.methods[0].body[-1], Return)
 
 
 def test_parse_minimal_entry():
     p = parse("int main() { return 0; }")
     assert p.entry == "main"
-    assert p.methods[0].ret == IntLit(0)
+    assert p.methods[0].body == [Return(IntLit(0))]
     assert check_semantics(p) == []
 
 
@@ -414,6 +415,13 @@ def test_missing_trailing_return():
 def test_return_type_mismatch():
     errs = check_semantics(parse("int m() { return 1.5; }"))
     assert any("return type mismatch" in str(e) for e in errs)
+
+
+def test_final_return_errors_point_at_the_return():
+    errs = check_semantics(parse("int f(int a) {\n    int b = a;\n    return 1.5;\n}"))
+    assert [str(e) for e in errs] == ["3:5: return type mismatch: expected int, got double"]
+    errs = check_semantics(parse("void f(int a) {\n    int b = a;\n    return b;\n}"))
+    assert [str(e) for e in errs] == ["3:5: method 'f' is void and cannot return a value"]
 
 
 def test_entry_must_be_parameterless():

@@ -4,7 +4,7 @@ from loop2rec.ast import structural_eq
 from loop2rec.generator import GenConfig, generate
 from loop2rec.parser import parse
 from loop2rec.printer import pretty_print
-from loop2rec.transform import transform_program
+from loop2rec.transform import TransformOptions, transform_program
 
 from conftest import CORPUS_FILES, corpus_text
 
@@ -49,6 +49,13 @@ def test_round_trip_transformed_programs():
     for name in CORPUS_FILES:
         q = transform_program(parse(corpus_text(name))).program
         assert structural_eq(q, parse(pretty_print(q))), name
+    # generated trees were never parsed, and both packings that return a value
+    for seed in range(50):
+        for kw in ({}, {"max_depth": 4, "max_loops": 6}):
+            p = generate(GenConfig(seed=seed, **kw))
+            for optimize in (True, False):
+                q = transform_program(p, TransformOptions(optimize=optimize)).program
+                assert structural_eq(parse(pretty_print(q)), q), (seed, kw, optimize)
 
 
 def test_printing_is_deterministic_and_stable():

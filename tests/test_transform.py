@@ -54,8 +54,6 @@ def calls_in(method):
                     names.add(sub.method)
         if isinstance(st, Return) and isinstance(st.value, Call):
             names.add(st.value.method)
-    if method.ret is not None and isinstance(method.ret, Call):
-        names.add(method.ret.method)
     return names
 
 
@@ -95,10 +93,10 @@ def test_golden_sqrt_shape():
         "while", "sqrt_loop", Packing.SINGLE)
     # generated method: body, condition check with tail call, trailing return
     gen = result.program.method("sqrt_loop")
-    assert isinstance(gen.body[-1], If)
-    assert isinstance(gen.body[-1].then[0], Return)
-    assert isinstance(gen.body[-1].then[0].value, Call)
-    assert gen.ret is not None
+    assert isinstance(gen.body[-2], If)
+    assert isinstance(gen.body[-2].then[0], Return)
+    assert isinstance(gen.body[-2].then[0].value, Call)
+    assert isinstance(gen.body[-1], Return)
 
 
 def test_loop_free_program_is_identity():
@@ -198,9 +196,9 @@ def test_for_hoists_init_and_places_updates():
     gen = result.program.method("sqrtFor_loop")
     # update sits between the loop body and the condition check
     assert pretty_print(result.program).count("iter = iter + 1") == 1
-    update = gen.body[-2]
+    update = gen.body[-3]
     assert not isinstance(update, If)
-    assert isinstance(gen.body[-1], If)
+    assert isinstance(gen.body[-2], If)
     assert [p.name for p in gen.params] == ["x", "b", "iter"]
 
 
@@ -342,7 +340,7 @@ def identifiers(program):
     for m in program.methods:
         ids.add(m.name)
         ids.update(p.name for p in m.params)
-        exprs = [m.ret] if m.ret is not None else []
+        exprs = []
         for st in iter_stmts(m.body):
             if isinstance(st, (VarDecl, Assign, AssignIndex)):
                 ids.add(st.name)
@@ -376,7 +374,7 @@ def test_tree_walks_agree_with_their_recursive_definitions():
         for m in p.methods:
             assert [id(st) for st in iter_stmts(m.body)] == [id(st) for st in preorder(m.body)]
             exprs = [e for st in iter_stmts(m.body) for e in stmt_exprs(st)]
-            for e in exprs + ([m.ret] if m.ret is not None else []):
+            for e in exprs:
                 assert expr_vars(e) == [s.name for s in walk_expr(e) if s.__class__ is Var]
         assert collect_identifiers(p) == identifiers(p)
 

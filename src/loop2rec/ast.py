@@ -1,20 +1,20 @@
 """AST for MiniJava-L, a small imperative language with while/do/for/foreach
 loops, typed variables, arrays and lists.
 
-Nodes are plain dataclasses treated as immutable after construction; the whole
-toolchain (parser, checker, rewriter, printer, interpreter) shares them.
-Source locations and loop numbers live in compare=False fields so `==` (and
-`structural_eq`) sees only program shape.
+Nodes are slotted dataclasses, with no `__dict__`, treated as immutable after
+construction; the whole toolchain (parser, checker, rewriter, printer,
+interpreter) shares them. Source locations and loop numbers live in
+compare=False fields so `==` (and `structural_eq`) sees only program shape.
+`Type` and `Loc` are immutable named tuples, compared and hashed by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     line: int
     col: int
 
@@ -25,8 +25,7 @@ class Loc:
 # --------------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class Type:
+class Type(NamedTuple):
     """Static type; `elem` is set for array/list/iterator types only."""
 
     kind: str
@@ -69,32 +68,32 @@ def is_numeric(t: Type) -> bool:
 # --------------------------------------------------------------- expressions
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class DoubleLit(Expr):
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Binary(Expr):
     op: str  # + - * / == != < <= > >= && ||
     lhs: Expr
@@ -127,13 +126,13 @@ BINARY_PREC = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str  # - !
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayLit(Expr):
     """`new T[] { ... }`; elem_type OBJECT means an Object[] literal."""
 
@@ -141,36 +140,36 @@ class ArrayLit(Expr):
     elements: list
 
 
-@dataclass
+@dataclass(slots=True)
 class ListLit(Expr):
     elem_type: Type
     elements: list
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Length(Expr):
     collection: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Builtin(Expr):
     name: str  # abs nan iterator hasNext next
     args: list
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast(Expr):
     type: Type
     expr: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     """Method call expression. Only legal as the operand of a `return`;
     everywhere else calls are statements (CallAssign)."""
@@ -185,7 +184,7 @@ BUILTIN_NAMES = frozenset({"abs", "nan", "iterator", "hasNext", "next"})
 # ---------------------------------------------------------------- statements
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     pass
 
@@ -194,7 +193,7 @@ def _loc_field():
     return field(default=None, compare=False, repr=False, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Stmt):
     type: Type
     name: str
@@ -202,14 +201,14 @@ class VarDecl(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     name: str
     value: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignIndex(Stmt):
     name: str
     index: Expr
@@ -217,7 +216,7 @@ class AssignIndex(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class CallAssign(Stmt):
     """`target = method(args);`, bare `method(args);`, or the declaring form
     `decl_type target = method(args);`."""
@@ -229,7 +228,7 @@ class CallAssign(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr
     then: list
@@ -237,7 +236,7 @@ class If(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class While(Stmt):
     cond: Expr
     body: list
@@ -245,7 +244,7 @@ class While(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class DoWhile(Stmt):
     body: list
     cond: Expr
@@ -253,7 +252,7 @@ class DoWhile(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Stmt):
     init: list  # VarDecl or Assign statements
     cond: Expr
@@ -263,7 +262,7 @@ class For(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Foreach(Stmt):
     elem_type: Type
     elem_name: str
@@ -273,19 +272,19 @@ class Foreach(Stmt):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     body: list
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Print(Stmt):
     value: Expr
     loc: Optional[Loc] = _loc_field()
@@ -314,13 +313,13 @@ def loop_kind(st: Stmt) -> str:
 # ------------------------------------------------------------------- program
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type: Type
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDef:
     ret_type: Type
     name: str
@@ -329,7 +328,7 @@ class MethodDef:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     methods: list
     entry: str = "main"

@@ -694,9 +694,10 @@ _RETURNED = "returned"
 class _Run:
     """One execution. Statement handlers take the run, the statement and the
     current frame's bindings, and return a signal: None = fell through,
-    _RETURNED = slot filled, ((method, parameter names), argument values) =
-    tail call pending. With no recorder attached, the handlers change frames
-    and bindings directly instead of through the state operations.
+    _RETURNED = slot filled, ((method, parameter names), argument values,
+    location of the `return`) = tail call pending. With no recorder attached,
+    the handlers change frames and bindings directly instead of through the
+    state operations.
 
     Each rule application counts its step inline, as
     `r.steps += 1; if r.steps > r.limit: r.slow_step(rule, loc)`. `limit` is
@@ -750,8 +751,9 @@ class _Run:
         """Run a method, leaving its frame on top of the state with the return
         slot filled (for non-void methods) by the `return` that ends its body,
         a statement like any other. Tail calls (`return m(...)`)
-        extend the chain iteratively: every link gets its own frame, and on
-        completion each link's slot is copied down as the frames unwind."""
+        extend the chain iteratively: every link gets its own frame, its
+        `invoke` step counted at that `return`, and on completion each link's
+        slot is copied down as the frames unwind."""
         self.depth += 1
         frames = self.frames
         entries = self.trace.method_entries
@@ -773,7 +775,7 @@ class _Run:
                 sig = self.exec_seq(m.body, b)
                 if sig.__class__ is not tuple:
                     break
-                (m, params), values = sig
+                (m, params), values, loc = sig
                 chain += 1
             for _ in range(chain):
                 value = frames[-1].ret_slot
@@ -983,7 +985,7 @@ def _return(r: _Run, st: Return, b: dict):
     try:
         if x.__class__ is Call:
             values = _values(x.args, b)
-            return r.resolve(x.method, values, st.loc), values
+            return r.resolve(x.method, values, st.loc), values, st.loc
         v = _EVAL[x.__class__](x, b)
     except InterpError as err:
         _locate(err, st.loc)

@@ -345,6 +345,10 @@ class _Parser:
     def parse_stmt(self, in_loop: bool) -> Stmt:
         kind, text, line, col = self.toks[self.pos]
         loc = Loc(line, col)
+        if kind == "ident":
+            st = self.parse_assign_or_call(loc)
+            self.expect_sym(";")
+            return st
         if text == "if":
             return self.parse_if(loc, in_loop)
         if text == "while":
@@ -384,10 +388,6 @@ class _Parser:
             return Block(self.parse_body(in_loop), loc=loc)
         if text in _TYPE_STARTS:
             st = self.parse_decl(loc)
-            self.expect_sym(";")
-            return st
-        if kind == "ident":
-            st = self.parse_assign_or_call(loc)
             self.expect_sym(";")
             return st
         raise self.fail("a statement")
@@ -533,9 +533,16 @@ class _Parser:
         """Precedence climbing (Norvell, "Parsing Expressions by Recursive
         Descent"): a binary expression whose operators all bind at least as
         tightly as `min_prec`. The right operand only takes tighter operators,
-        which makes every level left-associative."""
-        lhs = self.parse_unary()
+        which makes every level left-associative. A variable or int literal
+        that no `(` or `[` follows is built here, the commonest operand."""
         toks = self.toks
+        t = toks[self.pos]
+        kind = t[0]
+        if (kind == "ident" or kind == "int") and toks[self.pos + 1][1] not in ("(", "["):
+            self.pos += 1
+            lhs = Var(t[1]) if kind == "ident" else IntLit(_int_value(t, t[1]))
+        else:
+            lhs = self.parse_unary()
         while True:
             op = toks[self.pos][1]
             prec = BINARY_PREC.get(op, 0)

@@ -1,7 +1,8 @@
 """Dead-code hygiene of the package, from its syntax trees alone: every import
 is used by the module that makes it, and every module-level function, class
 or constant is named somewhere in `src/`, `tests/` or `bench/`. Also, no
-line in `src/` is longer than MAX_LINE characters."""
+line in `src/` is longer than MAX_LINE characters, and every dataclass in
+`ast.py` is slotted, so no tree node carries a `__dict__`."""
 
 import ast
 import pathlib
@@ -137,3 +138,34 @@ def test_the_line_check_sees_long_lines(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("x" * 100 + "\n" + "y" * 101 + "\n", encoding="utf-8")
     assert long_lines(path) == ["m.py:2"]
+
+
+def unslotted_dataclasses(tree: ast.Module) -> list:
+    """Names of the classes decorated `@dataclass` without `slots=True`."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            func = d.func if isinstance(d, ast.Call) else d
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            slotted = isinstance(d, ast.Call) and any(
+                k.arg == "slots" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in d.keywords)
+            if name == "dataclass" and not slotted:
+                out.append(node.name)
+    return out
+
+
+def test_every_tree_node_dataclass_is_slotted():
+    assert unslotted_dataclasses(parse_file(PACKAGE / "ast.py")) == []
+
+
+def test_the_slots_check_sees_unslotted_dataclasses():
+    tree = ast.parse("@dataclass\nclass A:\n    x: int\n"
+                     "@dataclass(eq=False)\nclass B:\n    pass\n"
+                     "@dataclasses.dataclass(slots=False)\nclass C:\n    pass\n"
+                     "@dataclass(slots=True)\nclass D:\n    pass\n"
+                     "@dataclasses.dataclass(eq=False, slots=True)\nclass E:\n    pass\n"
+                     "class F(NamedTuple):\n    x: int\n")
+    assert unslotted_dataclasses(tree) == ["A", "B", "C"]

@@ -573,6 +573,23 @@ def test_a_return_error_carries_the_location_of_its_return(f_body, call, message
     assert str(exc.value) == message
 
 
+def test_a_tail_link_steps_at_its_own_return():
+    # the chain begins at the call in main (5:5); every later link is made,
+    # and its `invoke` step counted, at the `return` in f (2:5)
+    program = parse("int f(int a) {\n    return f(a + 1);\n}\n"
+                    "void main() {\n    int r = f(0);\n    print(r);\n}\n")
+    events = []
+    with pytest.raises(StepBudgetExceeded):
+        run(program, budget=40, tracer=lambda rule, loc, depth:
+            events.append((rule, str(loc))))
+    invokes = [loc for rule, loc in events if rule == "invoke"]
+    assert invokes[:3] == ["4:1", "5:5", "2:5"] and set(invokes[2:]) == {"2:5"}
+    for budget in (40, 41):  # over the budget at a `return`, then at an `invoke`
+        with pytest.raises(StepBudgetExceeded) as exc:
+            run(program, budget=budget)
+        assert str(exc.value.loc) == "2:5"
+
+
 # ------------------------------------------------------------ behaviour pin
 
 PIN_BUDGET = 20_000
@@ -583,7 +600,10 @@ PIN_BUDGET = 20_000
 # isinstance chains produced them, except that a method's final `return` step
 # is traced at the statement, not at the method header (that interpreter with
 # only this change gives the same digest); a rewrite of the interpreter must
-# match.
+# match. Counting a tail link's `invoke` step at its own `return` left the
+# digest as it was: the pinned rewrites are not printed and re-parsed, so their
+# tail `return` and the call that begins the chain share the loop's location
+# (test_a_tail_link_steps_at_its_own_return covers the difference).
 INTERP_PIN_SHA256 = "5232061034f34f19c0c9cd24115011226d12b8de7b592195e9014d6998be83a2"
 
 

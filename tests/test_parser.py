@@ -6,14 +6,22 @@ import pytest
 
 from loop2rec.ast import (
     BINARY_PREC,
+    DOUBLE,
+    INT,
     DoubleLit,
+    Expr,
     IntLit,
+    Loc,
     Program,
     Return,
+    Stmt,
+    Type,
     While,
+    array_of,
     iter_stmts,
+    list_of,
 )
-from loop2rec import parser
+from loop2rec import ast as tree, parser
 from loop2rec.checker import check_semantics
 from loop2rec.generator import GenConfig, generate
 from loop2rec.parser import MAX_NESTING, ParseError, parse, tokenize
@@ -459,3 +467,49 @@ def test_documented_precedence_groups_match_the_operator_table():
     want = [[op for op, p in BINARY_PREC.items() if p == level] for level in levels]
     assert groups[:len(want)] == want
     assert groups[len(want)][0] == "unary"
+
+
+# ------------------------------------------------------------ tree representation
+
+
+def tree_values(x, out: list) -> list:
+    """x and every node, Type and Loc it holds, through lists and fields."""
+    if x.__class__ is list:
+        for y in x:
+            tree_values(y, out)
+    elif x.__class__.__module__ == tree.__name__:
+        out.append(x)
+        for name in x._fields if isinstance(x, tuple) else x.__dataclass_fields__:
+            tree_values(getattr(x, name), out)
+    return out
+
+
+def test_no_tree_value_has_a_dict():
+    classes = {c for c in vars(tree).values()
+               if isinstance(c, type) and c.__module__ == tree.__name__}
+    values = [Expr(), Stmt()]
+    extra = parse("void main() { int[] a = new int[] { 1 }; a[0] = -a[0]; bool b = !true; }")
+    for p in [extra] + [parse(corpus_text(n)) for n in CORPUS_FILES]:
+        for program in (p, transform_program(p).program,
+                        transform_program(p, TransformOptions(optimize=False)).program):
+            tree_values(program, values)
+    assert {v.__class__ for v in values} == classes
+    assert [v for v in values if hasattr(v, "__dict__")] == []
+
+
+def test_types_and_locations_are_immutable_values():
+    for value, same in ((array_of(DOUBLE), Type("array", Type("double"))),
+                        (Loc(3, 5), Loc(3, 5))):
+        assert value == same and hash(value) == hash(same) and value is not same
+        for name in (value._fields[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+    assert INT != DOUBLE and array_of(INT) != list_of(INT) and Loc(3, 5) != Loc(5, 3)
+    assert len({Loc(3, 5), Loc(3, 5), Loc(5, 3)}) == 2
+
+
+def test_type_and_location_texts_are_unchanged():
+    assert repr(array_of(DOUBLE)) == "Type(kind='array', elem=Type(kind='double', elem=None))"
+    assert repr(Loc(3, 5)) == "Loc(line=3, col=5)"
+    assert str(Loc(3, 5)) == "3:5"
+    assert str(list_of(INT)) == "List<int>"

@@ -14,45 +14,64 @@ Liveness is syntactic, not path-sensitive: a modified variable counts as live
 if it is read anywhere after the loop in document order (the method's final
 `return` included), or anywhere inside an enclosing loop (a read textually
 before the loop re-executes after it via the enclosing loop's back edge).
+Each place that can read it is scanned on its own: at every enclosing level
+the rest of the sequence after the statement that holds the loop, and for
+every enclosing loop its body, updates and condition. Within one scan a
+declaration hides its name from there on, whatever block it sits in, so a
+read that follows a declaration of the same name does not count. Live
+variables are listed in declaration order, the method's parameters first.
 
-All of it comes from one pass per method (`MethodFacts`). Each statement is
-summarised once, bottom-up; a loop's used and modified variables, the foreach
-collection check and its back-edge reads are left-to-right compositions of
-these summaries. One top-down walk then carries the scope and the declaration
-order, and takes each sequence's reads right to left:
-suffix(i) = reads(s_i) | (suffix(i+1) - decls(s_i)).
+All of it comes from one pre-order walk per method (`MethodFacts`), which
+writes the method down as an event tape: one (kind, name) event per variable
+read, write and declaration and per call target, in scan order. A
+statement's expressions come before the name it writes or declares (an
+indexed write reads its array first); an `if` is its condition, then branch,
+else branch; a `while` its condition, then body; a `do` its body, then
+condition; a `for` its init, condition, body, updates; a foreach its
+collection, a declaration of its element, then its body. A scan reads spans
+of the tape left to right. For each loop the walk notes its scope, the spans
+of its own scan (body, condition, updates; a foreach's from its element
+declaration on), which give the names it uses and writes, and the chain of
+scans above that can observe its writes. Per-name lists of tape positions
+then tell, with one bisection per scan, whether a scan reads a modified name
+before declaring it; the method's identifiers for fresh names are the names
+on its tape.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .ast import (
+    CALL,
+    DECLARE,
+    READ,
+    VOID,
+    WRITE,
     Assign,
     AssignIndex,
     Block,
     CallAssign,
-    COMPOUND_KINDS,
     DoWhile,
     Expr,
     For,
     Foreach,
     If,
-    LOOP_KINDS,
     Loc,
     MethodDef,
     Param,
+    Print,
     Program,
+    Return,
     Stmt,
     Var,
     VarDecl,
     While,
-    collect_identifiers,
-    expr_vars,
+    emit_names,
     is_loop,
-    stmt_exprs,
 )
 from .parser import KEYWORDS
 
@@ -89,270 +108,253 @@ def packing_for(returned, optimize: bool) -> Packing:
     return Packing.SINGLE if returned else Packing.NONE
 
 
-# ---------------------------------------------------------------- summaries
-#
-# A summary is (uses, writes, reads, decls, has_loop): free occurrences in
-# first-use order, assignment targets in first-write order, the names whose
-# value is read (array bases too, write-only targets not), and every name
-# declared anywhere inside. A declaration hides its name from the rest of the
-# scan, whatever block it sits in.
-
-_NONE = frozenset()
+# ------------------------------------------------------------- method facts
 
 
-class _Acc:
-    """Composes summaries and single events left to right, dropping the names
-    declared so far (the initial `bound` names included)."""
+class MethodFacts:
+    """The event tape of one method (`kinds` and `names`, side by side) and,
+    per loop, what the walk saw of it. `loops` maps id(loop) to (scope, own
+    scan, back edge, observers): the scope is as `scope_at` returns it (None
+    for a loop the scoping rules do not reach, such as one inside a for
+    header); a scan is a flat list of tape positions [start, end, start,
+    end, ...]; observers is a linked list (scan, rest) of the scans that can
+    observe the loop's writes, ending in None."""
 
-    __slots__ = ("uses", "writes", "reads", "decls", "has_loop")
+    def __init__(self, method: MethodDef):
+        self.kinds = []
+        self.names = []
+        self.loops = {}
+        self.param_order = {}  # name -> position, parameters first in declaration order
+        self._where = None  # name -> positions of its reads and declarations
+        for p in method.params:
+            self.param_order.setdefault(p.name, len(self.param_order))
+        self._seq(method.body, {p.name: p.type for p in method.params}, None)
 
-    def __init__(self, bound=()):
-        self.uses = {}  # insertion-ordered set
-        self.writes = {}
-        self.reads = set()
-        self.decls = set(bound)
-        self.has_loop = False
-
-    def expr(self, e: Expr) -> None:
-        decls = self.decls
-        for name in expr_vars(e):
-            if name not in decls:
-                self.uses[name] = None
-                self.reads.add(name)
-
-    def part(self, summary) -> None:
-        uses, writes, reads, decls, has_loop = summary
-        hidden = self.decls
-        for name in uses:
-            if name not in hidden:
-                self.uses[name] = None
-        for name in writes:
-            if name not in hidden:
-                self.writes[name] = None
-        self.reads |= reads - hidden
-        hidden |= decls
-        self.has_loop = self.has_loop or has_loop
-
-    def seq(self, stmts: list, memo: dict) -> None:
+    def _seq(self, stmts: list, scope: Optional[dict], observers) -> None:
+        """Emit a sequence. `scope` is the caller's and is copied before the
+        first declaration here (None below a for header, which the scoping
+        rules never reach); `observers` are the scans that follow it."""
+        kinds, names = self.kinds, self.names
+        owned = False  # whether `scope` is this sequence's own copy
+        rests = []  # [end of statement, end of sequence] per compound statement
         for st in stmts:
-            self.part(_summary(st, memo))
-
-    def done(self):
-        return (tuple(self.uses), tuple(self.writes), frozenset(self.reads),
-                frozenset(self.decls), self.has_loop)
-
-
-def _summary(st: Stmt, memo: dict):
-    """The statement's summary, computed once per memo."""
-    s = memo.get(id(st))
-    if s is not None:
-        return s
-    cls = st.__class__
-    if cls in COMPOUND_KINDS:
-        acc = _Acc()
-        if cls is If:
-            acc.expr(st.cond)
-            acc.seq(st.then, memo)
-            acc.seq(st.orelse or (), memo)
-        elif cls is Block:
-            acc.seq(st.body, memo)
-        elif cls is While:
-            acc.expr(st.cond)
-            acc.part(_seq(st.body, memo))
-        elif cls is DoWhile:
-            acc.part(_seq(st.body, memo))
-            acc.expr(st.cond)
-        elif cls is For:
-            acc.seq(st.init, memo)
-            acc.expr(st.cond)
-            acc.part(_seq(st.body, memo))
-            acc.seq(st.update, memo)
-        else:
-            acc.expr(st.collection)
-            acc.decls.add(st.elem_name)
-            acc.part(_seq(st.body, memo))
-        acc.has_loop = acc.has_loop or cls in LOOP_KINDS
-        s = acc.done()
-    else:
-        # a simple statement reads its expressions, then writes or declares
-        # at most one name
-        reads = [n for e in stmt_exprs(st) for n in expr_vars(e)]
-        written = declared = None
-        if cls is Assign:
-            written = st.name
-        elif cls is AssignIndex:
-            reads.insert(0, st.name)
-            written = st.name
-        elif cls is VarDecl:
-            declared = st.name
-        elif cls is CallAssign:
-            if st.decl_type is not None:
-                declared = st.target
+            cls = st.__class__
+            if cls is Assign:
+                emit_names(st.value, names, kinds)
+                kinds.append(WRITE)
+                names.append(st.name)
+            elif cls is VarDecl or cls is CallAssign:
+                if cls is VarDecl:
+                    emit_names(st.init, names, kinds)
+                    declared, ty = st.name, st.type
+                else:
+                    kinds.append(CALL)
+                    names.append(st.method)
+                    for a in st.args:
+                        emit_names(a, names, kinds)
+                    declared, ty = st.target, st.decl_type
+                    if ty is None:  # a plain call, or an assignment
+                        if declared is not None:
+                            kinds.append(WRITE)
+                            names.append(declared)
+                        continue
+                kinds.append(DECLARE)
+                names.append(declared)
+                if scope is not None:
+                    if not owned:
+                        scope, owned = dict(scope), True
+                    scope[declared] = ty
+            elif cls is Print or cls is Return:
+                emit_names(st.value, names, kinds)
+            elif cls is AssignIndex:
+                kinds.append(READ)
+                names.append(st.name)
+                emit_names(st.index, names, kinds)
+                emit_names(st.value, names, kinds)
+                kinds.append(WRITE)
+                names.append(st.name)
             else:
-                written = st.target
-        uses = dict.fromkeys(reads)
-        if written is not None:
-            uses[written] = None
-        s = (tuple(uses), () if written is None else (written,), frozenset(reads),
-             _NONE if declared is None else frozenset((declared,)), False)
-    memo[id(st)] = s
-    return s
+                rest = [0, 0]
+                rests.append(rest)
+                inner = (rest, observers)
+                if cls is If:
+                    emit_names(st.cond, names, kinds)
+                    self._seq(st.then, scope, inner)
+                    if st.orelse:
+                        self._seq(st.orelse, scope, inner)
+                elif cls is Block:
+                    self._seq(st.body, scope, inner)
+                else:
+                    self._loop(st, scope, inner)
+                rest[0] = len(names)
+                owned = False  # a loop inside may keep `scope` as its snapshot
+        end = len(names)
+        for rest in rests:
+            rest[1] = end
 
-
-def _seq(stmts: list, memo: dict):
-    """Summary of a statement sequence, computed once per memo."""
-    s = memo.get(id(stmts))
-    if s is None:
-        acc = _Acc()
-        acc.seq(stmts, memo)
-        s = memo[id(stmts)] = acc.done()
-    return s
-
-
-def _compose(body: list, cond: Optional[Expr], extra, bound, memo: dict) -> _Acc:
-    """body, then cond, then extra (statements or expressions), with `bound`
-    names hidden throughout."""
-    acc = _Acc(bound)
-    acc.part(_seq(body, memo))
-    if cond is not None:
-        acc.expr(cond)
-    for item in extra:
-        if isinstance(item, Stmt):
-            acc.part(_summary(item, memo))
+    def _loop(self, st: Stmt, scope: Optional[dict], observers) -> None:
+        """Emit a loop and note its entry in `loops`."""
+        kinds, names = self.kinds, self.names
+        edge = []  # the back edge, filled in once the loop is on the tape
+        inner = (edge, observers)
+        cls = st.__class__
+        here = scope
+        if cls is While:
+            c = len(names)
+            emit_names(st.cond, names, kinds)
+            b = len(names)
+            self._seq(st.body, scope, inner)
+            edge += (b, len(names), c, b)
+            own = edge
+        elif cls is DoWhile:
+            b = len(names)
+            self._seq(st.body, scope, inner)
+            emit_names(st.cond, names, kinds)
+            edge += (b, len(names))
+            own = edge
+        elif cls is For:
+            if scope is not None:
+                here = dict(scope)
+                here.update((s.name, s.type) for s in st.init if s.__class__ is VarDecl)
+            self._seq(st.init, None, inner)
+            c = len(names)
+            emit_names(st.cond, names, kinds)
+            b = len(names)
+            self._seq(st.body, here, inner)
+            u = len(names)
+            self._seq(st.update, None, inner)
+            edge += (b, len(names), c, b)
+            own = [b, u, c, b, u, len(names)]
         else:
-            acc.expr(item)
-    return acc
+            emit_names(st.collection, names, kinds)
+            e = len(names)
+            kinds.append(DECLARE)
+            names.append(st.elem_name)
+            self._seq(st.body, None if scope is None else {**scope, st.elem_name: st.elem_type},
+                      inner)
+            edge += (e + 1, len(names))
+            own = [e, len(names)]
+        self.loops.setdefault(id(st), (here, own, edge, observers))
+
+    def _entry(self, loop: Stmt):
+        entry = self.loops.get(id(loop))
+        if entry is None:
+            raise ValueError("loop does not occur in the given method")
+        return entry
+
+    def scope_at(self, loop: Stmt) -> dict:
+        """name -> Type for everything in scope where the loop statement sits,
+        plus a for loop's init declarations; the caller must not change it."""
+        scope = self._entry(loop)[0]
+        if scope is None:
+            raise ValueError("loop does not occur in the given method")
+        return scope
+
+    def scan(self, spans, hidden=()):
+        """(uses, writes) of a scan: the names it reads or writes in first-use
+        order and those it writes in first-write order, as dicts, `hidden`
+        names and those declared so far left out."""
+        kinds, names = self.kinds, self.names
+        hidden = set(hidden)
+        uses, writes = {}, {}
+        for j in range(0, len(spans), 2):
+            a, b = spans[j], spans[j + 1]
+            for k, n in zip(kinds[a:b], names[a:b]):
+                if k is CALL or n in hidden:
+                    continue
+                if k is DECLARE:
+                    hidden.add(n)
+                    continue
+                uses[n] = None
+                if k is WRITE:
+                    writes[n] = None
+        return uses, writes
+
+    def _reads(self, name: str, link) -> bool:
+        """Whether one of the linked scans reads `name` before declaring it.
+        The reads and declarations of every name are listed by tape
+        position on first use, so each scan costs one bisection."""
+        where = self._where
+        if where is None:
+            where = self._where = {}
+            for i, (k, n) in enumerate(zip(self.kinds, self.names)):
+                if k is READ or k is DECLARE:
+                    at = where.get(n)
+                    if at is None:
+                        where[n] = [i]
+                    else:
+                        at.append(i)
+        at, kinds = where.get(name, ()), self.kinds
+        n = len(at)
+        while link is not None:
+            spans, link = link
+            for j in range(0, len(spans), 2):
+                x = bisect_left(at, spans[j])
+                if x < n and at[x] < spans[j + 1]:
+                    if kinds[at[x]] is READ:
+                        return True
+                    break  # declared: hidden for the rest of this scan
+        return False
+
+    def _order(self, name: str) -> int:
+        """The name's place in the declaration order: parameters first, then
+        the first declaration on the tape, then undeclared names."""
+        i = self.param_order.get(name)
+        if i is not None:
+            return i
+        kinds = self.kinds
+        i = next((i for i in self._where[name] if kinds[i] is DECLARE), len(kinds))
+        return len(self.param_order) + i
+
+    def live_after(self, loop: Stmt, modified: list) -> list:
+        """The `modified` names read after the loop, in declaration order."""
+        observers = self._entry(loop)[3]
+        live = [name for name in modified if self._reads(name, observers)]
+        if len(live) > 1:
+            live.sort(key=self._order)
+        return live
+
+
+def method_facts(method: MethodDef, facts: dict) -> MethodFacts:
+    """The method's entry in `facts` (id(method) -> MethodFacts), built on
+    first use."""
+    here = facts.get(id(method))
+    if here is None:
+        here = facts[id(method)] = MethodFacts(method)
+    return here
+
+
+def _parts(body: list, cond, extra, bound):
+    """(uses, writes) of body, then cond, then extra (statements or
+    expressions), `bound` names hidden throughout. An expression scans as
+    the statement that prints it."""
+    stmts = list(body) + [x if isinstance(x, Stmt) else Print(x)
+                          for x in ((cond,) if cond is not None else ()) + tuple(extra)]
+    facts = MethodFacts(MethodDef(VOID, "", [], stmts))
+    return facts.scan((0, len(facts.names)), bound)
 
 
 def used_vars(body: list, cond: Optional[Expr] = None, extra=(), bound=()) -> list:
     """Identifiers free in body + cond + extra, in first-use order. `extra`
     carries a for-loop's update statements (or any further expressions)."""
-    return list(_compose(body, cond, extra, bound, {}).uses)
+    return list(_parts(body, cond, extra, bound)[0])
 
 
 def modified_vars(body: list, extra=(), bound=()) -> list:
     """The used_vars subset written by the loop (assignment targets, indexed
     array bases, call-assignment targets), in first-write order."""
-    return list(_compose(body, None, extra, bound, {}).writes)
-
-
-def _loop_parts(loop: Stmt):
-    """(body, cond, extra, bound) of the loop's own scan."""
-    if isinstance(loop, (While, DoWhile)):
-        return loop.body, loop.cond, (), ()
-    if isinstance(loop, For):
-        return loop.body, loop.cond, tuple(loop.update), ()
-    if isinstance(loop, Foreach):
-        return loop.body, None, (), (loop.elem_name,)
-    raise TypeError(f"not a loop: {loop!r}")
-
-
-def _back_edge_reads(loop: Stmt, memo: dict) -> set:
-    """What a loop re-reads after an inner loop finished: its body, updates
-    and condition on the next iteration."""
-    if isinstance(loop, For):
-        return _compose(loop.body, None, [*loop.update, loop.cond], (), memo).reads
-    cond = None if isinstance(loop, Foreach) else loop.cond
-    return _compose(loop.body, cond, (), (), memo).reads
-
-
-# ------------------------------------------------------------- method facts
-
-
-class MethodFacts:
-    """Everything the analysis needs about the loops of one method, from one
-    walk over it. `loops` maps id(loop) to (scope, reads after): the scope
-    is as `scope_at` returns it (None for a loop the scoping rules do not
-    reach, such as one inside a for header), the reads are every read that
-    can observe the loop's writes. Summaries stay in `memo` for the life of
-    the object, so build one per method and drop it afterwards."""
-
-    def __init__(self, method: MethodDef):
-        self.method = method
-        self.memo = {}
-        self.loops = {}
-        self.order = {}  # declared name -> position, parameters first
-        for p in method.params:
-            self.order.setdefault(p.name, len(self.order))
-        self._walk(method.body, {p.name: p.type for p in method.params}, _NONE)
-
-    def _walk(self, stmts, scope: Optional[dict], after: Optional[frozenset]) -> None:
-        """Visit a sequence in document order. `scope` is the caller's, copied
-        here (None below a for header, which the scoping rules never reach);
-        `after` holds the reads that follow the sequence. Both are None when
-        no loop sits inside, since only the declaration order is wanted."""
-        memo, order = self.memo, self.order
-        if after is not None:
-            scope = None if scope is None else dict(scope)
-            summaries = [_summary(st, memo) for st in stmts]
-            suffix = [_NONE] * len(stmts)  # suffix[i]: reads of stmts[i+1:]
-            reads = _NONE
-            for i in range(len(stmts) - 1, 0, -1):
-                _, _, r, d, _ = summaries[i]
-                if d:
-                    reads = r | (reads - d)
-                elif not r <= reads:
-                    reads = reads | r
-                suffix[i - 1] = reads
-        for i, st in enumerate(stmts):
-            cls = st.__class__
-            if cls is VarDecl or cls is CallAssign and st.decl_type is not None:
-                name = st.name if cls is VarDecl else st.target
-                order.setdefault(name, len(order))
-                if scope is not None:
-                    scope[name] = st.type if cls is VarDecl else st.decl_type
-                continue
-            if cls not in COMPOUND_KINDS:
-                continue
-            if cls is Foreach:
-                order.setdefault(st.elem_name, len(order))
-            inner, inner_after = None, None
-            if after is not None and summaries[i][4]:
-                inner, inner_after = scope, after | suffix[i]
-                if cls is For and scope is not None:
-                    inner = dict(scope)
-                    inner.update((s.name, s.type) for s in st.init if isinstance(s, VarDecl))
-                if cls in LOOP_KINDS:
-                    self.loops.setdefault(id(st), (None if inner is None else dict(inner),
-                                                   inner_after))
-                    inner_after = inner_after | _back_edge_reads(st, memo)
-            if cls is If:
-                self._walk(st.then, inner, inner_after)
-                self._walk(st.orelse or (), inner, inner_after)
-            elif cls is For:
-                self._walk(st.init, None, inner_after)
-                self._walk(st.update, None, inner_after)
-                self._walk(st.body, inner, inner_after)
-            elif cls is Foreach and inner is not None:
-                self._walk(st.body, {**inner, st.elem_name: st.elem_type}, inner_after)
-            else:
-                self._walk(st.body, inner, inner_after)
-
-    def scope_at(self, loop: Stmt) -> dict:
-        """name -> Type for everything in scope where the loop statement sits,
-        plus a for loop's init declarations; the caller must not change it."""
-        entry = self.loops.get(id(loop))
-        if entry is None or entry[0] is None:
-            raise ValueError("loop does not occur in the given method")
-        return entry[0]
-
-    def live_after(self, loop: Stmt, modified: list) -> list:
-        """The `modified` names read after the loop, in declaration order."""
-        entry = self.loops.get(id(loop))
-        if entry is None:
-            raise ValueError("loop does not occur in the given method")
-        reads, order = entry[1], self.order
-        live = [name for name in modified if name in reads]
-        live.sort(key=lambda n: order.get(n, len(order)))
-        return live
+    return list(_parts(body, None, extra, bound)[1])
 
 
 def live_after(loop: Stmt, method: MethodDef, modified: Optional[list] = None) -> list:
     """Modified variables still read once the loop is done, in declaration
     order."""
+    if not is_loop(loop):
+        raise TypeError(f"not a loop: {loop!r}")
+    facts = MethodFacts(method)
     if modified is None:
-        modified = list(_compose(*_loop_parts(loop), {}).writes)
-    return MethodFacts(method).live_after(loop, modified)
+        modified = list(facts.scan(facts._entry(loop)[1])[1])
+    return facts.live_after(loop, modified)
 
 
 # -------------------------------------------------------------- fresh names
@@ -362,10 +364,19 @@ class NameAllocator:
     """Deterministic fresh-name source. Candidates are `base`, `base2`,
     `base3`, ... and the first one absent from the program (and from earlier
     allocations) wins. Keywords are pre-claimed: an emitted name must survive
-    re-parsing."""
+    re-parsing. The program's identifiers are its method and parameter names
+    and every name on its methods' tapes; `facts` (id(method) ->
+    MethodFacts) lends the tapes and keeps those built here."""
 
-    def __init__(self, program: Program):
-        self.used = collect_identifiers(program) | KEYWORDS
+    def __init__(self, program: Program, facts: Optional[dict] = None):
+        if facts is None:
+            facts = {}
+        used = set(KEYWORDS)
+        for m in program.methods:
+            used.add(m.name)
+            used.update(p.name for p in m.params)
+            used.update(method_facts(m, facts).names)
+        self.used = used
         # base -> first suffix not yet tried; every smaller one is taken for
         # good, because `used` only grows
         self._next = {}
@@ -392,15 +403,6 @@ class NameAllocator:
 # ------------------------------------------------------------- loop summary
 
 
-def _check_foreach_collection(loop: Foreach, memo: dict) -> None:
-    if not isinstance(loop.collection, Var):
-        return
-    coll = loop.collection.name
-    if coll in _seq(loop.body, memo)[1]:
-        raise UnsupportedConstruct(
-            loop.loc, f"foreach body must not modify the traversed collection '{coll}'")
-
-
 def analyze_loop(
     loop: Stmt,
     method: MethodDef,
@@ -418,35 +420,32 @@ def analyze_loop(
         raise TypeError(f"not a loop: {loop!r}")
     if facts is None:
         facts = {}
-    here = facts.get(id(method))
-    if here is None:
-        here = facts[id(method)] = MethodFacts(method)
+    here = method_facts(method, facts)
     scope = here.scope_at(loop)
-    if isinstance(loop, Foreach):
-        _check_foreach_collection(loop, here.memo)
+    _, own, edge, _ = here.loops[id(loop)]
+    coll = loop.collection.name if loop.__class__ is Foreach \
+        and loop.collection.__class__ is Var else None
+    if coll is not None and coll in here.scan(edge)[1]:
+        raise UnsupportedConstruct(
+            loop.loc, f"foreach body must not modify the traversed collection '{coll}'")
 
-    scan = _compose(*_loop_parts(loop), here.memo)
-    used = list(scan.uses)
-    if isinstance(loop, Foreach) and isinstance(loop.collection, Var):
+    uses, writes = here.scan(own)
+    used = list(uses)
+    if coll is not None:
         # the traversed collection is re-read by the generated guard and
         # element access; it leads the parameter list
-        used = [loop.collection.name] + [n for n in used if n != loop.collection.name]
+        used = [coll] + [n for n in used if n != coll]
 
-    def typed(names_):
-        out = []
-        for n in names_:
-            if n not in scope:
-                raise UnsupportedConstruct(
-                    getattr(loop, "loc", None),
-                    f"loop references '{n}' which is not in scope; run check_semantics first")
-            out.append(Param(n, scope[n]))
-        return tuple(out)
-
-    params = typed(used)
-    modified = typed(scan.writes)
-    live = typed(here.live_after(loop, [p.name for p in modified]))
+    try:
+        params = tuple([Param(n, scope[n]) for n in used])
+    except KeyError as err:
+        raise UnsupportedConstruct(loop.loc, f"loop references '{err.args[0]}' which is not "
+                                   "in scope; run check_semantics first") from None
+    typed = dict(zip(used, params))
+    modified = tuple([typed[n] for n in writes])
+    live = tuple([typed[n] for n in here.live_after(loop, list(writes))])
     if names is None:
-        names = NameAllocator(program).loop_names(method.name)
+        names = NameAllocator(program, facts).loop_names(method.name)
     return LoopAnalysis(
         params=params,
         modified=modified,

@@ -385,7 +385,7 @@ _HAS_COND = (If, While, DoWhile, For)
 
 def walk_expr(e: Expr) -> list:
     """An expression and all its subexpressions, pre-order. The package walks
-    names with `_names`; the tests keep this as its reference."""
+    names with `emit_names`; the tests keep this as its reference."""
     out = []
     _walk_expr(e, out)
     return out
@@ -423,47 +423,60 @@ def _walk_expr(e: Expr, out: list) -> None:
 def expr_vars(e: Expr) -> list:
     """Names of the variables an expression reads, pre-order, repeats kept."""
     out = []
-    _names(e, out, False)
+    emit_names(e, out, None)
     return out
 
 
-def _names(e: Expr, out: list, calls: bool) -> None:
-    """Append the variable names e reads, pre-order, and with `calls` the
-    method each Call names too. A left operand chain is walked in a loop, so
-    `a + a + ...` is not bounded by the recursion limit."""
-    rights = []
+# The kinds of name event on an event tape (see `analysis`): a variable read,
+# an assignment, a declaration, and the method a call names.
+READ, WRITE, DECLARE, CALL = range(4)
+
+
+def emit_names(e: Expr, out: list, kinds: Optional[list]) -> None:
+    """Append the variable names e reads, pre-order. With `kinds`, append
+    the method each Call names too, and READ or CALL to `kinds` for each
+    name. A left operand chain is walked in a loop, so `a + a + ...` is not
+    bounded by the recursion limit; its leaf operands cost no call."""
+    parts = []  # the right operands, outermost first, then the leftmost
     while e.__class__ is Binary:
-        rights.append(e.rhs)
+        parts.append(e.rhs)
         e = e.lhs
-    cls = e.__class__
-    if cls is Var:
-        out.append(e.name)
-    elif cls is Unary:
-        _names(e.operand, out, calls)
-    elif cls is Index:
-        _names(e.base, out, calls)
-        _names(e.index, out, calls)
-    elif cls is Builtin or cls is Call:
-        if calls and cls is Call:
-            out.append(e.method)
-        for a in e.args:
-            _names(a, out, calls)
-    elif cls is ArrayLit or cls is ListLit:
-        for el in e.elements:
-            _names(el, out, calls)
-    elif cls is Length:
-        _names(e.collection, out, calls)
-    elif cls is Cast:
-        _names(e.expr, out, calls)
-    for r in reversed(rights):
-        _names(r, out, calls)
+    parts.append(e)
+    for e in reversed(parts):
+        cls = e.__class__
+        if cls is Var:
+            out.append(e.name)
+            if kinds is not None:
+                kinds.append(READ)
+        elif cls is Binary:
+            emit_names(e, out, kinds)
+        elif cls is Unary:
+            emit_names(e.operand, out, kinds)
+        elif cls is Index:
+            emit_names(e.base, out, kinds)
+            emit_names(e.index, out, kinds)
+        elif cls is Builtin or cls is Call:
+            if kinds is not None and cls is Call:
+                out.append(e.method)
+                kinds.append(CALL)
+            for a in e.args:
+                emit_names(a, out, kinds)
+        elif cls is ArrayLit or cls is ListLit:
+            for el in e.elements:
+                emit_names(el, out, kinds)
+        elif cls is Length:
+            emit_names(e.collection, out, kinds)
+        elif cls is Cast:
+            emit_names(e.expr, out, kinds)
 
 
 def collect_identifiers(program: Program) -> set:
     """Every identifier occurring anywhere in the program: method names,
     parameters, declarations, assignment targets, call targets and variable
-    references. Fresh-name generation must avoid all of them."""
+    references. The package takes them from its event tapes
+    (`analysis.NameAllocator`); the tests keep this as their reference."""
     ids = []
+    kinds = []  # emit_names lists call targets only beside their kinds
     for m in program.methods:
         ids.append(m.name)
         ids += [p.name for p in m.params]
@@ -480,7 +493,7 @@ def collect_identifiers(program: Program) -> set:
             elif cls is Foreach:
                 ids.append(st.elem_name)
             for e in stmt_exprs(st):
-                _names(e, ids, True)
+                emit_names(e, ids, kinds)
             if cls in COMPOUND_KINDS:
                 for block in stmt_blocks(st):
                     stack += block

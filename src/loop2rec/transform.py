@@ -278,11 +278,12 @@ _TEMPLATES = {
 def _plan(program: Program, opts: TransformOptions) -> dict:
     """Analyze every loop against the untouched program, allocating fresh
     names in document order (an outer loop is named before its inner loops),
-    and decide its template and packing. Each method is walked once; its
-    facts are dropped on return."""
-    alloc = NameAllocator(program)
-    plans = {}
+    and decide its template and packing. Each method is walked once, into
+    the event tape that both the fresh names and the loop analyses read;
+    the tapes are dropped on return."""
     facts = {}
+    alloc = NameAllocator(program, facts)
+    plans = {}
     for method, loop in program_loops(program):
         analysis = analyze_loop(loop, method, program, optimize=opts.optimize,
                                 names=alloc.loop_names(method.name), facts=facts)

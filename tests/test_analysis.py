@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -35,7 +36,7 @@ from loop2rec.ast import (
 from loop2rec.checker import check_semantics
 from loop2rec.cli import _analysis_json
 from loop2rec.generator import GenConfig, generate
-from loop2rec.parser import parse
+from loop2rec.parser import KEYWORDS, parse
 from loop2rec.printer import pretty_print
 from loop2rec.transform import TransformOptions, analyze_program, transform_program
 
@@ -228,6 +229,19 @@ def test_fresh_names_never_collide_with_program_identifiers():
             assert row.loop_method_name not in before, f"seed {seed}"
 
 
+def test_allocator_identifiers_are_the_collected_identifiers():
+    # the names the allocator avoids come from the methods' event tapes;
+    # collect_identifiers walks the tree on its own
+    programs = [parse(corpus_text(n)) for n in CORPUS_FILES]
+    programs += [generate(GenConfig(seed=s)) for s in range(200)]
+    programs += [generate(GenConfig(seed=s, max_depth=4, max_loops=6)) for s in range(200)]
+    # call targets in expressions and statements, one naming no method
+    programs.append(parse("int f(int a) { int b = g(a + 1); h(b); return k(abs(b)); }\n"
+                          "void main() { for (double v : new double[] { 1.0 }) { print(v); } }"))
+    for p in programs:
+        assert NameAllocator(p).used == collect_identifiers(p) | KEYWORDS
+
+
 def test_fresh_suffixes_continue_past_taken_and_allocated_names():
     alloc = NameAllocator(parse(
         "void m() { int r = 1; int r3 = 2; int r12 = 3; print(r + r3 + r12); }"))
@@ -379,6 +393,93 @@ def test_declarations_hide_names_for_the_rest_of_the_scan():
               "  { int x = 5; print(x); } print(x); }")
     method, loop = first_loop(p)
     assert live_after(loop, method) == []
+
+
+# ------------------------------------------------------ liveness edge cases
+
+# Constructs the generator never makes, some of them only in unchecked
+# programs. Each row is an `_analysis_json` row by name: (kind, params,
+# modified, liveAfter, packing). The expected rows were computed with the
+# statement-summary analysis that the event tape replaced.
+LIVENESS_CASES = {
+    # the then branch declares x, which hides the else branch's read of it
+    "then-declaration-hides-else-read": (
+        "void main() { int x = 0; int c = 1;\n"
+        "  while (x < 3) { x = x + 1; }\n"
+        "  if (c > 0) { int x = 5; print(x); } else { print(x); } }",
+        [("while", ["x"], ["x"], [], "none")]),
+    # only the sibling then branch reads x: not after the loop
+    "loop-in-else-read-only-by-then": (
+        "void main() { int x = 0; int c = 1;\n"
+        "  if (c > 0) { print(x); } else { while (x < 3) { x = x + 1; } }\n"
+        "  print(c); }",
+        [("while", ["x"], ["x"], [], "none")]),
+    # s is read only in the for update and t only in its condition; k is
+    # declared again at the top of the for body
+    "read-only-in-enclosing-for-update-or-cond": (
+        "void main() { int s = 0; int t = 0;\n"
+        "  for (int i = 0; i < t; i = i + s) {\n"
+        "    int k = 0;\n"
+        "    while (k < 2) { k = k + 1; s = k; t = k; } }\n"
+        "  print(0); }",
+        [("for", ["s", "t", "i"], ["s", "t", "i"], [], "none"),
+         ("while", ["k", "s", "t"], ["k", "s", "t"], ["s", "t"], "object_array")]),
+    # m is read only in the enclosing do's condition
+    "do-condition-reads-modified": (
+        "void main() { int n = 0; int m = 0;\n"
+        "  do { int k = 0; while (k < 2) { k = k + 1; m = k + n; } n = n + 1; }"
+        " while (m < 10);\n"
+        "  print(n); }",
+        [("do", ["n", "m"], ["m", "n"], ["n"], "single"),
+         ("while", ["k", "n", "m"], ["k", "m"], ["m"], "single")]),
+    # a later block declares x before reading it, and y only after
+    "redeclared-in-later-sibling-block": (
+        "void main() { int x = 0; int y = 0;\n"
+        "  while (x < 3) { x = x + 1; y = y + x; }\n"
+        "  { int x = 1; print(x); }\n"
+        "  { print(y); int y = 2; print(y); } }",
+        [("while", ["x", "y"], ["x", "y"], ["y"], "single")]),
+    # the block's own `int s` hides s for the rest of the block only
+    "read-after-block-not-hidden-by-its-declarations": (
+        "void main() { int s = 0;\n"
+        "  { int j = 0; while (j < 2) { j = j + 1; s = s + j; } int s = 9; print(s); }\n"
+        "  print(s); }",
+        [("while", ["j", "s"], ["j", "s"], ["s"], "single")]),
+    # the foreach's back edge re-reads its element, so v counts as live
+    "foreach-element-read-across-back-edge": (
+        "void main() { double[] xs = new double[] { 1.0, 2.0 }; double t = 0.0;\n"
+        "  for (double v : xs) {\n"
+        "    t = t + v;\n"
+        "    int k = 0;\n"
+        "    while (k < 2) { v = v + 1.0; k = k + 1; } }\n"
+        "  print(t); }",
+        [("foreach_array", ["xs", "t"], ["t"], ["t"], "single"),
+         ("while", ["v", "k"], ["v", "k"], ["v"], "single")]),
+    # z is read only in the outermost condition, two back edges out; c is
+    # read by the innermost condition on the middle loop's back edge
+    "three-deep-read-only-in-outermost-condition": (
+        "void main() { int b = 0; int c = 0; int z = 0;\n"
+        "  while (z < 5) {\n"
+        "    b = 0;\n"
+        "    while (b < 2) {\n"
+        "      c = 0;\n"
+        "      while (c < 2) { c = c + 1; z = c * 3; }\n"
+        "      b = b + 1; } }\n"
+        "  print(b); }",
+        [("while", ["b", "c", "z"], ["b", "c", "z"], ["b"], "single"),
+         ("while", ["c", "z", "b"], ["c", "z", "b"], ["b", "c", "z"], "object_array"),
+         ("while", ["c", "z"], ["c", "z"], ["c", "z"], "object_array")]),
+}
+
+
+@pytest.mark.parametrize("src, rows", LIVENESS_CASES.values(), ids=LIVENESS_CASES.keys())
+def test_liveness_edge_cases(src, rows):
+    def by_name(params):
+        return [name for name, _ in params]
+
+    got = [(r["kind"], by_name(r["params"]), by_name(r["modified"]), by_name(r["liveAfter"]),
+            r["packing"]) for r in json.loads(_analysis_json(parse(src)))]
+    assert got == rows
 
 
 # ---------------------------------------------------------- large methods

@@ -41,7 +41,6 @@ on its tape.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -72,6 +71,7 @@ from .ast import (
     While,
     emit_names,
     is_loop,
+    record,
 )
 from .parser import KEYWORDS
 
@@ -90,7 +90,7 @@ class Packing(Enum):
     OBJECT_ARRAY = "object_array"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LoopAnalysis:
     params: tuple  # Param, call/parameter order
     modified: tuple  # Param, first-write order

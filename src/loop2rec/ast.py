@@ -1,17 +1,58 @@
 """AST for MiniJava-L, a small imperative language with while/do/for/foreach
 loops, typed variables, arrays and lists.
 
-Nodes are slotted dataclasses, with no `__dict__`, treated as immutable after
-construction; the whole toolchain (parser, checker, rewriter, printer,
-interpreter) shares them. Source locations and loop numbers live in
-compare=False fields so `==` (and `structural_eq`) sees only program shape.
+Nodes are slotted records (see `record`), with no `__dict__`, treated as
+immutable after construction; the whole toolchain (parser, checker, rewriter,
+printer, interpreter) shares them. Source locations and loop numbers are
+`where` fields, so `==` (and `structural_eq`) sees only program shape.
 `Type` and `Loc` are immutable named tuples, compared and hashed by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
+
+
+def record(cls=None, *, frozen=False, where=()):
+    """Class decorator: `cls` rebuilt with `__slots__` for the fields it
+    annotates (a record's base has none) and with the `__init__`, `__eq__`
+    and `__repr__` it does not define. `__init__` takes the fields in order
+    with their class defaults (a list or dict is copied per instance); the
+    `where` fields (where a node is, not what it is) come last, keyword-only,
+    and `==` and `repr` ignore them. Only a `frozen` record is hashable (by
+    value); it refuses assignment. `_fields` names the fields. `__init__` and
+    `__eq__` are compiled, to cost what the same code written out would."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, where=where)
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    g = {f"_d_{n}": ns.pop(n) for n in fields if n in ns}
+    shown = [n for n in fields if n not in where]
+    params = [f"{n}=_d_{n}" if f"_d_{n}" in g else n for n in shown]
+    params += ["*", *(f"{n}=_d_{n}" for n in where)] if where else []
+    store = "object.__setattr__(self, '{0}', {1})" if frozen else "self.{0} = {1}"
+    stores = [store.format(n, f"{n}.copy() if {n} is _d_{n} else {n}"
+                           if isinstance(g.get(f"_d_{n}"), (list, dict)) else n) for n in fields]
+    key = "".join(f"self.{n}, " for n in shown)
+    exec(f"def __init__(self, {', '.join(params)}):\n pass\n " + "\n ".join(stores)
+         + "\ndef __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+         + f"  return ({key}) == ({key.replace('self.', 'other.')})\n return NotImplemented", g)
+    own = {"__init__": g["__init__"], "__eq__": g["__eq__"], "__repr__": lambda self: (
+        f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})")}
+    if frozen:
+        own.update(__setattr__=_refuse, __delattr__=_refuse,
+                   __hash__=lambda self: hash(tuple(getattr(self, n) for n in shown)))
+    ns = {**own, **ns, "__slots__": fields, "__qualname__": cls.__qualname__, "_fields": fields}
+    return type(cls)(cls.__name__, cls.__bases__, ns)
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def replace(rec, **changes):
+    """A copy of the record `rec`, with `changes` as new field values."""
+    return rec.__class__(**{n: getattr(rec, n) for n in rec._fields} | changes)
 
 
 class Loc(NamedTuple):
@@ -68,38 +109,36 @@ def is_numeric(t: Type) -> bool:
 # --------------------------------------------------------------- expressions
 
 
-@dataclass(slots=True)
+@record
 class Expr:
     pass
 
 
-@dataclass(slots=True)
+@record
 class IntLit(Expr):
     value: int
 
 
-@dataclass(slots=True)
+@record
 class DoubleLit(Expr):
     value: float
 
 
-@dataclass(slots=True)
+@record
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(slots=True)
+@record
 class Var(Expr):
     name: str
 
 
-@dataclass(eq=False, slots=True)
+@record
 class Binary(Expr):
     op: str  # + - * / == != < <= > >= && ||
     lhs: Expr
     rhs: Expr
-
-    __hash__ = None
 
     def __eq__(self, other):
         # the left spine is compared in a loop, so a left-deep chain such as
@@ -126,13 +165,13 @@ BINARY_PREC = {
 }
 
 
-@dataclass(slots=True)
+@record
 class Unary(Expr):
     op: str  # - !
     operand: Expr
 
 
-@dataclass(slots=True)
+@record
 class ArrayLit(Expr):
     """`new T[] { ... }`; elem_type OBJECT means an Object[] literal."""
 
@@ -140,36 +179,36 @@ class ArrayLit(Expr):
     elements: list
 
 
-@dataclass(slots=True)
+@record
 class ListLit(Expr):
     elem_type: Type
     elements: list
 
 
-@dataclass(slots=True)
+@record
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass(slots=True)
+@record
 class Length(Expr):
     collection: Expr
 
 
-@dataclass(slots=True)
+@record
 class Builtin(Expr):
     name: str  # abs nan iterator hasNext next
     args: list
 
 
-@dataclass(slots=True)
+@record
 class Cast(Expr):
     type: Type
     expr: Expr
 
 
-@dataclass(slots=True)
+@record
 class Call(Expr):
     """Method call expression. Only legal as the operand of a `return`;
     everywhere else calls are statements (CallAssign)."""
@@ -184,39 +223,35 @@ BUILTIN_NAMES = frozenset({"abs", "nan", "iterator", "hasNext", "next"})
 # ---------------------------------------------------------------- statements
 
 
-@dataclass(slots=True)
+@record
 class Stmt:
     pass
 
 
-def _loc_field():
-    return field(default=None, compare=False, repr=False, kw_only=True)
-
-
-@dataclass(slots=True)
+@record(where=("loc",))
 class VarDecl(Stmt):
     type: Type
     name: str
     init: Expr
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class Assign(Stmt):
     name: str
     value: Expr
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class AssignIndex(Stmt):
     name: str
     index: Expr
     value: Expr
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class CallAssign(Stmt):
     """`target = method(args);`, bare `method(args);`, or the declaring form
     `decl_type target = method(args);`."""
@@ -225,69 +260,69 @@ class CallAssign(Stmt):
     method: str
     args: list
     decl_type: Optional[Type] = None
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class If(Stmt):
     cond: Expr
     then: list
     orelse: Optional[list] = None
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loop_id", "loc"))
 class While(Stmt):
     cond: Expr
     body: list
-    loop_id: int = field(default=-1, compare=False, repr=False, kw_only=True)
-    loc: Optional[Loc] = _loc_field()
+    loop_id: int = -1
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loop_id", "loc"))
 class DoWhile(Stmt):
     body: list
     cond: Expr
-    loop_id: int = field(default=-1, compare=False, repr=False, kw_only=True)
-    loc: Optional[Loc] = _loc_field()
+    loop_id: int = -1
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loop_id", "loc"))
 class For(Stmt):
     init: list  # VarDecl or Assign statements
     cond: Expr
     update: list  # Assign or CallAssign statements
     body: list
-    loop_id: int = field(default=-1, compare=False, repr=False, kw_only=True)
-    loc: Optional[Loc] = _loc_field()
+    loop_id: int = -1
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loop_id", "loc"))
 class Foreach(Stmt):
     elem_type: Type
     elem_name: str
     collection: Expr
     body: list
-    loop_id: int = field(default=-1, compare=False, repr=False, kw_only=True)
-    loc: Optional[Loc] = _loc_field()
+    loop_id: int = -1
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class Block(Stmt):
     body: list
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class Return(Stmt):
     value: Expr
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class Print(Stmt):
     value: Expr
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
 LOOP_KINDS = (While, DoWhile, For, Foreach)
@@ -313,22 +348,22 @@ def loop_kind(st: Stmt) -> str:
 # ------------------------------------------------------------------- program
 
 
-@dataclass(slots=True)
+@record
 class Param:
     name: str
     type: Type
 
 
-@dataclass(slots=True)
+@record(where=("loc",))
 class MethodDef:
     ret_type: Type
     name: str
     params: list
     body: list  # a final `return e;` is its last statement, a `Return`
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@dataclass(slots=True)
+@record
 class Program:
     methods: list
     entry: str = "main"

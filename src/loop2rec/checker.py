@@ -9,7 +9,6 @@ earlier one is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
@@ -50,10 +49,11 @@ from .ast import (
     VarDecl,
     While,
     is_numeric,
+    record,
 )
 
 
-@dataclass
+@record
 class SemanticError:
     loc: Optional[Loc]
     message: str

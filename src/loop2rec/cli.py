@@ -78,9 +78,9 @@ def _write_out(text: str, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _analysis_json(program) -> str:
+def _analysis_json(program, optimize: bool = True) -> str:
     rows = []
-    for loop_id, kind, method, a in analyze_program(program):
+    for loop_id, kind, method, a in analyze_program(program, optimize):
         rows.append({
             "loop_id": loop_id,
             "method": method,
@@ -107,7 +107,7 @@ def cmd_transform(args) -> int:
         return code
     try:
         if args.dump_analysis:
-            print(_analysis_json(program), file=sys.stderr)
+            print(_analysis_json(program, not args.no_optimize), file=sys.stderr)
         result = transform_program(program, TransformOptions(optimize=not args.no_optimize))
     except UnsupportedConstruct as e:
         print(f"{args.file}:{e}", file=sys.stderr)

@@ -14,7 +14,6 @@ occasional variable named `result` or `index` to stress fresh-name selection.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .ast import (
     Assign,
@@ -45,19 +44,19 @@ from .ast import (
     array_of,
     assign_loop_ids,
     list_of,
+    record,
 )
 
 LOOP_KINDS = ("while", "do", "for", "foreach_array", "foreach_list")
 
 
-@dataclass
+@record
 class GenConfig:
     seed: int = 0
     max_depth: int = 3  # loop nesting
     max_stmts: int = 5  # per body
     max_loops: int = 4  # per program
-    loop_weights: dict = field(
-        default_factory=lambda: {k: 1.0 for k in LOOP_KINDS})
+    loop_weights: dict = {k: 1.0 for k in LOOP_KINDS}
     zero_guard_bias: float = 0.0  # probability a loop runs zero iterations
 
 

@@ -28,7 +28,6 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Optional
 
 from .ast import (
@@ -67,6 +66,7 @@ from .ast import (
     VarDecl,
     While,
     program_loops,
+    record,
 )
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30_000))
@@ -145,10 +145,14 @@ class UndefinedMethodError(InterpError):
 # ------------------------------------------------------------------- values
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of an immutable value."""
+
+
 class _Scalar:
-    """An immutable boxed scalar, equal and hashed by class and value like the
-    frozen dataclass it replaces. `__init__` stores through the slot
-    descriptor (`_store`), since ordinary assignment is refused."""
+    """An immutable boxed scalar, equal and hashed by class and value, shown
+    as `IntV(value=5)`. `__init__` stores through the slot descriptor
+    (`_store`), since ordinary assignment raises FrozenInstanceError."""
 
     __slots__ = ()
 
@@ -674,16 +678,16 @@ def _locate(err: InterpError, loc: Optional[Loc]) -> None:
 # ---------------------------------------------------------------- execution
 
 
-@dataclass
+@record
 class ExecTrace:
     """Observable behavior of one run: print output, the entry frame's final
     bindings, per-loop iteration counts, per-method entry counts, rule steps,
     and the entry method's returned value (if any)."""
 
-    prints: list = field(default_factory=list)
-    final_bindings: dict = field(default_factory=dict)
-    loop_iterations: dict = field(default_factory=dict)
-    method_entries: dict = field(default_factory=dict)
+    prints: list = []
+    final_bindings: dict = {}
+    loop_iterations: dict = {}
+    method_entries: dict = {}
     steps: int = 0
     result: object = None
 

@@ -21,7 +21,6 @@ differential harness to catch; none is ever active by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -67,6 +66,8 @@ from .ast import (
     iterator_of,
     loop_kind,
     program_loops,
+    record,
+    replace,
 )
 from .checker import static_type
 
@@ -79,13 +80,13 @@ class Mutation(Enum):
     OMIT_RETURN_VAR = "omit_return_var"
 
 
-@dataclass
+@record
 class TransformOptions:
     optimize: bool = True
     mutation: Optional[Mutation] = None
 
 
-@dataclass
+@record
 class LoopReport:
     loop_id: int
     kind: str
@@ -95,7 +96,7 @@ class LoopReport:
     loc: Optional[Loc]
 
 
-@dataclass
+@record
 class TransformResult:
     program: Program
     report: list
@@ -104,7 +105,7 @@ class TransformResult:
 # ----------------------------------------------------------------- plumbing
 
 
-@dataclass
+@record
 class _PlannedLoop:
     """A loop's analysis plus every decision its rewrite needs; `returned`
     is what travels back to the caller, mutant applied, packed as

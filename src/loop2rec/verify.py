@@ -22,7 +22,6 @@ that:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .ast import (
@@ -35,6 +34,8 @@ from .ast import (
     VarDecl,
     iter_stmts,
     program_loops,
+    record,
+    replace,
 )
 from .generator import GenConfig, generate
 from .interp import (
@@ -51,12 +52,12 @@ EQUIVALENT = "equivalent"
 MISMATCH = "mismatch"
 
 
-@dataclass
+@record
 class DiffReport:
     verdict: str  # equivalent | mismatch
     detail: Optional[str] = None
     seed: Optional[int] = None
-    counters: dict = field(default_factory=dict)
+    counters: dict = {}
 
     @property
     def equivalent(self) -> bool:
@@ -185,7 +186,7 @@ def tail_position_check(method: MethodDef) -> bool:
 # ------------------------------------------------------- iteration vs calls
 
 
-@dataclass
+@record
 class LoopCallEquality:
     loop_id: int
     kind: str
@@ -225,11 +226,11 @@ def _loop_equalities(result: TransformResult, original: ExecTrace,
 # ------------------------------------------------------------- fuzz campaign
 
 
-@dataclass
+@record
 class CampaignSummary:
     total: int = 0
     equivalent: int = 0
-    mismatches: list = field(default_factory=list)  # (seed, detail)
+    mismatches: list = []  # (seed, detail)
     tail_ok: bool = True
     iter_call_ok: bool = True
     budget_exceedances: int = 0

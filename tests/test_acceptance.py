@@ -4,7 +4,6 @@ output) once its assertions hold."""
 
 import math
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,7 @@ from loop2rec.ast import (
     VarDecl,
     CallAssign,
     is_loop,
+    replace,
     structural_eq,
 )
 from loop2rec.checker import check_semantics

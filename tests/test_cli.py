@@ -6,8 +6,9 @@ from loop2rec import cli
 from loop2rec.cli import main
 from loop2rec.parser import MAX_NESTING, parse
 from loop2rec.printer import pretty_print
+from loop2rec.transform import TransformOptions, transform_program
 
-from conftest import CORPUS, TERMINATING
+from conftest import CORPUS, CORPUS_FILES, TERMINATING
 
 
 def test_transform_sqrt_to_stdout(capsys):
@@ -63,6 +64,17 @@ def test_transform_dump_analysis(capsys):
     rows = json.loads(err)
     assert rows[0]["loopMethodName"] == "sqrt_loop"
     assert rows[0]["packing"] == "single"
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_transform_dumps_the_analysis_of_its_own_scheme(name, capsys):
+    path = str(CORPUS / name)
+    assert main(["transform", path, "--no-optimize", "--dump-analysis"]) == 0
+    rows = json.loads(capsys.readouterr().err)
+    report = transform_program(parse((CORPUS / name).read_text()),
+                               TransformOptions(optimize=False)).report
+    assert [r["loopMethodName"] for r in rows] == [r.loop_method_name for r in report]
+    assert {r["packing"] for r in rows} <= {"object_array"}
 
 
 def test_run_foreach_array_prints_roots(capsys):

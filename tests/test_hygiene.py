@@ -1,13 +1,17 @@
-"""Dead-code hygiene of the package, from its syntax trees alone: every import
-is used by the module that makes it, and every module-level function, class
-or constant is named somewhere in `src/`, `tests/` or `bench/`. Also, no
-line in `src/` is longer than MAX_LINE characters, and every dataclass in
-`ast.py` is slotted, so no tree node carries a `__dict__`."""
+"""Dead-code hygiene of the package, from its syntax trees: every import is
+used by the module that makes it, and every module-level function, class or
+constant is named somewhere in `src/`, `tests/` or `bench/`. Also, no line
+in `src/` is longer than MAX_LINE characters, and every class the `ast`
+module defines declares its own `__slots__` (`record` gives each node class
+its slots), so no tree node carries a `__dict__`."""
 
 import ast
 import pathlib
+import types
 
 import pytest
+
+from loop2rec import ast as tree
 
 from conftest import ROOT
 
@@ -140,32 +144,23 @@ def test_the_line_check_sees_long_lines(tmp_path):
     assert long_lines(path) == ["m.py:2"]
 
 
-def unslotted_dataclasses(tree: ast.Module) -> list:
-    """Names of the classes decorated `@dataclass` without `slots=True`."""
-    out = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for d in node.decorator_list:
-            func = d.func if isinstance(d, ast.Call) else d
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            slotted = isinstance(d, ast.Call) and any(
-                k.arg == "slots" and isinstance(k.value, ast.Constant) and k.value.value is True
-                for k in d.keywords)
-            if name == "dataclass" and not slotted:
-                out.append(node.name)
-    return out
+def unslotted_classes(module: types.ModuleType) -> list:
+    """Names of the classes defined in `module` whose own `__dict__` holds no
+    `__slots__`: their instances carry a `__dict__`."""
+    return [name for name, c in vars(module).items()
+            if isinstance(c, type) and c.__module__ == module.__name__
+            and "__slots__" not in c.__dict__]
 
 
-def test_every_tree_node_dataclass_is_slotted():
-    assert unslotted_dataclasses(parse_file(PACKAGE / "ast.py")) == []
+def test_every_tree_node_class_is_slotted():
+    assert unslotted_classes(tree) == []
 
 
-def test_the_slots_check_sees_unslotted_dataclasses():
-    tree = ast.parse("@dataclass\nclass A:\n    x: int\n"
-                     "@dataclass(eq=False)\nclass B:\n    pass\n"
-                     "@dataclasses.dataclass(slots=False)\nclass C:\n    pass\n"
-                     "@dataclass(slots=True)\nclass D:\n    pass\n"
-                     "@dataclasses.dataclass(eq=False, slots=True)\nclass E:\n    pass\n"
-                     "class F(NamedTuple):\n    x: int\n")
-    assert unslotted_dataclasses(tree) == ["A", "B", "C"]
+def test_the_slots_check_sees_unslotted_classes():
+    module = types.ModuleType("nodes")
+    exec("from loop2rec.ast import Expr, record\n"
+         "@record\nclass A(Expr):\n    x: int\n"
+         "class B(Expr):\n    x: int\n"
+         "class C(A):\n    pass\n"
+         "class D:\n    __slots__ = ()\n", vars(module))
+    assert unslotted_classes(module) == ["B", "C"]

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -14,6 +13,7 @@ from loop2rec.interp import (
     DoubleV,
     EmptyStateError,
     Frame,
+    FrozenInstanceError,
     IndexOutOfBoundsError,
     InterpError,
     IntV,

@@ -479,7 +479,7 @@ def tree_values(x, out: list) -> list:
             tree_values(y, out)
     elif x.__class__.__module__ == tree.__name__:
         out.append(x)
-        for name in x._fields if isinstance(x, tuple) else x.__dataclass_fields__:
+        for name in x._fields:
             tree_values(getattr(x, name), out)
     return out
 

@@ -455,23 +455,16 @@ def _walk_expr(e: Expr, out: list) -> None:
         _walk_expr(r, out)
 
 
-def expr_vars(e: Expr) -> list:
-    """Names of the variables an expression reads, pre-order, repeats kept."""
-    out = []
-    emit_names(e, out, None)
-    return out
-
-
 # The kinds of name event on an event tape (see `analysis`): a variable read,
 # an assignment, a declaration, and the method a call names.
 READ, WRITE, DECLARE, CALL = range(4)
 
 
-def emit_names(e: Expr, out: list, kinds: Optional[list]) -> None:
-    """Append the variable names e reads, pre-order. With `kinds`, append
-    the method each Call names too, and READ or CALL to `kinds` for each
-    name. A left operand chain is walked in a loop, so `a + a + ...` is not
-    bounded by the recursion limit; its leaf operands cost no call."""
+def emit_names(e: Expr, out: list, kinds: list) -> None:
+    """Append the variable names e reads and the method each Call names,
+    pre-order, and READ or CALL to `kinds` for each name. A left operand
+    chain is walked in a loop, so `a + a + ...` is not bounded by the
+    recursion limit; its leaf operands cost no call."""
     parts = []  # the right operands, outermost first, then the leftmost
     while e.__class__ is Binary:
         parts.append(e.rhs)
@@ -481,8 +474,7 @@ def emit_names(e: Expr, out: list, kinds: Optional[list]) -> None:
         cls = e.__class__
         if cls is Var:
             out.append(e.name)
-            if kinds is not None:
-                kinds.append(READ)
+            kinds.append(READ)
         elif cls is Binary:
             emit_names(e, out, kinds)
         elif cls is Unary:
@@ -491,7 +483,7 @@ def emit_names(e: Expr, out: list, kinds: Optional[list]) -> None:
             emit_names(e.base, out, kinds)
             emit_names(e.index, out, kinds)
         elif cls is Builtin or cls is Call:
-            if kinds is not None and cls is Call:
+            if cls is Call:
                 out.append(e.method)
                 kinds.append(CALL)
             for a in e.args:
@@ -511,7 +503,7 @@ def collect_identifiers(program: Program) -> set:
     references. The package takes them from its event tapes
     (`analysis.NameAllocator`); the tests keep this as their reference."""
     ids = []
-    kinds = []  # emit_names lists call targets only beside their kinds
+    kinds = []
     for m in program.methods:
         ids.append(m.name)
         ids += [p.name for p in m.params]

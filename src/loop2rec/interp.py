@@ -417,6 +417,8 @@ def rem_frame(s: State) -> State:
 # tables _EVAL and _EXEC, one handler per AST class. An expression handler
 # takes the node and the current frame's bindings and calls its operands'
 # handlers itself, so the host stack grows by one frame per nesting level.
+# Handlers raise errors without a location; the statement sequence that runs
+# them (`_Run.exec_seq`) gives each the location of its statement.
 
 
 def _num(v, what: str):
@@ -669,12 +671,6 @@ _EVAL = {
 }
 
 
-def _locate(err: InterpError, loc: Optional[Loc]) -> None:
-    """Give an expression's error the location of its statement."""
-    if err.loc is None:
-        err.loc = loc
-
-
 # ---------------------------------------------------------------- execution
 
 
@@ -699,9 +695,10 @@ class _Run:
     """One execution. Statement handlers take the run, the statement and the
     current frame's bindings, and return a signal: None = fell through,
     _RETURNED = slot filled, ((method, parameter names), argument values,
-    location of the `return`) = tail call pending. With no recorder attached,
-    the handlers change frames and bindings directly instead of through the
-    state operations.
+    location of the `return`) = tail call pending. Handlers and `invoke`
+    change frames and bindings directly; with a recorder attached, each
+    change is then recorded under the name of its state operation (`upd_v`,
+    `upd_r`, `upd_vr`, `add_frame`, `rem_frame`).
 
     Each rule application counts its step inline, as
     `r.steps += 1; if r.steps > r.limit: r.slow_step(rule, loc)`. `limit` is
@@ -745,10 +742,18 @@ class _Run:
         return entry
 
     def exec_seq(self, stmts: list, b: dict):
-        for st in stmts:
-            sig = _EXEC[st.__class__](self, st, b)
-            if sig is not None:
-                return sig
+        """Run statements until one signals. This is the one place that
+        locates an error: one without a location gets that of the innermost
+        statement it arose in."""
+        try:
+            for st in stmts:
+                sig = _EXEC[st.__class__](self, st, b)
+                if sig is not None:
+                    return sig
+        except InterpError as err:
+            if err.loc is None:
+                err.loc = st.loc
+            raise
         return None
 
     def invoke(self, name: str, values: list, loc: Optional[Loc]) -> None:
@@ -770,10 +775,9 @@ class _Run:
                 self.steps += 1
                 if self.steps > self.limit:
                     self.slow_step("invoke", loc)
-                if self.recorder is None:
-                    frames.append(Frame(dict(zip(params, values))))
-                else:
-                    add_frame(self.state, params, values)
+                frames.append(Frame(dict(zip(params, values))))
+                if self.recorder is not None:
+                    self.state.record("add_frame")
                 b = frames[-1].bindings
                 entries[m.name] += 1
                 sig = self.exec_seq(m.body, b)
@@ -782,15 +786,13 @@ class _Run:
                 (m, params), values, loc = sig
                 chain += 1
             for _ in range(chain):
-                value = frames[-1].ret_slot
-                if self.recorder is None:
-                    frames.pop()
-                    if value is not None:
-                        frames[-1].ret_slot = value
-                else:
-                    rem_frame(self.state)
-                    if value is not None:
-                        upd_r(self.state, value)
+                value = frames.pop().ret_slot
+                if self.recorder is not None:
+                    self.state.record("rem_frame")
+                if value is not None:
+                    frames[-1].ret_slot = value
+                    if self.recorder is not None:
+                        self.state.record("upd_r")
         finally:
             self.depth -= 1
 
@@ -804,58 +806,45 @@ def _assign(r: _Run, st, b: dict):
     c = x.__class__
     v = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
     if v is None:
-        try:
-            v = _EVAL[c](x, b)
-        except InterpError as err:
-            _locate(err, st.loc)
-            raise
-    if r.recorder is None:
-        b[st.name] = v
-    else:
-        upd_v(r.state, st.name, v)
+        v = _EVAL[c](x, b)
+    b[st.name] = v
+    if r.recorder is not None:
+        r.state.record("upd_v")
 
 
 def _assign_index(r: _Run, st: AssignIndex, b: dict):
     r.steps += 1
     if r.steps > r.limit:
         r.slow_step("assign", st.loc)
-    try:
-        base = b.get(st.name)
-        if base.__class__ is not ArrayV:
-            if base is None:
-                raise UnboundVariableError(f"variable '{st.name}' is not bound")
-            raise TypeMismatchError(f"'{st.name}' is not an array", st.loc)
-        x = st.index
-        idx = _EVAL[x.__class__](x, b)
-        if idx.__class__ is not int or not 0 <= idx < len(base.cells):
-            raise IndexOutOfBoundsError(
-                f"index {idx if idx.__class__ in _BOXES else '?'} out of bounds for "
-                f"length {len(base.cells)}", st.loc)
-        x = st.value
-        base.cells[idx] = _EVAL[x.__class__](x, b)
-    except InterpError as err:
-        _locate(err, st.loc)
-        raise
+    base = b.get(st.name)
+    if base.__class__ is not ArrayV:
+        if base is None:
+            raise UnboundVariableError(f"variable '{st.name}' is not bound")
+        raise TypeMismatchError(f"'{st.name}' is not an array")
+    x = st.index
+    idx = _EVAL[x.__class__](x, b)
+    if idx.__class__ is not int or not 0 <= idx < len(base.cells):
+        raise IndexOutOfBoundsError(
+            f"index {idx if idx.__class__ in _BOXES else '?'} out of bounds for "
+            f"length {len(base.cells)}")
+    x = st.value
+    base.cells[idx] = _EVAL[x.__class__](x, b)
 
 
 def _call_assign(r: _Run, st: CallAssign, b: dict):
     # the invocation step is counted at frame entry, in invoke()
-    try:
-        values = _values(st.args, b)
-    except InterpError as err:
-        _locate(err, st.loc)
-        raise
-    r.invoke(st.method, values, st.loc)
+    r.invoke(st.method, _values(st.args, b), st.loc)
+    frames = r.frames
     if st.target is not None:
-        value = r.frames[-1].ret_slot
-        if value is None or r.recorder is not None:
-            upd_vr(r.state, st.target)  # records, or raises MissingReturnError
-        else:
-            b[st.target] = value
-    if r.recorder is None:
-        r.frames.pop()
-    else:
-        rem_frame(r.state)
+        value = frames[-1].ret_slot
+        if value is None:
+            raise MissingReturnError(f"callee returned no value for '{st.target}'")
+        b[st.target] = value
+        if r.recorder is not None:
+            r.state.record("upd_vr")
+    frames.pop()
+    if r.recorder is not None:
+        r.state.record("rem_frame")
 
 
 def _if(r: _Run, st: If, b: dict):
@@ -863,11 +852,7 @@ def _if(r: _Run, st: If, b: dict):
     if r.steps > r.limit:
         r.slow_step("if", st.loc)
     x = st.cond
-    try:
-        c = _EVAL[x.__class__](x, b)
-    except InterpError as err:
-        _locate(err, st.loc)
-        raise
+    c = _EVAL[x.__class__](x, b)
     if c is True:
         return r.exec_seq(st.then, b)
     if c is not False:
@@ -883,11 +868,7 @@ def _while(r: _Run, st: While, b: dict):
         r.steps += 1
         if r.steps > r.limit:
             r.slow_step("while", st.loc)
-        try:
-            c = _EVAL[x.__class__](x, b)
-        except InterpError as err:
-            _locate(err, st.loc)
-            raise
+        c = _EVAL[x.__class__](x, b)
         if c is False:
             return None
         if c is not True:
@@ -908,11 +889,7 @@ def _do_while(r: _Run, st: DoWhile, b: dict):
         sig = r.exec_seq(st.body, b)
         if sig is not None:
             return sig
-        try:
-            c = _EVAL[x.__class__](x, b)
-        except InterpError as err:
-            _locate(err, st.loc)
-            raise
+        c = _EVAL[x.__class__](x, b)
         if c is False:
             return None
         if c is not True:
@@ -928,11 +905,7 @@ def _for(r: _Run, st: For, b: dict):
         r.steps += 1
         if r.steps > r.limit:
             r.slow_step("for", st.loc)
-        try:
-            c = _EVAL[x.__class__](x, b)
-        except InterpError as err:
-            _locate(err, st.loc)
-            raise
+        c = _EVAL[x.__class__](x, b)
         if c is False:
             return None
         if c is not True:
@@ -948,23 +921,17 @@ def _foreach(r: _Run, st: Foreach, b: dict):
     if r.steps > r.limit:
         r.slow_step("foreach", st.loc)
     x = st.collection
-    try:
-        coll = _EVAL[x.__class__](x, b)
-    except InterpError as err:
-        _locate(err, st.loc)
-        raise
+    coll = _EVAL[x.__class__](x, b)
     if not isinstance(coll, (ArrayV, ListV)):
-        raise TypeMismatchError(
-            f"foreach needs an array or list, got {render_value(coll)}", st.loc)
+        raise TypeMismatchError(f"foreach needs an array or list, got {render_value(coll)}")
     for cell in list(coll.cells):
         r.steps += 1
         if r.steps > r.limit:
             r.slow_step("foreach", st.loc)
         r.iterations[st.loop_id] += 1
-        if r.recorder is None:
-            b[st.elem_name] = cell
-        else:
-            upd_v(r.state, st.elem_name, cell)
+        b[st.elem_name] = cell
+        if r.recorder is not None:
+            r.state.record("upd_v")
         sig = r.exec_seq(st.body, b)
         if sig is not None:
             return sig
@@ -986,18 +953,13 @@ def _return(r: _Run, st: Return, b: dict):
     if r.steps > r.limit:
         r.slow_step("return", st.loc)
     x = st.value
-    try:
-        if x.__class__ is Call:
-            values = _values(x.args, b)
-            return r.resolve(x.method, values, st.loc), values, st.loc
-        v = _EVAL[x.__class__](x, b)
-    except InterpError as err:
-        _locate(err, st.loc)
-        raise
-    if r.recorder is None:
-        r.frames[-1].ret_slot = v  # the return ends the frame: never set twice
-    else:
-        upd_r(r.state, v)
+    if x.__class__ is Call:
+        values = _values(x.args, b)
+        return r.resolve(x.method, values, st.loc), values, st.loc
+    v = _EVAL[x.__class__](x, b)
+    r.frames[-1].ret_slot = v  # the return ends the frame: never set twice
+    if r.recorder is not None:
+        r.state.record("upd_r")
     return _RETURNED
 
 
@@ -1006,12 +968,7 @@ def _print(r: _Run, st: Print, b: dict):
     if r.steps > r.limit:
         r.slow_step("print", st.loc)
     x = st.value
-    try:
-        v = _EVAL[x.__class__](x, b)
-    except InterpError as err:
-        _locate(err, st.loc)
-        raise
-    r.trace.prints.append(render_value(v))
+    r.trace.prints.append(render_value(_EVAL[x.__class__](x, b)))
 
 
 _EXEC = {

@@ -3,15 +3,19 @@ used by the module that makes it, and every module-level function, class or
 constant is named somewhere in `src/`, `tests/` or `bench/`. Also, no line
 in `src/` is longer than MAX_LINE characters, and every class the `ast`
 module defines declares its own `__slots__` (`record` gives each node class
-its slots), so no tree node carries a `__dict__`."""
+its slots), so no tree node carries a `__dict__`. No statement handler of the
+interpreter holds a `try`: `_Run.exec_seq` is the one place that gives a
+runtime error its location."""
 
 import ast
+import inspect
 import pathlib
 import types
 
 import pytest
 
 from loop2rec import ast as tree
+from loop2rec import interp
 
 from conftest import ROOT
 
@@ -164,3 +168,28 @@ def test_the_slots_check_sees_unslotted_classes():
          "class C(A):\n    pass\n"
          "class D:\n    __slots__ = ()\n", vars(module))
     assert unslotted_classes(module) == ["B", "C"]
+
+
+TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
+HANDLERS = {f.__name__ for f in interp._EXEC.values()}
+
+
+def functions_with_try(module: ast.Module, names: set) -> list:
+    """The module-level functions of `module` named in `names` that hold a
+    `try` statement."""
+    return [node.name for node in module.body
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            and any(isinstance(n, TRY) for n in ast.walk(node))]
+
+
+def test_no_statement_handler_catches_errors():
+    module = parse_file(PACKAGE / "interp.py")
+    defined = {node.name for node in module.body if isinstance(node, ast.FunctionDef)}
+    assert HANDLERS <= defined
+    assert functions_with_try(module, HANDLERS) == []
+
+
+def test_the_try_check_sees_a_handler_that_catches():
+    copy = (inspect.getsource(interp._print)
+            + "    try:\n        pass\n    except InterpError:\n        raise\n")
+    assert functions_with_try(ast.parse(copy), HANDLERS) == ["_print"]

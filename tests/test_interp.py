@@ -533,6 +533,19 @@ def test_deep_expression_chain_runs():
 # ---------------------------------------------------------- error locations
 
 
+def run_error_texts(src: str, budget: int = 1_000_000) -> list:
+    """The error text of a failing run: plain, with a StateRecorder, and
+    with a tracer attached."""
+    program = parse(src)
+    texts = []
+    for hooks in ({}, {"recorder": StateRecorder()},
+                  {"tracer": lambda rule, loc, depth: None}):
+        with pytest.raises(InterpError) as exc:
+            run(program, budget=budget, **hooks)
+        texts.append(str(exc.value))
+    return texts
+
+
 @pytest.mark.parametrize("body, budget, message", [
     ("int z = 0;\n    print(1 / z);", 100,
      "3:5: DivisionByZero: integer division by zero"),
@@ -549,11 +562,21 @@ def test_deep_expression_chain_runs():
      "4:17: IndexOutOfBounds: next() on an exhausted iterator"),
     ("int i = 0;\n    while (true) {\n        i = i + 1;\n    }", 11,
      "4:9: StepBudgetExceeded: exceeded 11 steps"),
+    # a condition that is no bool, and a callee that returns no value
+    ("int c = 1;\n    while (c) { c = 0; }", 100,
+     "3:5: TypeMismatch: while condition needs a bool, got 1"),
+    ("if (2) { print(1); }", 100, "2:5: TypeMismatch: if condition needs a bool, got 2"),
+    ("do { print(1); } while (3);", 100,
+     "2:5: TypeMismatch: do condition needs a bool, got 3"),
+    ("for (int i = 0; i; i = i + 1) { print(i); }", 100,
+     "2:5: TypeMismatch: for condition needs a bool, got 0"),
+    ("if (true) {\n        int r = f(1);\n    }", 100,
+     "3:9: MissingReturn: callee returned no value for 'r'"),
 ])
 def test_run_errors_carry_statement_locations(body, budget, message):
-    with pytest.raises(InterpError) as exc:
-        run_src(f"void main() {{\n    {body}\n}}", budget=budget)
-    assert str(exc.value) == message
+    # parse() does not run the checker, which would refuse some of these programs
+    src = f"void main() {{\n    {body}\n}}\nint f(int a) {{\n    a = a + 1;\n}}\n"
+    assert run_error_texts(src, budget) == [message] * 3
 
 
 @pytest.mark.parametrize("f_body, call, message", [
@@ -568,9 +591,7 @@ def test_a_return_error_carries_the_location_of_its_return(f_body, call, message
     # a tail call's callee is checked at its `return`; a plain call's at the call
     src = (f"double g(int a) {{\n    return a;\n}}\ndouble f(int a) {{\n    {f_body}\n}}\n"
            f"void main() {{\n    double r = {call};\n    print(r);\n}}\n")
-    with pytest.raises(InterpError) as exc:
-        run_src(src)
-    assert str(exc.value) == message
+    assert run_error_texts(src) == [message] * 3
 
 
 def test_a_tail_link_steps_at_its_own_return():

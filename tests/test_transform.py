@@ -15,8 +15,9 @@ from loop2rec.ast import (
     Return,
     Var,
     VarDecl,
+    READ,
     collect_identifiers,
-    expr_vars,
+    emit_names,
     is_loop,
     iter_stmts,
     stmt_blocks,
@@ -375,7 +376,10 @@ def test_tree_walks_agree_with_their_recursive_definitions():
             assert [id(st) for st in iter_stmts(m.body)] == [id(st) for st in preorder(m.body)]
             exprs = [e for st in iter_stmts(m.body) for e in stmt_exprs(st)]
             for e in exprs:
-                assert expr_vars(e) == [s.name for s in walk_expr(e) if s.__class__ is Var]
+                names, kinds = [], []
+                emit_names(e, names, kinds)
+                reads = [n for n, k in zip(names, kinds) if k == READ]
+                assert reads == [s.name for s in walk_expr(e) if s.__class__ is Var]
         assert collect_identifiers(p) == identifiers(p)
 
 

@@ -529,8 +529,8 @@ def collect_identifiers(program: Program) -> set:
 
 def assign_loop_ids(program: Program) -> int:
     """Number every loop in document order (outer loops before the loops they
-    contain). Returns the loop count. The parser calls this; call it yourself
-    on hand-built trees before interpreting or transforming them."""
+    contain). Returns the loop count. Only hand-built trees need this: the
+    parser, the generator and the transform number loops themselves."""
     loops = program_loops(program)
     for n, (_, st) in enumerate(loops):
         st.loop_id = n

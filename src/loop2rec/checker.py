@@ -4,7 +4,8 @@ full type consistency of expressions, arguments and returns.
 Shadowing an in-scope name is rejected outright. Together with fresh-name
 generation this makes the loop rewriter's scope blocks provably clash-free
 instead of merely unlikely to clash. Sibling blocks may reuse a name once the
-earlier one is out of scope.
+earlier one is out of scope. So one dict holds every visible name, and each
+open scope lists the names to delete from it when it closes.
 """
 
 from __future__ import annotations
@@ -74,24 +75,24 @@ class _Checker:
         self.program = program
         self.methods = {m.name: m for m in program.methods}
         self.errors: list = []
-        self.scopes: list = []
+        self.visible: dict = {}  # name -> Type of every name in scope
+        self.undo: list = []  # per open scope, the names it declared
 
     def error(self, loc, message: str) -> None:
         self.errors.append(SemanticError(loc, message))
 
     # ------------------------------------------------------------ scopes
 
-    def lookup(self, name: str) -> Optional[Type]:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
     def declare(self, loc, name: str, ty: Type) -> None:
-        if self.lookup(name) is not None:
+        if name in self.visible:
             self.error(loc, f"'{name}' shadows a variable already in scope")
             return
-        self.scopes[-1][name] = ty
+        self.visible[name] = ty
+        self.undo[-1].append(name)
+
+    def close_scope(self) -> None:
+        for name in self.undo.pop():
+            del self.visible[name]
 
     # ------------------------------------------------------------ driver
 
@@ -105,13 +106,13 @@ class _Checker:
 
     def check_method(self, m: MethodDef) -> None:
         self.current = m
-        self.scopes = [{}]
+        self.undo.append([])
         for p in m.params:
             self.declare(m.loc, p.name, p.type)
         self.check_seq(m.body)
+        self.close_scope()
         if m.ret_type != VOID and not (m.body and isinstance(m.body[-1], Return)):
             self.error(m.loc, f"method '{m.name}' must end with a return of type {m.ret_type}")
-        self.scopes = []
 
     def check_return(self, value: Expr, loc) -> None:
         want = self.current.ret_type
@@ -130,10 +131,10 @@ class _Checker:
     # ------------------------------------------------------------ statements
 
     def check_seq(self, stmts: list) -> None:
-        self.scopes.append({})
+        self.undo.append([])
         for st in stmts:
             self.check_stmt(st)
-        self.scopes.pop()
+        self.close_scope()
 
     def check_stmt(self, st) -> None:
         if isinstance(st, VarDecl):
@@ -142,14 +143,14 @@ class _Checker:
                 self.error(st.loc, f"cannot initialize {st.type} '{st.name}' from {got}")
             self.declare(st.loc, st.name, st.type)
         elif isinstance(st, Assign):
-            want = self.lookup(st.name)
+            want = self.visible.get(st.name)
             if want is None:
                 self.error(st.loc, f"assignment to undeclared variable '{st.name}'")
             got = self.expr_type(st.value, st.loc)
             if want is not None and got is not None and got != want:
                 self.error(st.loc, f"cannot assign {got} to {want} '{st.name}'")
         elif isinstance(st, AssignIndex):
-            base = self.lookup(st.name)
+            base = self.visible.get(st.name)
             if base is None:
                 self.error(st.loc, f"assignment to undeclared variable '{st.name}'")
             elif base.kind != "array":
@@ -167,7 +168,7 @@ class _Checker:
                     self.error(st.loc, f"cannot initialize {st.decl_type} '{st.target}' from {got}")
                 self.declare(st.loc, st.target, st.decl_type)
             elif st.target is not None:
-                want = self.lookup(st.target)
+                want = self.visible.get(st.target)
                 if want is None:
                     self.error(st.loc, f"assignment to undeclared variable '{st.target}'")
                 elif got is not None and got != want:
@@ -186,14 +187,14 @@ class _Checker:
             self.check_seq(st.body)
             self.check_cond(st.cond, st.loc)
         elif isinstance(st, For):
-            self.scopes.append({})
+            self.undo.append([])
             for s in st.init:
                 self.check_stmt(s)
             self.check_cond(st.cond, st.loc)
             self.check_seq(st.body)
             for s in st.update:
                 self.check_stmt(s)
-            self.scopes.pop()
+            self.close_scope()
         elif isinstance(st, Foreach):
             ct = self.expr_type(st.collection, st.loc)
             if ct is not None:
@@ -202,10 +203,10 @@ class _Checker:
                 elif ct.elem != st.elem_type:
                     self.error(st.loc,
                                f"foreach element type {st.elem_type} does not match {ct}")
-            self.scopes.append({})
+            self.undo.append([])
             self.declare(st.loc, st.elem_name, st.elem_type)
             self.check_seq(st.body)
-            self.scopes.pop()
+            self.close_scope()
         elif isinstance(st, Block):
             self.check_seq(st.body)
         elif isinstance(st, Return):
@@ -238,18 +239,20 @@ class _Checker:
     # ------------------------------------------------------------ expressions
 
     def expr_type(self, e: Expr, loc) -> Optional[Type]:
-        """Type of an expression, or None after reporting an error."""
-        if isinstance(e, IntLit):
+        """Type of an expression, or None after reporting an error. The two
+        commonest leaves are told apart by exact class, before the ladder."""
+        cls = e.__class__
+        if cls is Var:
+            ty = self.visible.get(e.name)
+            if ty is None:
+                self.error(loc, f"use of undeclared variable '{e.name}'")
+            return ty
+        if cls is IntLit:
             return INT
         if isinstance(e, DoubleLit):
             return DOUBLE
         if isinstance(e, BoolLit):
             return BOOL
-        if isinstance(e, Var):
-            ty = self.lookup(e.name)
-            if ty is None:
-                self.error(loc, f"use of undeclared variable '{e.name}'")
-            return ty
         if isinstance(e, Binary):
             lt = self.expr_type(e.lhs, loc)
             rt = self.expr_type(e.rhs, loc)
@@ -388,5 +391,5 @@ def static_type(expr: Expr, scope: dict) -> Optional[Type]:
     """The checker's type of `expr` with `scope` (name -> Type) in scope, or
     None where the checker reports it untyped."""
     checker = _Checker(Program([]))
-    checker.scopes = [scope]
+    checker.visible = scope  # only read: expressions declare nothing
     return checker.expr_type(expr, None)

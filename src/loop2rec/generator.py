@@ -14,6 +14,7 @@ occasional variable named `result` or `index` to stress fresh-name selection.
 from __future__ import annotations
 
 import random
+from itertools import accumulate, count
 
 from .ast import (
     Assign,
@@ -42,7 +43,6 @@ from .ast import (
     VarDecl,
     While,
     array_of,
-    assign_loop_ids,
     list_of,
     record,
 )
@@ -79,6 +79,13 @@ class _Gen:
         self.loops_left = cfg.max_loops
         self.protected = set()  # loop counters: never reassigned by bodies
         self.helper = None  # (name,) of an extra callable method, if any
+        # loops are numbered as they are made, each before the loops it holds
+        self.loop_ids = count()
+        self.kind_cum_weights = []  # for pick_kind(False) and pick_kind(True)
+        for zero in (False, True):
+            # a do-loop always runs once; swap it out of the zero-guard pool
+            w = [0.0 if zero and k == "do" else cfg.loop_weights.get(k, 0.0) for k in LOOP_KINDS]
+            self.kind_cum_weights.append(list(accumulate([1.0] * len(w) if sum(w) <= 0 else w)))
 
     def fresh(self, base: str) -> str:
         self.counter += 1
@@ -96,7 +103,7 @@ class _Gen:
             While(Binary(">", Var(k), IntLit(0)), [
                 Assign(a, Binary("+", Var(a), Binary("*", DoubleLit(0.5), Var(b)))),
                 Assign(k, Binary("-", Var(k), IntLit(1))),
-            ]),
+            ], loop_id=next(self.loop_ids)),
             Return(Binary("+", Var(a), Var(b))),
         ]
         self.helper = name
@@ -150,21 +157,19 @@ class _Gen:
 
     def simple_stmt(self, scope: _Scope):
         roll = self.rng.random()
-        ints = self.assignable(scope.ints)
-        doubles = self.assignable(scope.doubles)
-        bools = self.assignable(scope.bools)
-        if roll < 0.28 and ints:
+        # each list of assignable names is built only where `roll` needs it
+        if roll < 0.28 and (ints := self.assignable(scope.ints)):
             return Assign(self.rng.choice(ints), self.int_expr(scope))
-        if roll < 0.5 and doubles:
+        if roll < 0.5 and (doubles := self.assignable(scope.doubles)):
             return Assign(self.rng.choice(doubles), self.double_expr(scope))
-        if roll < 0.6 and bools:
+        if roll < 0.6 and (bools := self.assignable(scope.bools)):
             return Assign(self.rng.choice(bools), self.bool_expr(scope))
         if roll < 0.7 and scope.arrays:
             name, length = self.rng.choice(scope.arrays)
             if length > 0:
                 return AssignIndex(name, IntLit(self.rng.randrange(length)),
                                    self.double_expr(scope))
-        if roll < 0.8 and self.helper and doubles:
+        if roll < 0.8 and self.helper and (doubles := self.assignable(scope.doubles)):
             return CallAssign(self.rng.choice(doubles), self.helper,
                               [self.double_expr(scope), self.int_expr(scope)])
         candidates = scope.ints + scope.doubles + scope.bools
@@ -195,17 +200,11 @@ class _Gen:
     # ---------------------------------------------------------------- loops
 
     def pick_kind(self, zero: bool) -> str:
-        kinds = list(LOOP_KINDS)
-        weights = [self.cfg.loop_weights.get(k, 0.0) for k in kinds]
-        if zero:
-            # a do-loop always runs once; swap it out of the zero-guard pool
-            weights[kinds.index("do")] = 0.0
-        if sum(weights) <= 0:
-            weights = [1.0] * len(kinds)
-        return self.rng.choices(kinds, weights=weights)[0]
+        return self.rng.choices(LOOP_KINDS, cum_weights=self.kind_cum_weights[zero])[0]
 
     def loop(self, scope: _Scope, depth: int) -> list:
         self.loops_left -= 1
+        loop_id = next(self.loop_ids)
         zero = self.rng.random() < self.cfg.zero_guard_bias
         kind = self.pick_kind(zero)
         inner = _Scope(scope)
@@ -218,7 +217,7 @@ class _Gen:
             body.append(Assign(c, Binary("-", Var(c), IntLit(1))))
             scope.ints.append(c)
             return [VarDecl(INT, c, IntLit(bound)),
-                    While(Binary(">", Var(c), IntLit(0)), body)]
+                    While(Binary(">", Var(c), IntLit(0)), body, loop_id=loop_id)]
         if kind == "do":
             c = self.fresh("c")
             self.protected.add(c)
@@ -227,7 +226,7 @@ class _Gen:
             body.append(Assign(c, Binary("-", Var(c), IntLit(1))))
             scope.ints.append(c)
             return [VarDecl(INT, c, IntLit(bound)),
-                    DoWhile(body, Binary(">", Var(c), IntLit(0)))]
+                    DoWhile(body, Binary(">", Var(c), IntLit(0)), loop_id=loop_id)]
         if kind == "for":
             if not zero and self.rng.random() < 0.3:
                 # converging pair: for (int i = 0, j = N; i < j; i = i+1, j = j-1)
@@ -241,7 +240,7 @@ class _Gen:
                     Binary("<", Var(i), Var(j)),
                     [Assign(i, Binary("+", Var(i), IntLit(1))),
                      Assign(j, Binary("-", Var(j), IntLit(1)))],
-                    body)]
+                    body, loop_id=loop_id)]
             i = self.fresh("i")
             self.protected.add(i)
             inner.ints.append(i)
@@ -250,7 +249,7 @@ class _Gen:
                 [VarDecl(INT, i, IntLit(bound))],
                 Binary(">", Var(i), IntLit(0)),
                 [Assign(i, Binary("-", Var(i), IntLit(1)))],
-                body)]
+                body, loop_id=loop_id)]
         # foreach over an array or list, sometimes a fresh literal in place
         elem = self.fresh("e")
         inner.doubles.append(elem)
@@ -268,18 +267,18 @@ class _Gen:
                 scope.arrays.append((name, n_elems))
                 decl = VarDecl(array_of(DOUBLE), name, ArrayLit(DOUBLE, literal_elems))
                 body = self.body(inner, depth + 1)
-                return [decl, Foreach(DOUBLE, elem, Var(name), body)]
+                return [decl, Foreach(DOUBLE, elem, Var(name), body, loop_id=loop_id)]
             else:
                 coll = ArrayLit(DOUBLE, literal_elems)
             body = self.body(inner, depth + 1)
-            return [Foreach(DOUBLE, elem, coll, body)]
+            return [Foreach(DOUBLE, elem, coll, body, loop_id=loop_id)]
         if self.rng.random() < 0.6:
             name = self.fresh("lst")
             decl = VarDecl(list_of(DOUBLE), name, ListLit(DOUBLE, literal_elems))
             body = self.body(inner, depth + 1)
-            return [decl, Foreach(DOUBLE, elem, Var(name), body)]
+            return [decl, Foreach(DOUBLE, elem, Var(name), body, loop_id=loop_id)]
         body = self.body(inner, depth + 1)
-        return [Foreach(DOUBLE, elem, ListLit(DOUBLE, literal_elems), body)]
+        return [Foreach(DOUBLE, elem, ListLit(DOUBLE, literal_elems), body, loop_id=loop_id)]
 
     # -------------------------------------------------------------- program
 
@@ -324,9 +323,7 @@ class _Gen:
             stmts.append(Print(Var(name)))
 
         methods.append(MethodDef(VOID, "main", [], stmts))
-        program = Program(methods)
-        assign_loop_ids(program)
-        return program
+        return Program(methods)
 
 
 def generate(cfg: GenConfig) -> Program:

@@ -57,6 +57,12 @@ def fmt_double(v: float) -> str:
 
 
 def fmt_expr(e: Expr, parent_prec: int = 0) -> str:
+    # the two commonest leaves bind tightest, so they are never parenthesized
+    cls = e.__class__
+    if cls is Var:
+        return e.name
+    if cls is IntLit:
+        return str(e.value)
     text, prec = _expr(e)
     if prec < parent_prec:
         return f"({text})"
@@ -64,14 +70,10 @@ def fmt_expr(e: Expr, parent_prec: int = 0) -> str:
 
 
 def _expr(e: Expr):
-    if isinstance(e, IntLit):
-        return str(e.value), _POSTFIX_PREC
     if isinstance(e, DoubleLit):
         return fmt_double(e.value), _POSTFIX_PREC
     if isinstance(e, BoolLit):
         return ("true" if e.value else "false"), _POSTFIX_PREC
-    if isinstance(e, Var):
-        return e.name, _POSTFIX_PREC
     if isinstance(e, Binary):
         # A left operand whose operator binds at least as tightly prints
         # without parentheses, so a left-deep chain such as `1 + 1 + ...` is

@@ -61,7 +61,6 @@ from .ast import (
     VarDecl,
     While,
     array_of,
-    assign_loop_ids,
     is_loop,
     iterator_of,
     loop_kind,
@@ -279,13 +278,14 @@ _TEMPLATES = {
 def _plan(program: Program, opts: TransformOptions) -> dict:
     """Analyze every loop against the untouched program, allocating fresh
     names in document order (an outer loop is named before its inner loops),
-    and decide its template and packing. Each method is walked once, into
-    the event tape that both the fresh names and the loop analyses read;
-    the tapes are dropped on return."""
+    and decide its template and packing; the walk that finds the loops also
+    numbers them. Each method is walked once, into the event tape that both
+    the fresh names and the loop analyses read; dropped on return."""
     facts = {}
     alloc = NameAllocator(program, facts)
     plans = {}
-    for method, loop in program_loops(program):
+    for loop_id, (method, loop) in enumerate(program_loops(program)):
+        loop.loop_id = loop_id
         analysis = analyze_loop(loop, method, program, optimize=opts.optimize,
                                 names=alloc.loop_names(method.name), facts=facts)
         returned = list(analysis.live_after if opts.optimize else analysis.params)
@@ -303,7 +303,7 @@ def _plan(program: Program, opts: TransformOptions) -> dict:
                 plan.index_name = alloc.fresh("index")
                 if not isinstance(loop.collection, Var):
                     plan.coll_name = alloc.fresh("coll")
-        plans[loop.loop_id] = plan
+        plans[loop_id] = plan
     return plans
 
 
@@ -344,10 +344,9 @@ def analyze_program(program: Program, optimize: bool = True) -> list:
     """Per-loop analyses with the names the rewrite would use, in document
     order: (loop_id, kind, enclosing method, LoopAnalysis)."""
     opts = TransformOptions(optimize=optimize)
-    assign_loop_ids(program)
     plans = _plan(program, opts)
     return [(loop_id, plan.kind, plan.in_method, plan.analysis)
-            for loop_id, plan in sorted(plans.items())]
+            for loop_id, plan in plans.items()]
 
 
 def transform_program(program: Program, opts: Optional[TransformOptions] = None) -> TransformResult:
@@ -355,7 +354,6 @@ def transform_program(program: Program, opts: Optional[TransformOptions] = None)
     the originals in creation order (innermost loops first). Loop-free
     programs come back unchanged with an empty report."""
     opts = opts or TransformOptions()
-    assign_loop_ids(program)
     plans = _plan(program, opts)
     generated: list = []
     report: list = []

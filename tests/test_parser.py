@@ -8,6 +8,7 @@ from loop2rec.ast import (
     BINARY_PREC,
     DOUBLE,
     INT,
+    Binary,
     DoubleLit,
     Expr,
     IntLit,
@@ -16,19 +17,22 @@ from loop2rec.ast import (
     Return,
     Stmt,
     Type,
+    Var,
     While,
     array_of,
     iter_stmts,
     list_of,
+    program_loops,
 )
 from loop2rec import ast as tree, parser
-from loop2rec.checker import check_semantics
+from loop2rec.checker import check_semantics, static_type
 from loop2rec.generator import GenConfig, generate
 from loop2rec.parser import MAX_NESTING, ParseError, parse, tokenize
 from loop2rec.printer import pretty_print
-from loop2rec.transform import TransformOptions, transform_program
+from loop2rec.transform import TransformOptions, analyze_program, transform_program
 
 from conftest import CORPUS_FILES, ROOT, corpus_text
+from test_hostile import CASES as HOSTILE_CASES
 
 SQRT_METHOD = """
 double sqrt(double x) {
@@ -321,6 +325,72 @@ def test_largest_double_literal_parses():
     assert p.methods[0].body[0].init == DoubleLit(-1.7976931348623157e308)
 
 
+# ------------------------------------------------------------ loop numbering
+
+GEN_SETTINGS = [{}, {"max_depth": 4, "max_loops": 6}]
+
+
+def loop_nest(depth: int) -> str:
+    """`depth` loops, each inside the last and each of the next kind in turn,
+    with a sibling loop after every inner one, so pre-order and post-order
+    numberings differ."""
+    heads = ["while (false) {", "do {", "for (int i# = 0; i# < 0; i# = i# + 1) {",
+             "for (int e# : new int[] { }) {"]
+    tails = ["}", "} while (false);", "}", "}"]
+    text = "print(0);"
+    for k in reversed(range(depth)):
+        head = heads[k % 4].replace("#", str(k))
+        text = f"{head} {text} while (false) {{ }} {tails[k % 4]}"
+    return f"void main() {{ {text} }}"
+
+
+def assert_numbered_in_document_order(program) -> None:
+    ids = [loop.loop_id for _, loop in program_loops(program)]
+    assert ids == list(range(len(ids)))
+    assert tree.assign_loop_ids(program) == len(ids)
+    assert [loop.loop_id for _, loop in program_loops(program)] == ids
+
+
+def test_parser_numbers_loops_in_document_order():
+    texts = [corpus_text(n) for n in CORPUS_FILES] + [loop_nest(120)]
+    texts += [src for src, *_ in HOSTILE_CASES.values()]
+    texts += [pretty_print(generate(GenConfig(seed=s, **kw)))
+              for kw in GEN_SETTINGS for s in range(200)]
+    loops = 0
+    for text in texts:
+        try:
+            p = parse(text)
+        except ParseError:  # some hostile inputs are rejected by design
+            continue
+        assert_numbered_in_document_order(p)
+        loops += len(program_loops(p))
+    assert loops > 1000
+
+
+def test_generator_numbers_loops_in_document_order():
+    for kw in GEN_SETTINGS:
+        for s in range(200):
+            assert_numbered_in_document_order(generate(GenConfig(seed=s, **kw)))
+
+
+def unnumbered(program):
+    """`program` with every loop id at -1, as in a tree built by hand."""
+    for _, loop in program_loops(program):
+        loop.loop_id = -1
+    return program
+
+
+def test_analysis_and_transform_number_hand_built_trees():
+    for text in (corpus_text("nested.mj"), loop_nest(6)):
+        p = unnumbered(parse(text))
+        assert analyze_program(p) == analyze_program(parse(text))
+        assert_numbered_in_document_order(p)
+        p = unnumbered(parse(text))
+        printed = pretty_print(transform_program(p).program)
+        assert printed == pretty_print(transform_program(parse(text)).program)
+        assert_numbered_in_document_order(p)
+
+
 # ------------------------------------------------------------ nesting limit
 
 def nested(kind, k):
@@ -385,6 +455,58 @@ def test_shadowing_banned():
 def test_sibling_blocks_may_reuse_names():
     errs = check_semantics(parse("void m() { { int t = 1; } { double t = 2.0; } }"))
     assert errs == []
+
+
+def test_scoped_names_are_visible_inside_and_free_after():
+    # a block's, a for init's and a foreach element's names are seen inside
+    # it and may be declared again once it has closed
+    src = """void m() {
+    { int t = 1; print(t); }
+    double t = 2.0;
+    for (int i = 0; i < 2; i = i + 1) { print(i + 1); }
+    bool i = true;
+    for (double e : new double[] { 1.0 }) { { print(e); } }
+    int e = 3;
+    print(t); print(i); print(e);
+}
+"""
+    assert check_semantics(parse(src)) == []
+
+
+def test_scope_errors_keep_their_text_and_order():
+    src = """void m() {
+    { int t = 1; }
+    print(t);
+    for (int i = 0; i < 1; i = i + 1) {
+        int i = 2;
+    }
+    print(i);
+    for (int e : new int[] { 1 }) { }
+    e = 1;
+    int x = 0;
+    {
+        double x = 1.0;
+        y = x;
+    }
+    x = t;
+}
+"""
+    assert [str(e) for e in check_semantics(parse(src))] == [
+        "3:5: use of undeclared variable 't'",
+        "5:9: 'i' shadows a variable already in scope",
+        "7:5: use of undeclared variable 'i'",
+        "9:5: assignment to undeclared variable 'e'",
+        "12:9: 'x' shadows a variable already in scope",
+        "13:9: assignment to undeclared variable 'y'",
+        "15:5: use of undeclared variable 't'",
+    ]
+
+
+def test_static_type_leaves_its_scope_unchanged():
+    scope = {"x": INT, "d": DOUBLE}
+    assert static_type(Binary("+", Var("x"), Var("d")), scope) == DOUBLE
+    assert static_type(Binary("+", Var("x"), Var("y")), scope) is None
+    assert scope == {"x": INT, "d": DOUBLE}
 
 
 def test_sqrt_method_checks_clean():

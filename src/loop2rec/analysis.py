@@ -250,20 +250,20 @@ class MethodFacts:
             raise ValueError("loop does not occur in the given method")
         return scope
 
-    def scan(self, spans, hidden=()):
+    def scan(self, spans):
         """(uses, writes) of a scan: the names it reads or writes in first-use
-        order and those it writes in first-write order, as dicts, `hidden`
-        names and those declared so far left out."""
+        order and those it writes in first-write order, as dicts, the names
+        declared so far left out."""
         kinds, names = self.kinds, self.names
-        hidden = set(hidden)
+        declared = set()
         uses, writes = {}, {}
         for j in range(0, len(spans), 2):
             a, b = spans[j], spans[j + 1]
             for k, n in zip(kinds[a:b], names[a:b]):
-                if k is CALL or n in hidden:
+                if k is CALL or n in declared:
                     continue
                 if k is DECLARE:
-                    hidden.add(n)
+                    declared.add(n)
                     continue
                 uses[n] = None
                 if k is WRITE:
@@ -324,37 +324,34 @@ def method_facts(method: MethodDef, facts: dict) -> MethodFacts:
     return here
 
 
-def _parts(body: list, cond, extra, bound):
+def _parts(body: list, cond, extra):
     """(uses, writes) of body, then cond, then extra (statements or
-    expressions), `bound` names hidden throughout. An expression scans as
-    the statement that prints it."""
+    expressions). An expression scans as the statement that prints it."""
     stmts = list(body) + [x if isinstance(x, Stmt) else Print(x)
                           for x in ((cond,) if cond is not None else ()) + tuple(extra)]
     facts = MethodFacts(MethodDef(VOID, "", [], stmts))
-    return facts.scan((0, len(facts.names)), bound)
+    return facts.scan((0, len(facts.names)))
 
 
-def used_vars(body: list, cond: Optional[Expr] = None, extra=(), bound=()) -> list:
+def used_vars(body: list, cond: Optional[Expr] = None, extra=()) -> list:
     """Identifiers free in body + cond + extra, in first-use order. `extra`
     carries a for-loop's update statements (or any further expressions)."""
-    return list(_parts(body, cond, extra, bound)[0])
+    return list(_parts(body, cond, extra)[0])
 
 
-def modified_vars(body: list, extra=(), bound=()) -> list:
+def modified_vars(body: list, extra=()) -> list:
     """The used_vars subset written by the loop (assignment targets, indexed
     array bases, call-assignment targets), in first-write order."""
-    return list(_parts(body, None, extra, bound)[1])
+    return list(_parts(body, None, extra)[1])
 
 
-def live_after(loop: Stmt, method: MethodDef, modified: Optional[list] = None) -> list:
+def live_after(loop: Stmt, method: MethodDef) -> list:
     """Modified variables still read once the loop is done, in declaration
     order."""
     if not is_loop(loop):
         raise TypeError(f"not a loop: {loop!r}")
     facts = MethodFacts(method)
-    if modified is None:
-        modified = list(facts.scan(facts._entry(loop)[1])[1])
-    return facts.live_after(loop, modified)
+    return facts.live_after(loop, list(facts.scan(facts._entry(loop)[1])[1]))
 
 
 # -------------------------------------------------------------- fresh names

@@ -209,24 +209,17 @@ class _Gen:
         kind = self.pick_kind(zero)
         inner = _Scope(scope)
         bound = 0 if zero else self.rng.randint(1, 6)
-        if kind == "while":
+        if kind == "while" or kind == "do":
             c = self.fresh("c")
             self.protected.add(c)
             inner.ints.append(c)
             body = self.body(inner, depth + 1)
             body.append(Assign(c, Binary("-", Var(c), IntLit(1))))
             scope.ints.append(c)
-            return [VarDecl(INT, c, IntLit(bound)),
-                    While(Binary(">", Var(c), IntLit(0)), body, loop_id=loop_id)]
-        if kind == "do":
-            c = self.fresh("c")
-            self.protected.add(c)
-            inner.ints.append(c)
-            body = self.body(inner, depth + 1)
-            body.append(Assign(c, Binary("-", Var(c), IntLit(1))))
-            scope.ints.append(c)
-            return [VarDecl(INT, c, IntLit(bound)),
-                    DoWhile(body, Binary(">", Var(c), IntLit(0)), loop_id=loop_id)]
+            cond = Binary(">", Var(c), IntLit(0))
+            node = (While(cond, body, loop_id=loop_id) if kind == "while"
+                    else DoWhile(body, cond, loop_id=loop_id))
+            return [VarDecl(INT, c, IntLit(bound)), node]
         if kind == "for":
             if not zero and self.rng.random() < 0.3:
                 # converging pair: for (int i = 0, j = N; i < j; i = i+1, j = j-1)

@@ -182,14 +182,14 @@ def _double_value(at: tuple, text: str) -> float:
 class _Parser:
     """Recursive descent over the `(kind, text, line, col)` tuples of
     `tokenize`, so `t[0]` is a token's kind, `t[1]` its text and `t[2]`,
-    `t[3]` its line and col. Two tokens of lookahead (`peek(1)`) suffice, plus
-    one backtrack in a `for` header to tell a foreach from a counted loop.
+    `t[3]` its line and col. Two tokens of lookahead (`at_sym(s, 1)`) suffice,
+    plus one backtrack in a `for` header to tell a foreach from a counted loop.
 
     A symbol's or keyword's text belongs to no other kind of token, so the
     lookahead helpers compare text alone. The token list is padded with a
-    second eof, so `peek(1)` needs no bounds check; `next` never moves past
-    the first eof. A loop takes its id from `loop_ids` at its keyword, before
-    the loops it holds.
+    second eof, so `at_sym(s, 1)` needs no bounds check; `next` never moves
+    past the first eof. A loop takes its id from `loop_ids` at its keyword,
+    before the loops it holds.
     """
 
     def __init__(self, tokens: list):
@@ -199,9 +199,6 @@ class _Parser:
         self.loop_ids = itertools.count()
 
     # ------------------------------------------------------------ utilities
-
-    def peek(self, ahead: int = 0) -> tuple:
-        return self.toks[self.pos + ahead]
 
     def next(self) -> tuple:
         t = self.toks[self.pos]
@@ -461,7 +458,7 @@ class _Parser:
         if self.at_type():
             save = self.pos
             elem_type = self.parse_type()
-            if self.peek()[0] == "ident" and self.at_sym(":", 1):
+            if self.toks[self.pos][0] == "ident" and self.at_sym(":", 1):
                 elem = self.expect_ident()[1]
                 self.expect_sym(":")
                 coll = self.parse_expr()

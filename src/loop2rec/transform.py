@@ -1,6 +1,18 @@
 """Rewrites every loop into a call to a newly created tail-recursive method.
 
-Each loop is replaced by (at most) a guard plus a first call, and a new method
+One template serves every loop kind, read as a `while` with parts:
+
+  * `pre` runs once before the first call: a `for`'s init, or a foreach's
+    hoisted collection (an array expression that is not a variable) and its
+    counter `index = 0` or iterator `it = iterator(coll)`;
+  * `guard` is checked before the first call and before each tail call:
+    the loop's condition, `index < length(coll)` or `hasNext(it)`; a `do`
+    makes its first call unguarded;
+  * one iteration is `head + body + tail`: a foreach's element (`elem =
+    coll[index]` or `elem = next(it)`), the body, then a `for`'s updates or
+    `index = index + 1`.
+
+The loop is replaced by `pre` and the (guarded) first call, and a new method
 is appended whose body runs one iteration and then either tail-calls itself
 (`return <method>(...)`) or returns the variables the loop modified. Loops are
 analyzed against the original program in document order, then rewritten
@@ -40,10 +52,7 @@ from .ast import (
     Call,
     CallAssign,
     Cast,
-    DoWhile,
     Expr,
-    For,
-    Foreach,
     INT,
     If,
     Index,
@@ -56,10 +65,10 @@ from .ast import (
     Param,
     Program,
     Return,
+    Stmt,
     VOID,
     Var,
     VarDecl,
-    While,
     array_of,
     is_loop,
     iterator_of,
@@ -101,28 +110,27 @@ class TransformResult:
     report: list
 
 
-# ----------------------------------------------------------------- plumbing
+# ----------------------------------------------------------------- template
 
 
 @record
 class _PlannedLoop:
-    """A loop's analysis plus every decision its rewrite needs; `returned`
-    is what travels back to the caller, mutant applied, packed as
-    `packing`."""
+    """A loop's analysis, its report and the fresh names its rewrite needs;
+    `returned` is what travels back to the caller, mutant applied, packed as
+    the report says. `counter` is a foreach's index or iterator, `coll_name`
+    the hoisted collection of an array foreach over anything but a
+    variable."""
 
     analysis: LoopAnalysis
-    kind: str  # while | do | for | foreach_array | foreach_list
-    in_method: str
-    packing: Packing
+    report: LoopReport
     returned: list  # Param
-    index_name: Optional[str] = None
-    iterator_name: Optional[str] = None
+    counter: Optional[str] = None
     coll_name: Optional[str] = None
 
 
 def _invoke_seq(plan: _PlannedLoop, params: list, loc: Optional[Loc]) -> list:
     """Caller-side first call plus catch/update of the modified variables."""
-    packing, returned = plan.packing, plan.returned
+    packing, returned = plan.report.packing, plan.returned
     name = plan.analysis.loop_method_name
     args = [Var(p.name) for p in params]
     if packing == Packing.NONE:
@@ -136,32 +144,17 @@ def _invoke_seq(plan: _PlannedLoop, params: list, loc: Optional[Loc]) -> list:
     return out
 
 
-def _has_decl(stmts: list) -> bool:
-    return any(
-        isinstance(st, VarDecl) or (isinstance(st, CallAssign) and st.decl_type is not None)
-        for st in stmts
-    )
-
-
-def _maybe_block(stmts: list, opts: TransformOptions, loc: Optional[Loc]) -> list:
-    """do/for/foreach replacements get a scope block; it is elided only when
-    optimizing and the replacement declares nothing."""
-    if opts.optimize and not _has_decl(stmts):
-        return stmts
-    return [Block(stmts, loc=loc)]
-
-
 def _gen_method(plan: _PlannedLoop, opts: TransformOptions, params: list,
-                core: list, tail_cond: Expr, loc: Optional[Loc]) -> MethodDef:
+                core: list, guard: Expr, loc: Optional[Loc]) -> MethodDef:
     """The recursive method: one iteration, a guarded tail call, and a return
     of the modified variables."""
-    packing, returned = plan.packing, plan.returned
+    packing, returned = plan.report.packing, plan.returned
     name = plan.analysis.loop_method_name
-    tail = If(tail_cond, [Return(Call(name, [Var(p.name) for p in params]), loc=loc)], loc=loc)
+    again = If(guard, [Return(Call(name, [Var(p.name) for p in params]), loc=loc)], loc=loc)
     if opts.mutation == Mutation.COND_BEFORE_BODY:
-        body = [tail] + core
+        body = [again] + core
     else:
-        body = core + [tail]
+        body = core + [again]
     if packing == Packing.NONE:
         ret_type = VOID
     elif packing == Packing.SINGLE:
@@ -173,117 +166,70 @@ def _gen_method(plan: _PlannedLoop, opts: TransformOptions, params: list,
     return MethodDef(ret_type, name, params, body, loc=loc)
 
 
-# ------------------------------------------------------------ per-loop kinds
-
-
-def transform_while(loop: While, plan: _PlannedLoop, opts: TransformOptions):
-    """`while` becomes `if (cond) <call+catch>`; the method runs the body,
-    re-checks the condition for the tail call, then returns. The guard's own
-    braces scope any declared result variable, so no extra block is needed."""
+def _rewrite_loop(loop: Stmt, plan: _PlannedLoop, opts: TransformOptions):
+    """(replacement statements, generated method) for a loop whose body is
+    already loop-free. Every kind is a `while` with parts: `pre` runs once
+    before the first call, `guard` is checked before the first call (except
+    for `do`, whose body always runs once) and before each tail call, and
+    one iteration is `head + body + tail`. A foreach's counter or iterator
+    is the last parameter; its hoisted collection is the first."""
+    kind, loc, counter = plan.report.kind, loop.loc, plan.counter
     params = list(plan.analysis.params)
-    replacement = [If(loop.cond, _invoke_seq(plan, params, loop.loc), loc=loop.loc)]
-    gen = _gen_method(plan, opts, params, list(loop.body), loop.cond, loop.loc)
-    return replacement, gen
-
-
-def transform_do(loop: DoWhile, plan: _PlannedLoop, opts: TransformOptions):
-    """Same as the while case except the first call is unconditional (a do
-    body always runs once); the unguarded catch code needs its own block when
-    it declares anything."""
-    params = list(plan.analysis.params)
-    replacement = _maybe_block(_invoke_seq(plan, params, loop.loc), opts, loop.loc)
-    gen = _gen_method(plan, opts, params, list(loop.body), loop.cond, loop.loc)
-    return replacement, gen
-
-
-def transform_for(loop: For, plan: _PlannedLoop, opts: TransformOptions):
-    """Init statements are hoisted to the top of the new block (keeping their
-    scope confined to it), update statements run between the body and the
-    condition check, and init-declared variables travel as parameters."""
-    params = list(plan.analysis.params)
-    seq = list(loop.init) + [If(loop.cond, _invoke_seq(plan, params, loop.loc), loc=loop.loc)]
-    replacement = _maybe_block(seq, opts, loop.loc)
-    core = list(loop.body)
-    if opts.mutation != Mutation.DROP_FOR_UPDATE:
-        core += list(loop.update)
-    gen = _gen_method(plan, opts, params, core, loop.cond, loop.loc)
-    return replacement, gen
-
-
-def transform_foreach_array(loop: Foreach, plan: _PlannedLoop, opts: TransformOptions):
-    """Array traversal gets a fresh counter passed along every call; the
-    element variable is declared from `coll[index]` at the top of the method.
-    A non-variable collection expression is hoisted so it is evaluated once."""
-    coll_type = array_of(loop.elem_type)
-    index_name = plan.index_name
-    hoist = []
-    if isinstance(loop.collection, Var):
-        cname = loop.collection.name
-        coll_param = next(p for p in plan.analysis.params if p.name == cname)
-        rest = [p for p in plan.analysis.params if p.name != cname]
+    pre, head, tail = [], [], []
+    if kind == "foreach_array":
+        coll = plan.coll_name
+        if coll is None:  # a variable, which the analysis made the first parameter
+            coll = loop.collection.name
+        else:
+            coll_type = array_of(loop.elem_type)
+            pre = [VarDecl(coll_type, coll, loop.collection, loc=loc)]
+            params.insert(0, Param(coll, coll_type))
+        pre.append(VarDecl(INT, counter, IntLit(0), loc=loc))
+        params.append(Param(counter, INT))
+        guard = Binary("<", Var(counter), Length(Var(coll)))
+        head = [VarDecl(loop.elem_type, loop.elem_name, Index(Var(coll), Var(counter)), loc=loc)]
+        tail = [Assign(counter, Binary("+", Var(counter), IntLit(1)), loc=loc)]
+    elif kind == "foreach_list":
+        iter_type = iterator_of(loop.elem_type)
+        pre = [VarDecl(iter_type, counter, Builtin("iterator", [loop.collection]), loc=loc)]
+        params.append(Param(counter, iter_type))
+        guard = Builtin("hasNext", [Var(counter)])
+        head = [VarDecl(loop.elem_type, loop.elem_name, Builtin("next", [Var(counter)]),
+                        loc=loc)]
     else:
-        cname = plan.coll_name
-        hoist = [VarDecl(coll_type, cname, loop.collection, loc=loop.loc)]
-        coll_param = Param(cname, coll_type)
-        rest = list(plan.analysis.params)
-    params = [coll_param] + rest + [Param(index_name, INT)]
-    guard = Binary("<", Var(index_name), Length(Var(cname)))
-    seq = hoist + [
-        VarDecl(INT, index_name, IntLit(0), loc=loop.loc),
-        If(guard, _invoke_seq(plan, params, loop.loc), loc=loop.loc),
-    ]
-    replacement = _maybe_block(seq, opts, loop.loc)
-    core = (
-        [VarDecl(loop.elem_type, loop.elem_name, Index(Var(cname), Var(index_name)), loc=loop.loc)]
-        + list(loop.body)
-        + [Assign(index_name, Binary("+", Var(index_name), IntLit(1)), loc=loop.loc)]
-    )
-    gen = _gen_method(plan, opts, params, core, guard, loop.loc)
+        guard = loop.cond
+        if kind == "for":
+            pre = list(loop.init)
+            if opts.mutation != Mutation.DROP_FOR_UPDATE:
+                tail = list(loop.update)
+    first = _invoke_seq(plan, params, loc)
+    if kind != "do":
+        first = [If(guard, first, loc=loc)]
+    replacement = pre + first
+    # the guard's braces scope a while's result variable; any other kind's
+    # replacement gets a block, elided when optimizing if it declares nothing
+    declares = any(isinstance(st, VarDecl)
+                   or (isinstance(st, CallAssign) and st.decl_type is not None)
+                   for st in replacement)
+    if kind != "while" and (declares or not opts.optimize):
+        replacement = [Block(replacement, loc=loc)]
+    gen = _gen_method(plan, opts, params, head + list(loop.body) + tail, guard, loc)
     return replacement, gen
-
-
-def transform_foreach_iterable(loop: Foreach, plan: _PlannedLoop, opts: TransformOptions):
-    """List traversal threads an iterator instead of a counter: hasNext guards
-    both calls and next() yields the element at the top of the method."""
-    iter_type = iterator_of(loop.elem_type)
-    iterator_name = plan.iterator_name
-    params = list(plan.analysis.params) + [Param(iterator_name, iter_type)]
-    guard = Builtin("hasNext", [Var(iterator_name)])
-    seq = [
-        VarDecl(iter_type, iterator_name, Builtin("iterator", [loop.collection]), loc=loop.loc),
-        If(guard, _invoke_seq(plan, params, loop.loc), loc=loop.loc),
-    ]
-    replacement = _maybe_block(seq, opts, loop.loc)
-    core = (
-        [VarDecl(loop.elem_type, loop.elem_name, Builtin("next", [Var(iterator_name)]),
-                 loc=loop.loc)]
-        + list(loop.body)
-    )
-    gen = _gen_method(plan, opts, params, core, guard, loop.loc)
-    return replacement, gen
-
-
-_TEMPLATES = {
-    "while": transform_while,
-    "do": transform_do,
-    "for": transform_for,
-    "foreach_array": transform_foreach_array,
-    "foreach_list": transform_foreach_iterable,
-}
 
 
 # ------------------------------------------------------------------- driver
 
 
-def _plan(program: Program, opts: TransformOptions) -> dict:
+def _plan(program: Program, opts: TransformOptions) -> list:
     """Analyze every loop against the untouched program, allocating fresh
     names in document order (an outer loop is named before its inner loops),
-    and decide its template and packing; the walk that finds the loops also
-    numbers them. Each method is walked once, into the event tape that both
-    the fresh names and the loop analyses read; dropped on return."""
+    and decide its kind, packing and report; the walk that finds the loops
+    also numbers them, so a plan's place in the list is its loop id. Each
+    method is walked once, into the event tape that both the fresh names and
+    the loop analyses read; dropped on return."""
     facts = {}
     alloc = NameAllocator(program, facts)
-    plans = {}
+    plans = []
     for loop_id, (method, loop) in enumerate(program_loops(program)):
         loop.loop_id = loop_id
         analysis = analyze_loop(loop, method, program, optimize=opts.optimize,
@@ -291,50 +237,41 @@ def _plan(program: Program, opts: TransformOptions) -> dict:
         returned = list(analysis.live_after if opts.optimize else analysis.params)
         if opts.mutation == Mutation.OMIT_RETURN_VAR:
             returned = returned[:-1]
-        plan = _PlannedLoop(analysis, loop_kind(loop), method.name,
-                            packing_for(returned, opts.optimize), returned)
-        if plan.kind == "foreach":
+        kind = loop_kind(loop)
+        counter = coll_name = None
+        if kind == "foreach":
             ty = static_type(loop.collection, facts[id(method)].scope_at(loop))
             if ty is not None and ty.kind == "list":
-                plan.kind = "foreach_list"
-                plan.iterator_name = alloc.fresh("it")
+                kind = "foreach_list"
+                counter = alloc.fresh("it")
             else:
-                plan.kind = "foreach_array"
-                plan.index_name = alloc.fresh("index")
+                kind = "foreach_array"
+                counter = alloc.fresh("index")
                 if not isinstance(loop.collection, Var):
-                    plan.coll_name = alloc.fresh("coll")
-        plans[loop_id] = plan
+                    coll_name = alloc.fresh("coll")
+        report = LoopReport(loop_id, kind, method.name, analysis.loop_method_name,
+                            packing_for(returned, opts.optimize), loop.loc)
+        plans.append(_PlannedLoop(analysis, report, returned, counter, coll_name))
     return plans
 
 
-def _rewrite_seq(stmts: list, opts: TransformOptions, plans: dict, generated: list,
-                 report: list) -> list:
+def _rewrite_seq(stmts: list, opts: TransformOptions, plans: list, generated: list) -> list:
     out = []
     for st in stmts:
         if is_loop(st):
-            body = _rewrite_seq(st.body, opts, plans, generated, report)
-            plan = plans[st.loop_id]
-            repl, gen = _TEMPLATES[plan.kind](replace(st, body=body), plan, opts)
+            body = _rewrite_seq(st.body, opts, plans, generated)
+            repl, gen = _rewrite_loop(replace(st, body=body), plans[st.loop_id], opts)
             generated.append(gen)
-            report.append(LoopReport(
-                loop_id=st.loop_id,
-                kind=plan.kind,
-                in_method=plan.in_method,
-                loop_method_name=plan.analysis.loop_method_name,
-                packing=plan.packing,
-                loc=st.loc,
-            ))
             out.extend(repl)
         elif st.__class__ is If:
             out.append(If(
                 st.cond,
-                _rewrite_seq(st.then, opts, plans, generated, report),
-                (_rewrite_seq(st.orelse, opts, plans, generated, report)
-                 if st.orelse else st.orelse),
+                _rewrite_seq(st.then, opts, plans, generated),
+                _rewrite_seq(st.orelse, opts, plans, generated) if st.orelse else st.orelse,
                 loc=st.loc,
             ))
         elif st.__class__ is Block:
-            out.append(Block(_rewrite_seq(st.body, opts, plans, generated, report), loc=st.loc))
+            out.append(Block(_rewrite_seq(st.body, opts, plans, generated), loc=st.loc))
         else:
             out.append(st)
     return out
@@ -343,24 +280,21 @@ def _rewrite_seq(stmts: list, opts: TransformOptions, plans: dict, generated: li
 def analyze_program(program: Program, optimize: bool = True) -> list:
     """Per-loop analyses with the names the rewrite would use, in document
     order: (loop_id, kind, enclosing method, LoopAnalysis)."""
-    opts = TransformOptions(optimize=optimize)
-    plans = _plan(program, opts)
-    return [(loop_id, plan.kind, plan.in_method, plan.analysis)
-            for loop_id, plan in plans.items()]
+    plans = _plan(program, TransformOptions(optimize=optimize))
+    return [(p.report.loop_id, p.report.kind, p.report.in_method, p.analysis) for p in plans]
 
 
 def transform_program(program: Program, opts: Optional[TransformOptions] = None) -> TransformResult:
     """Rewrite every loop in the program; generated methods are appended after
-    the originals in creation order (innermost loops first). Loop-free
-    programs come back unchanged with an empty report."""
+    the originals in creation order (innermost loops first), and the report
+    lists the loops by id. Loop-free programs come back unchanged with an
+    empty report."""
     opts = opts or TransformOptions()
     plans = _plan(program, opts)
     generated: list = []
-    report: list = []
     methods = []
     for m in program.methods:
-        body = _rewrite_seq(m.body, opts, plans, generated, report)
+        body = _rewrite_seq(m.body, opts, plans, generated)
         methods.append(MethodDef(m.ret_type, m.name, m.params, body, loc=m.loc))
     out = Program(methods + generated, entry=program.entry)
-    report.sort(key=lambda r: r.loop_id)
-    return TransformResult(out, report)
+    return TransformResult(out, [p.report for p in plans])

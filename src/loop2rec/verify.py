@@ -199,13 +199,12 @@ class LoopCallEquality:
         return self.iterations == self.entries
 
 
-def iteration_call_equality(program: Program, budget: int = DEFAULT_BUDGET,
-                            opts: Optional[TransformOptions] = None) -> list:
+def iteration_call_equality(program: Program) -> list:
     """Per loop: iteration count in the original run vs entry count of its
     generated method in the transformed run. They must agree exactly."""
-    result = transform_program(program, opts)
-    original = run(program, budget=budget)
-    transformed = run(result.program, budget=budget)
+    result = transform_program(program)
+    original = run(program)
+    transformed = run(result.program)
     return _loop_equalities(result, original, transformed)
 
 
@@ -269,7 +268,6 @@ def fuzz_campaign(n: int, cfg: Optional[GenConfig] = None,
         left = _outcome(program, budget)
         right = _outcome(result.program, budget)
         report = _compare(program, left, right)
-        report.seed = seed
 
         summary.total += 1
         if "budget" in (left[0], right[0]):

@@ -193,3 +193,115 @@ def test_the_try_check_sees_a_handler_that_catches():
     copy = (inspect.getsource(interp._print)
             + "    try:\n        pass\n    except InterpError:\n        raise\n")
     assert functions_with_try(ast.parse(copy), HANDLERS) == ["_print"]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def defaulted_parameters(module: ast.Module) -> list:
+    """(owner class or None, function, parameter, position) for every
+    parameter with a default of a function or method in `module`. A
+    method's positions are counted without `self`; a keyword-only
+    parameter's position is None."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, FUNCTIONS):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if owner is not None and not static else 0
+                for i in range(len(positional) - len(a.defaults), len(positional)):
+                    out.append((owner, child.name, positional[i].arg, i - skip))
+                out.extend((owner, child.name, arg.arg, None)
+                           for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default)
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(module, None)
+    return out
+
+
+def class_ancestors(modules: list) -> dict:
+    """Class name -> the class and its ancestors among the classes the
+    modules define."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for module in modules for node in ast.walk(module)
+             if isinstance(node, ast.ClassDef)}
+
+    def line(name):
+        return [name] + [a for b in bases.get(name, ()) if b in bases for a in line(b)]
+
+    return {name: line(name) for name in bases}
+
+
+def unpassed_defaults(defining: dict, calling: list) -> list:
+    """`module.[Class.]function(parameter)` for each defaulted parameter of a
+    function in `defining` (stem -> module) that no call in `calling`
+    passes: by keyword, by enough positional arguments to reach it, or by
+    `*`/`**` unpacking. A call is matched by its bare or attribute name; a
+    call to a class also counts for the `__init__` of the class and of each
+    of its ancestors."""
+    ancestors = class_ancestors(list(defining.values()))
+    calls = {}  # name -> [(positional count, keywords, unpacks)]
+    inits = {}  # class -> the calls that reach its `__init__`
+    for module in calling:
+        for node in ast.walk(module):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+            call = (positional, keywords, None in keywords or positional < len(node.args))
+            calls.setdefault(name, []).append(call)
+            for owner in ancestors.get(name, ()):
+                inits.setdefault(owner, []).append(call)
+    out = []
+    for stem, module in defining.items():
+        for owner, function, param, position in defaulted_parameters(module):
+            passes = calls.get(function, [])
+            if function == "__init__":
+                passes = passes + inits.get(owner, [])
+            if not any(unpacks or param in keywords
+                       or (position is not None and count > position)
+                       for count, keywords, unpacks in passes):
+                out.append(f"{stem}.{owner + '.' if owner else ''}{function}({param})")
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calling = [parse_file(path) for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    defining = {path.stem: parse_file(path) for path in MODULES}
+    assert unpassed_defaults(defining, calling) == []
+
+
+def test_the_parameter_check_sees_unpassed_defaults():
+    module = ast.parse(
+        "class Base:\n"
+        "    def __init__(self, a, loc=None): pass\n"
+        "class Child(Base):\n"
+        "    def put(self, x, y=1, *, z=2): pass\n"
+        "    @staticmethod\n"
+        "    def make(x=0): pass\n"
+        "class Other:\n"
+        "    def __init__(self, a=1): pass\n"
+        "def f(a, b=1, c=2, d=3):\n"
+        "    def inner(q=1): pass\n"
+        "    inner()\n"
+        "def g(x=0): pass\n"
+        "def h(x=0, y=0): pass\n"
+        "def k(x=0): pass\n"
+        "Child(1, 2).put(1, 2)\n"
+        "Child.make(5)\n"
+        "f(1, c=2)\n"
+        "h(*args)\n"
+        "k(**opts)\n")
+    assert unpassed_defaults({"m": module}, [module]) == [
+        "m.Child.put(z)", "m.Other.__init__(a)", "m.f(b)", "m.f(d)", "m.inner(q)", "m.g(x)"]

@@ -32,7 +32,7 @@ from loop2rec.parser import parse
 from loop2rec.printer import pretty_print
 from loop2rec.transform import Mutation, TransformOptions, transform_program
 
-from conftest import CORPUS_FILES, TERMINATING, corpus_text
+from conftest import CORPUS_FILES, ROOT, TERMINATING, corpus_text
 
 GENERIC = TransformOptions(optimize=False)
 
@@ -412,7 +412,7 @@ def test_mutant_rewrites_are_pinned():
     assert h.hexdigest() == MUTANT_PIN_SHA256
 
 
-# every collection form the checker accepts -> the template the rewrite picks
+# every collection form the checker accepts -> the foreach kind the rewrite picks
 FOREACH_FORMS = {
     "var_array": ("double[] xs = new double[] { 1.5, 2.5 };", "xs", "foreach_array"),
     "var_list": ("List<double> xs = new List<double> { 1.5, 2.5 };", "xs", "foreach_list"),
@@ -445,3 +445,53 @@ def test_foreach_kind_follows_the_collection_type(form, optimize):
     assert [r.kind for r in result.report] == [kind]
     assert check_semantics(result.program) == []
     assert run(result.program).prints == ["4.0"]
+
+
+# One loop of each kind and replacement shape, as the body of `main`. The
+# exact printed rewrite of each, in both modes, is held in
+# tests/rewrite_shapes.txt under a `== <name> <mode>` line.
+SHAPES = {
+    "while": "int n = 2; while (n > 0) { n = n - 1; } print(n);",
+    "do_none_live": "int n = 2; do { print(n); n = n - 1; } while (n > 0);",
+    "do_one_live": "int n = 2; do { n = n - 1; } while (n > 0); print(n);",
+    "do_two_live": "int n = 2; int s = 0; do { s = s + n; n = n - 1; } while (n > 0); "
+                   "print(s + n);",
+    "for_declaring_init": "int s = 0; for (int i = 0; i < 2; i = i + 1) { s = s + i; } "
+                          "print(s);",
+    "for_assigning_init": "int i = 5; int s = 0; for (i = 0; i < 2; i = i + 1) { s = s + i; } "
+                          "print(s);",
+    "for_empty_init": "int i = 0; for (; i < 2; i = i + 1) { print(i); }",
+    "array_var": "double[] xs = new double[] { 1.5 }; double s = 0.0; "
+                 "for (double v : xs) { s = s + v; } print(s);",
+    "array_literal": "double s = 0.0; for (double v : new double[] { 1.5 }) { s = s + v; } "
+                     "print(s);",
+    "list_var": "List<double> xs = new List<double> { 1.5 }; double s = 0.0; "
+                "for (double v : xs) { s = s + v; } print(s);",
+    "list_literal": "double s = 0.0; for (double v : new List<double> { 1.5 }) { s = s + v; } "
+                    "print(s);",
+}
+MODES = {"optimized": TransformOptions(), "generic": GENERIC}
+
+
+def golden_shapes() -> dict:
+    """(name, mode) -> expected text, from tests/rewrite_shapes.txt."""
+    text = (ROOT / "tests" / "rewrite_shapes.txt").read_text(encoding="utf-8")
+    out, key = {}, None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("== "):
+            key = tuple(line.split()[1:])
+            out[key] = ""
+        else:
+            out[key] += line
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_each_loop_kind_rewrites_to_its_exact_shape(name, mode):
+    p = parse(f"void main() {{ {SHAPES[name]} }}")
+    assert check_semantics(p) == []
+    result = transform_program(p, MODES[mode])
+    assert pretty_print(result.program) == golden_shapes()[name, mode]
+    assert check_semantics(result.program) == []
+    assert run(result.program).prints == run(p).prints

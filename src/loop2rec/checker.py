@@ -64,10 +64,41 @@ class SemanticError:
         return f"{where}: {self.message}"
 
 
-_CMP_OPS = ("<", "<=", ">", ">=")
-_EQ_OPS = ("==", "!=")
-_ARITH_OPS = ("+", "-", "*", "/")
-_BOOL_OPS = ("&&", "||")
+def _arithmetic(lt: Type, rt: Type) -> Optional[Type]:
+    return (DOUBLE if DOUBLE in (lt, rt) else INT) if is_numeric(lt) and is_numeric(rt) else None
+
+
+def _comparison(lt: Type, rt: Type) -> Optional[Type]:
+    return BOOL if is_numeric(lt) and is_numeric(rt) else None
+
+
+def _equality(lt: Type, rt: Type) -> Optional[Type]:
+    return BOOL if (is_numeric(lt) and is_numeric(rt)) or lt == rt == BOOL else None
+
+
+def _logical(lt: Type, rt: Type) -> Optional[Type]:
+    return BOOL if lt == rt == BOOL else None
+
+
+# Binary operator -> (its rule, which gives the result type of two operand
+# types or None where they do not fit; the rule's one message form).
+_NUMERIC = "needs numeric operands, got"
+_BINARY_RULES = {
+    **dict.fromkeys(("+", "-", "*", "/"), (_arithmetic, _NUMERIC)),
+    **dict.fromkeys(("<", "<=", ">", ">="), (_comparison, _NUMERIC)),
+    **dict.fromkeys(("==", "!="), (_equality, "cannot compare")),
+    **dict.fromkeys(("&&", "||"), (_logical, "needs bool operands, got")),
+}
+
+# Builtin -> (what its one argument must be, a test of the argument's type,
+# the result type from it); `nan` takes no argument and is a double.
+_BUILTINS = {
+    "nan": None,
+    "abs": ("a numeric argument", is_numeric, lambda t: t),
+    "iterator": ("a list", lambda t: t.kind == "list", lambda t: Type("iterator", t.elem)),
+    "hasNext": ("an iterator", lambda t: t.kind == "iterator", lambda t: BOOL),
+    "next": ("an iterator", lambda t: t.kind == "iterator", lambda t: t.elem),
+}
 
 
 class _Checker:
@@ -83,12 +114,27 @@ class _Checker:
 
     # ------------------------------------------------------------ scopes
 
-    def declare(self, loc, name: str, ty: Type) -> None:
+    def declare(self, loc, name: str, ty: Type, got: Optional[Type]) -> None:
+        """Bring `name` into scope as a `ty` initialized from a `got` (None:
+        untyped, or nothing to check)."""
+        if got is not None and got != ty:
+            self.error(loc, f"cannot initialize {ty} '{name}' from {got}")
         if name in self.visible:
             self.error(loc, f"'{name}' shadows a variable already in scope")
             return
         self.visible[name] = ty
         self.undo[-1].append(name)
+
+    def target(self, loc, name: str) -> Optional[Type]:
+        """The type of an assigned name, or None after reporting it undeclared."""
+        ty = self.visible.get(name)
+        if ty is None:
+            self.error(loc, f"assignment to undeclared variable '{name}'")
+        return ty
+
+    def check_assign(self, loc, name: str, want: Optional[Type], got: Optional[Type]) -> None:
+        if want is not None and got is not None and got != want:
+            self.error(loc, f"cannot assign {got} to {want} '{name}'")
 
     def close_scope(self) -> None:
         for name in self.undo.pop():
@@ -108,7 +154,7 @@ class _Checker:
         self.current = m
         self.undo.append([])
         for p in m.params:
-            self.declare(m.loc, p.name, p.type)
+            self.declare(m.loc, p.name, p.type, None)
         self.check_seq(m.body)
         self.close_scope()
         if m.ret_type != VOID and not (m.body and isinstance(m.body[-1], Return)):
@@ -138,22 +184,13 @@ class _Checker:
 
     def check_stmt(self, st) -> None:
         if isinstance(st, VarDecl):
-            got = self.expr_type(st.init, st.loc)
-            if got is not None and got != st.type:
-                self.error(st.loc, f"cannot initialize {st.type} '{st.name}' from {got}")
-            self.declare(st.loc, st.name, st.type)
+            self.declare(st.loc, st.name, st.type, self.expr_type(st.init, st.loc))
         elif isinstance(st, Assign):
-            want = self.visible.get(st.name)
-            if want is None:
-                self.error(st.loc, f"assignment to undeclared variable '{st.name}'")
-            got = self.expr_type(st.value, st.loc)
-            if want is not None and got is not None and got != want:
-                self.error(st.loc, f"cannot assign {got} to {want} '{st.name}'")
+            want = self.target(st.loc, st.name)
+            self.check_assign(st.loc, st.name, want, self.expr_type(st.value, st.loc))
         elif isinstance(st, AssignIndex):
-            base = self.visible.get(st.name)
-            if base is None:
-                self.error(st.loc, f"assignment to undeclared variable '{st.name}'")
-            elif base.kind != "array":
+            base = self.target(st.loc, st.name)
+            if base is not None and base.kind != "array":
                 self.error(st.loc, f"'{st.name}' is {base}, not an indexable array")
             idx = self.expr_type(st.index, st.loc)
             if idx is not None and idx != INT:
@@ -164,15 +201,9 @@ class _Checker:
         elif isinstance(st, CallAssign):
             got = self.check_call(st.method, st.args, st.loc)
             if st.decl_type is not None:
-                if got is not None and got != st.decl_type:
-                    self.error(st.loc, f"cannot initialize {st.decl_type} '{st.target}' from {got}")
-                self.declare(st.loc, st.target, st.decl_type)
+                self.declare(st.loc, st.target, st.decl_type, got)
             elif st.target is not None:
-                want = self.visible.get(st.target)
-                if want is None:
-                    self.error(st.loc, f"assignment to undeclared variable '{st.target}'")
-                elif got is not None and got != want:
-                    self.error(st.loc, f"cannot assign {got} to {want} '{st.target}'")
+                self.check_assign(st.loc, st.target, self.target(st.loc, st.target), got)
                 if got == VOID:
                     self.error(st.loc, f"method '{st.method}' is void and returns no value")
         elif isinstance(st, If):
@@ -204,7 +235,7 @@ class _Checker:
                     self.error(st.loc,
                                f"foreach element type {st.elem_type} does not match {ct}")
             self.undo.append([])
-            self.declare(st.loc, st.elem_name, st.elem_type)
+            self.declare(st.loc, st.elem_name, st.elem_type, None)
             self.check_seq(st.body)
             self.close_scope()
         elif isinstance(st, Block):
@@ -258,28 +289,13 @@ class _Checker:
             rt = self.expr_type(e.rhs, loc)
             if lt is None or rt is None:
                 return None
-            if e.op in _ARITH_OPS:
-                if not (is_numeric(lt) and is_numeric(rt)):
-                    self.error(loc, f"operator '{e.op}' needs numeric operands, got {lt} and {rt}")
-                    return None
-                return DOUBLE if DOUBLE in (lt, rt) else INT
-            if e.op in _CMP_OPS:
-                if not (is_numeric(lt) and is_numeric(rt)):
-                    self.error(loc, f"operator '{e.op}' needs numeric operands, got {lt} and {rt}")
-                    return None
-                return BOOL
-            if e.op in _EQ_OPS:
-                ok = (is_numeric(lt) and is_numeric(rt)) or (lt == BOOL and rt == BOOL)
-                if not ok:
-                    self.error(loc, f"operator '{e.op}' cannot compare {lt} and {rt}")
-                    return None
-                return BOOL
-            if e.op in _BOOL_OPS:
-                if lt != BOOL or rt != BOOL:
-                    self.error(loc, f"operator '{e.op}' needs bool operands, got {lt} and {rt}")
-                    return None
-                return BOOL
-            raise ValueError(f"unknown operator {e.op}")
+            rule = _BINARY_RULES.get(e.op)
+            if rule is None:
+                raise ValueError(f"unknown operator {e.op}")
+            ty = rule[0](lt, rt)
+            if ty is None:
+                self.error(loc, f"operator '{e.op}' {rule[1]} {lt} and {rt}")
+            return ty
         if isinstance(e, Unary):
             ot = self.expr_type(e.operand, loc)
             if ot is None:
@@ -342,44 +358,23 @@ class _Checker:
         raise TypeError(f"unknown expression: {e!r}")
 
     def builtin_type(self, e: Builtin, loc) -> Optional[Type]:
-        def arity(n: int) -> bool:
-            if len(e.args) != n:
-                self.error(loc, f"{e.name}() expects {n} argument(s), got {len(e.args)}")
-                return False
-            return True
-
-        if e.name == "nan":
-            arity(0)
+        if e.name not in _BUILTINS:
+            raise ValueError(f"unknown builtin {e.name}")
+        rule = _BUILTINS[e.name]
+        arity = 0 if rule is None else 1
+        if len(e.args) != arity:
+            self.error(loc, f"{e.name}() expects {arity} argument(s), got {len(e.args)}")
+            return None if rule else DOUBLE
+        if rule is None:
             return DOUBLE
-        if e.name == "abs":
-            if not arity(1):
-                return None
-            at = self.expr_type(e.args[0], loc)
-            if at is not None and not is_numeric(at):
-                self.error(loc, f"abs() needs a numeric argument, got {at}")
-                return None
-            return at
-        if e.name == "iterator":
-            if not arity(1):
-                return None
-            at = self.expr_type(e.args[0], loc)
-            if at is None:
-                return None
-            if at.kind != "list":
-                self.error(loc, f"iterator() needs a list, got {at}")
-                return None
-            return Type("iterator", at.elem)
-        if e.name in ("hasNext", "next"):
-            if not arity(1):
-                return None
-            at = self.expr_type(e.args[0], loc)
-            if at is None:
-                return None
-            if at.kind != "iterator":
-                self.error(loc, f"{e.name}() needs an iterator, got {at}")
-                return None
-            return BOOL if e.name == "hasNext" else at.elem
-        raise ValueError(f"unknown builtin {e.name}")
+        needs, fits, result = rule
+        at = self.expr_type(e.args[0], loc)
+        if at is None:
+            return None
+        if not fits(at):
+            self.error(loc, f"{e.name}() needs {needs}, got {at}")
+            return None
+        return result(at)
 
 
 def check_semantics(program: Program) -> list:

@@ -48,13 +48,13 @@ from .ast import (
 )
 
 LOOP_KINDS = ("while", "do", "for", "foreach_array", "foreach_list")
+MAX_STMTS = 5  # per body
 
 
 @record
 class GenConfig:
     seed: int = 0
     max_depth: int = 3  # loop nesting
-    max_stmts: int = 5  # per body
     max_loops: int = 4  # per program
     loop_weights: dict = {k: 1.0 for k in LOOP_KINDS}
     zero_guard_bias: float = 0.0  # probability a loop runs zero iterations
@@ -179,7 +179,7 @@ class _Gen:
 
     def body(self, scope: _Scope, depth: int, want_loop: bool = False) -> list:
         out = []
-        n = self.rng.randint(1, self.cfg.max_stmts)
+        n = self.rng.randint(1, MAX_STMTS)
         loop_slot = self.rng.randrange(n) if want_loop else -1
         for i in range(n):
             can_loop = self.loops_left > 0 and depth < self.cfg.max_depth

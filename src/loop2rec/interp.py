@@ -83,6 +83,7 @@ INT_MAX = 2**31 - 1
 
 class InterpError(Exception):
     kind = "Error"
+    trace = None  # the ExecTrace up to the error; None if no run began
 
     def __init__(self, message: str, loc: Optional[Loc] = None):
         self.message = message
@@ -992,14 +993,20 @@ def run(program: Program, budget: int = DEFAULT_BUDGET,
     """Execute the program from its entry method and report the observable
     trace. `tracer(rule, loc, frame_depth)` fires per rule application;
     `recorder` (a StateRecorder) snapshots frames after every state change.
-    Neither hook changes the run: steps, counts and results are the same."""
+    Neither hook changes the run: steps, counts and results are the same.
+    An InterpError raised once the run began carries the trace so far."""
     entry = program.method(program.entry)
     if entry is None:
         raise NoEntryMethodError(f"program has no entry method '{program.entry}'")
     if entry.params:
         raise NoEntryMethodError(f"entry method '{program.entry}' must take no parameters")
     r = _Run(program, budget, tracer, recorder)
-    r.invoke(entry.name, [], entry.loc)
+    try:
+        r.invoke(entry.name, [], entry.loc)
+    except InterpError as err:
+        r.trace.steps = r.steps
+        err.trace = r.trace
+        raise
     assert len(r.state.frames) == 1, "frame imbalance"
     top = r.state.top()
     r.trace.final_bindings = {k: _box(v) for k, v in top.bindings.items()}

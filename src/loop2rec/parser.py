@@ -179,6 +179,11 @@ def _double_value(at: tuple, text: str) -> float:
     return value
 
 
+def _bind(name: str, ty: Type | None, value: Expr, loc: Loc) -> Stmt:
+    """`name = value` as an Assign, or with a type `ty` as a VarDecl."""
+    return Assign(name, value, loc=loc) if ty is None else VarDecl(ty, name, value, loc=loc)
+
+
 class _Parser:
     """Recursive descent over the `(kind, text, line, col)` tuples of
     `tokenize`, so `t[0]` is a token's kind, `t[1]` its text and `t[2]`,
@@ -346,7 +351,14 @@ class _Parser:
         kind, text, line, col = self.toks[self.pos]
         loc = Loc(line, col)
         if kind == "ident":
-            st = self.parse_assign_or_call(loc)
+            if self.at_sym("[", 1):  # a cell write, which no `for` update may be
+                self.pos += 2
+                index = self.parse_expr()
+                self.expect_sym("]")
+                self.expect_sym("=")
+                st = AssignIndex(text, index, self.parse_expr(), loc=loc)
+            else:
+                st = self.parse_assign_or_call(loc)
             self.expect_sym(";")
             return st
         if text == "if":
@@ -409,46 +421,37 @@ class _Parser:
     def parse_return_value(self) -> Expr:
         if self.at_call():
             name = self.next()[1]
-            args = self.parse_call_args()
-            return Call(name, args)
+            return Call(name, self.parse_expr_list("(", ")"))
         return self.parse_expr()
 
     def parse_decl(self, loc: Loc) -> Stmt:
-        """`type name = expr` or the declaring call form `type name = f(...)`."""
+        """`type name = ...`, a declaration or a declaring call."""
+        ty = self.parse_decl_type()
+        name = self.expect_ident("variable name")[1]
+        self.expect_sym("=")
+        return self.parse_value(name, ty, loc)
+
+    def parse_decl_type(self) -> Type:
         ty = self.parse_type()
         if ty == VOID:
             raise self.fail("a non-void declaration type")
-        name = self.expect_ident("variable name")[1]
-        self.expect_sym("=")
-        if self.at_call():
-            mname = self.next()[1]
-            args = self.parse_call_args()
-            return CallAssign(name, mname, args, decl_type=ty, loc=loc)
-        init = self.parse_expr()
-        return VarDecl(ty, name, init, loc=loc)
+        return ty
 
     def parse_assign_or_call(self, loc: Loc) -> Stmt:
-        name = self.expect_ident()[1]
+        """`f(...)` or `name = ...`: a statement or a `for` update."""
+        name = self.expect_ident("variable name")[1]
         if self.at_sym("("):
-            args = self.parse_call_args()
-            return CallAssign(None, name, args, loc=loc)
-        if self.at_sym("["):
-            self.pos += 1
-            index = self.parse_expr()
-            self.expect_sym("]")
-            self.expect_sym("=")
-            value = self.parse_expr()
-            return AssignIndex(name, index, value, loc=loc)
+            return CallAssign(None, name, self.parse_expr_list("(", ")"), loc=loc)
         self.expect_sym("=")
-        if self.at_call():
-            mname = self.next()[1]
-            args = self.parse_call_args()
-            return CallAssign(name, mname, args, loc=loc)
-        value = self.parse_expr()
-        return Assign(name, value, loc=loc)
+        return self.parse_value(name, None, loc)
 
-    def parse_call_args(self) -> list:
-        return self.parse_expr_list("(", ")")
+    def parse_value(self, name: str, ty: Type | None, loc: Loc) -> Stmt:
+        """What follows `[type] name =`: a call gives a CallAssign, declaring
+        iff `ty` is a type; anything else a VarDecl or an Assign."""
+        if self.at_call():
+            method = self.next()[1]
+            return CallAssign(name, method, self.parse_expr_list("(", ")"), decl_type=ty, loc=loc)
+        return _bind(name, ty, self.parse_expr(), loc)
 
     def parse_for(self, loc: Loc) -> Stmt:
         self.expect_kw("for")
@@ -466,69 +469,31 @@ class _Parser:
                 body = self.parse_body(in_loop=True)
                 return Foreach(elem_type, elem, coll, body, loop_id=loop_id, loc=loc)
             self.pos = save
-        init = self.parse_for_init()
+        init = [] if self.at_sym(";") else self.parse_for_init()
         self.expect_sym(";")
         cond = BoolLit(True) if self.at_sym(";") else self.parse_expr()
         self.expect_sym(";")
-        update = self.parse_for_update()
+        update = [] if self.at_sym(")") else [self.parse_assign_or_call(self.loc())]
+        while self.at_sym(","):
+            self.pos += 1
+            update.append(self.parse_assign_or_call(self.loc()))
         self.expect_sym(")")
         body = self.parse_body(in_loop=True)
         return For(init, cond, update, body, loop_id=loop_id, loc=loc)
 
     def parse_for_init(self) -> list:
-        if self.at_sym(";"):
-            return []
+        """`type d1 = e1, d2 = e2` or `n1 = e1, n2 = e2`, every part at the
+        header's first token; no call, as in any expression."""
         loc = self.loc()
-        if self.at_type():
-            ty = self.parse_type()
-            if ty == VOID:
-                raise self.fail("a non-void declaration type")
-            decls = []
-            while True:
-                name = self.expect_ident("variable name")[1]
-                self.expect_sym("=")
-                init = self.parse_expr()
-                decls.append(VarDecl(ty, name, init, loc=loc))
-                if self.at_sym(","):
-                    self.pos += 1
-                    continue
-                break
-            return decls
-        assigns = []
+        ty = self.parse_decl_type() if self.at_type() else None
+        init = []
         while True:
             name = self.expect_ident("variable name")[1]
             self.expect_sym("=")
-            value = self.parse_expr()
-            assigns.append(Assign(name, value, loc=loc))
-            if self.at_sym(","):
-                self.pos += 1
-                continue
-            break
-        return assigns
-
-    def parse_for_update(self) -> list:
-        if self.at_sym(")"):
-            return []
-        updates = []
-        while True:
-            loc = self.loc()
-            name = self.expect_ident("variable name")[1]
-            if self.at_sym("("):
-                args = self.parse_call_args()
-                updates.append(CallAssign(None, name, args, loc=loc))
-            else:
-                self.expect_sym("=")
-                if self.at_call():
-                    mname = self.next()[1]
-                    args = self.parse_call_args()
-                    updates.append(CallAssign(name, mname, args, loc=loc))
-                else:
-                    updates.append(Assign(name, self.parse_expr(), loc=loc))
-            if self.at_sym(","):
-                self.pos += 1
-                continue
-            break
-        return updates
+            init.append(_bind(name, ty, self.parse_expr(), loc))
+            if not self.at_sym(","):
+                return init
+            self.pos += 1
 
     # ------------------------------------------------------------ expressions
 
@@ -615,7 +580,7 @@ class _Parser:
             return Length(self.parse_enclosed("(", ")"))
         if text in BUILTIN_NAMES:
             self.pos += 1
-            return Builtin(text, self.parse_call_args())
+            return Builtin(text, self.parse_expr_list("(", ")"))
         if text == "new":
             return self.parse_collection_literal()
         raise self.fail("an expression")

@@ -206,12 +206,10 @@ def _rewrite_loop(loop: Stmt, plan: _PlannedLoop, opts: TransformOptions):
     if kind != "do":
         first = [If(guard, first, loc=loc)]
     replacement = pre + first
-    # the guard's braces scope a while's result variable; any other kind's
-    # replacement gets a block, elided when optimizing if it declares nothing
-    declares = any(isinstance(st, VarDecl)
-                   or (isinstance(st, CallAssign) and st.decl_type is not None)
-                   for st in replacement)
-    if kind != "while" and (declares or not opts.optimize):
+    # a block scopes what the replacement's top level declares: a for's
+    # init, a hoisted collection or counter, a do's result variable
+    if any(isinstance(st, VarDecl) or (isinstance(st, CallAssign) and st.decl_type is not None)
+           for st in replacement):
         replacement = [Block(replacement, loc=loc)]
     gen = _gen_method(plan, opts, params, head + list(loop.body) + tail, guard, loc)
     return replacement, gen

@@ -40,6 +40,7 @@ from .ast import (
 from .generator import GenConfig, generate
 from .interp import (
     DEFAULT_BUDGET,
+    CallDepthExceeded,
     ExecTrace,
     InterpError,
     StepBudgetExceeded,
@@ -56,7 +57,6 @@ MISMATCH = "mismatch"
 class DiffReport:
     verdict: str  # equivalent | mismatch
     detail: Optional[str] = None
-    seed: Optional[int] = None
     counters: dict = {}
 
     @property
@@ -126,27 +126,32 @@ def _compare(original: Program, left, right) -> DiffReport:
         counters["transformed_steps"] = rv.steps
         counters["transformed_entries"] = dict(rv.method_entries)
 
-    if ls == "budget" and rs == "budget":
-        return DiffReport(EQUIVALENT, counters=counters)
     if ls != rs:
         def describe(status, payload):
             return "ok" if status == "ok" else f"{payload.kind}: {payload.message}"
         return DiffReport(MISMATCH,
                           f"original: {describe(ls, lv)}; transformed: {describe(rs, rv)}",
                           counters=counters)
-    if ls == "error":
-        if lv.kind == rv.kind:
-            return DiffReport(EQUIVALENT, counters=counters)
+    if ls == "error" and lv.kind != rv.kind:
         return DiffReport(MISMATCH, f"error kinds differ: {lv.kind} vs {rv.kind}",
                           counters=counters)
-
-    for i, (a, b) in enumerate(zip(lv.prints, rv.prints)):
-        if a != b:
-            return DiffReport(MISMATCH, f"print[{i}]: {a!r} vs {b!r}", counters=counters)
-    if len(lv.prints) != len(rv.prints):
-        return DiffReport(MISMATCH,
-                          f"print count {len(lv.prints)} vs {len(rv.prints)}",
-                          counters=counters)
+    # A failed run is compared on what it printed before it failed. The
+    # rewrite takes more steps, and a loop open on a recursive path holds one
+    # more frame, so when the budget or the call depth runs out it may have
+    # printed less.
+    lt, rt = (lv, rv) if ls == "ok" else (lv.trace, rv.trace)
+    if lt is None:  # no entry method on either side: neither run began
+        return DiffReport(EQUIVALENT, counters=counters)
+    a, b = lt.prints, rt.prints
+    if isinstance(lv, (StepBudgetExceeded, CallDepthExceeded)):
+        a = a[:len(b)]
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return DiffReport(MISMATCH, f"print[{i}]: {x!r} vs {y!r}", counters=counters)
+    if len(a) != len(b):
+        return DiffReport(MISMATCH, f"print count {len(a)} vs {len(b)}", counters=counters)
+    if ls != "ok":
+        return DiffReport(EQUIVALENT, counters=counters)
     for name in observable_vars(original):
         a = lv.final_bindings.get(name)
         b = rv.final_bindings.get(name)
@@ -161,10 +166,12 @@ def _compare(original: Program, left, right) -> DiffReport:
 
 def diff_run(program: Program, opts: Optional[TransformOptions] = None,
              budget: int = DEFAULT_BUDGET) -> DiffReport:
-    """Run the program and its transformed form; equivalent iff the print
-    traces match, the observable final bindings match value-for-value (doubles
-    bit-identical), and both terminate the same way (both finish, both exhaust
-    the budget, or both fail identically)."""
+    """Run the program and its transformed form; equivalent iff both
+    terminate the same way and print the same. Both finish, and the
+    observable final bindings and the result match value for value (doubles
+    bit-identical); or both fail with the same error kind after the same
+    prints; or both exhaust the budget or the call depth, the rewrite's
+    prints a prefix of the original's."""
     result = transform_program(program, opts)
     return _compare(program, _outcome(program, budget),
                     _outcome(result.program, budget))

@@ -27,6 +27,7 @@ from loop2rec.interp import (
     add_frame,
     eval_expr,
     rem_frame,
+    render_value,
     run,
     upd_r,
     upd_v,
@@ -418,6 +419,53 @@ def test_values_equal_is_bitwise_for_doubles():
     assert not values_equal(1, 1.0)
     assert not values_equal(0.0, -0.0)
     assert values_equal(1, IntV(1)) and values_equal(math.nan, DoubleV(math.nan))
+
+
+def final_bindings(body: str) -> dict:
+    return run(parse(f"void main() {{ {body} }}")).final_bindings
+
+
+def test_values_equal_compares_object_arrays_and_iterators():
+    xs = "List<int> xs = new List<int> { 1, 2 }; Iterator<int> it = iterator(xs);"
+    a = final_bindings(f"Object[] o = new Object[] {{ 1, true }}; {xs} int v = next(it);")
+    same = final_bindings(f"Object[] o = new Object[] {{ 1, true }}; {xs} int v = next(it);")
+    other = final_bindings(f"Object[] o = new Object[] {{ 1, false }}; {xs}")
+    longer = final_bindings(f"Object[] o = new Object[] {{ 1, true, 2 }}; {xs}")
+    assert values_equal(a["o"], same["o"]) and values_equal(a["it"], same["it"])
+    assert not values_equal(a["o"], other["o"]) and not values_equal(a["o"], longer["o"])
+    assert not values_equal(a["it"], other["it"])  # one position further on
+
+
+@pytest.mark.parametrize("expr, shown", [
+    ("new int[] { 1, 2 }", "[1, 2]"),
+    ("new List<double> { 1.5 }", "[1.5]"),
+    ("new Object[] { 1, true, 2.5 }", "[1, true, 2.5]"),
+    ("iterator(new List<int> { 7 })", "iterator(0)"),
+    ("-d", "-1.5"),
+    ("-(d - d)", "-0.0"),
+])
+def test_print_shows_collections_and_negated_doubles(expr, shown):
+    assert run(parse(f"void main() {{ double d = 1.5; print({expr}); }}")).prints == [shown]
+
+
+def test_boxed_values_render_as_print_shows_them():
+    bound = final_bindings("int i = 5; double d = -0.0; bool b = true;")
+    assert [render_value(bound[n]) for n in ("i", "d", "b")] == ["5", "-0.0", "true"]
+
+
+def test_a_runtime_error_carries_the_trace_so_far():
+    with pytest.raises(DivisionByZeroError) as exc:
+        run(parse("void main() { print(1); int n = 0; while (n < 2) { n = n + 1; } "
+                  "print(n / (n - n)); }"))
+    trace = exc.value.trace
+    assert trace.prints == ["1"] and trace.loop_iterations == {0: 2}
+    assert trace.steps == 9 and trace.method_entries == {"main": 1}
+    with pytest.raises(StepBudgetExceeded) as exc:
+        run(parse("void main() { print(1); while (true) { } }"), budget=50)
+    assert exc.value.trace.prints == ["1"] and exc.value.trace.steps == 51
+    with pytest.raises(InterpError) as exc:  # no entry method: no run began
+        run(parse("void helper() { }"))
+    assert exc.value.trace is None
 
 
 def test_values_are_immutable_and_compare_by_class_and_value():

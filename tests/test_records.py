@@ -29,7 +29,7 @@ from conftest import CORPUS_FILES, ROOT, corpus_text
 # so LoopReport too) and its analyze_program rows (LoopAnalysis), then one
 # ExecTrace, two DiffReports, a CampaignSummary, GenConfig() and
 # TransformOptions(), as the dataclass-decorated records printed them.
-RECORD_REPR_PIN_SHA256 = "44754da0535fe0076e6e07f1f4042746b9f19a7516605d5e9c1a0349a68c6f5a"
+RECORD_REPR_PIN_SHA256 = "ee73e3cf56fa6ba4d4970f546becd7a8815ba8183e3e603577197b749f7bf968"
 
 
 def test_record_reprs_are_pinned():

@@ -28,9 +28,10 @@ from loop2rec.ast import (
 from loop2rec.checker import check_semantics
 from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import run
-from loop2rec.parser import parse
+from loop2rec.parser import ParseError, parse
 from loop2rec.printer import pretty_print
 from loop2rec.transform import Mutation, TransformOptions, transform_program
+from loop2rec.verify import diff_run
 
 from conftest import CORPUS_FILES, ROOT, TERMINATING, corpus_text
 
@@ -495,3 +496,49 @@ def test_each_loop_kind_rewrites_to_its_exact_shape(name, mode):
     assert pretty_print(result.program) == golden_shapes()[name, mode]
     assert check_semantics(result.program) == []
     assert run(result.program).prints == run(p).prints
+
+
+# Each `for` header form, as the body of `main`, with the printed text of
+# the whole program: the parser, printer, checker, rewrite and diff agree on
+# all of them.
+FOR_HEADERS = {
+    "assigning_init": (
+        "int i = 9; int j = 9; for (i = 0, j = 3; i < j; i = i + 1) { print(i + j); } print(i);",
+        "void main() {\n    int i = 9;\n    int j = 9;\n"
+        "    for (i = 0, j = 3; i < j; i = i + 1) {\n        print(i + j);\n    }\n"
+        "    print(i);\n}\n"),
+    "empty_init_no_condition": (  # ends in a DivisionByZero on both sides
+        "int i = 0; for (;; i = i + 1) { print(10 / (3 - i)); }",
+        "void main() {\n    int i = 0;\n    for (; true; i = i + 1) {\n"
+        "        print(10 / (3 - i));\n    }\n}\n"),
+    "two_declarators": (
+        "int s = 0; for (int i = 0, j = 4; i < j; i = i + 1, j = j - 1) { s = s + j; } print(s);",
+        "void main() {\n    int s = 0;\n"
+        "    for (int i = 0, j = 4; i < j; i = i + 1, j = j - 1) {\n        s = s + j;\n    }\n"
+        "    print(s);\n}\n"),
+    "call_updates": (
+        "double d = 8.0; for (int i = 0; i < 3; i = i + 1, tick(i), d = half(d)) { print(d); } "
+        "print(d); } void tick(int i) { print(i); } double half(double x) { return x / 2.0;",
+        "void main() {\n    double d = 8.0;\n"
+        "    for (int i = 0; i < 3; i = i + 1, tick(i), d = half(d)) {\n        print(d);\n    }\n"
+        "    print(d);\n}\n\nvoid tick(int i) {\n    print(i);\n}\n\n"
+        "double half(double x) {\n    return x / 2.0;\n}\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(FOR_HEADERS))
+def test_for_header_forms_round_trip_rewrite_and_verify(name):
+    body, printed = FOR_HEADERS[name]
+    p = parse(f"void main() {{ {body} }}")
+    assert pretty_print(p) == printed
+    assert structural_eq(parse(printed), p)
+    assert check_semantics(p) == []
+    for opts in MODES.values():
+        rewritten = parse(pretty_print(transform_program(p, opts).program))
+        assert check_semantics(rewritten) == []
+        assert diff_run(p, opts).equivalent
+
+
+def test_cell_write_is_no_for_update():
+    with pytest.raises(ParseError, match=r"^1:51: expected '=', found \[$"):
+        parse("void main() { int[] a = new int[] { 0 }; for (;; a[0] = 1) { } }")

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from loop2rec import verify
 from loop2rec.generator import GenConfig, generate
+from loop2rec.interp import CallDepthExceeded, run
 from loop2rec.checker import check_semantics
-from loop2rec.ast import Foreach, is_loop, iter_stmts, program_loops, structural_eq
+from loop2rec.ast import CallAssign, Foreach, is_loop, iter_stmts, program_loops, structural_eq
 from loop2rec.parser import parse
-from loop2rec.transform import Mutation, TransformOptions, transform_program
+from loop2rec.transform import Mutation, TransformOptions, TransformResult, transform_program
 from loop2rec.verify import (
     diff_run,
     fuzz_campaign,
@@ -89,6 +91,92 @@ def test_omitted_return_var_caught():
     report = diff_run(parse(corpus_text("two_live.mj")),
                       TransformOptions(mutation=Mutation.OMIT_RETURN_VAR))
     assert not report.equivalent
+
+
+# Each way two runs can differ, shown by a stand-in for the rewrite: the
+# original's body, the rewrite's body and the verdict's detail (None:
+# equivalent), at a budget of 100 steps.
+LOOP_FOREVER = "while (true) { }"
+DETAILS = {
+    "error_kinds": ("int z = 1 / 0;", "int[] a = new int[] { }; print(a[0]);",
+                    "error kinds differ: DivisionByZero vs IndexOutOfBounds"),
+    "print_value": ("print(1); print(2);", "print(1); print(3);", "print[1]: '2' vs '3'"),
+    "print_count": ("print(1); print(2);", "print(1);", "print count 2 vs 1"),
+    "final_value": ("int x = 1; print(x);", "int x = 2; print(1);", "final value of 'x' differs"),
+    "same_error_same_prints": ("print(1); int z = 1 / 0;", "print(1); int z = 2 / 0;", None),
+    "same_error_other_prints": ("print(1); int z = 1 / 0;", "print(2); int z = 1 / 0;",
+                                "print[0]: '1' vs '2'"),
+    "same_error_fewer_prints": ("print(1); int z = 1 / 0;", "int z = 1 / 0;", "print count 1 vs 0"),
+    "budget_prefix": (f"print(1); print(2); {LOOP_FOREVER}", f"print(1); {LOOP_FOREVER}", None),
+    "budget_other_prints": (f"print(1); {LOOP_FOREVER}", f"print(2); {LOOP_FOREVER}",
+                            "print[0]: '1' vs '2'"),
+    "budget_more_prints": (LOOP_FOREVER, f"print(1); {LOOP_FOREVER}", "print count 0 vs 1"),
+}
+
+
+def diff_against(monkeypatch, original: str, rewritten: str, budget: int = 100):
+    """diff_run of `original` with `rewritten` standing in for its rewrite."""
+    monkeypatch.setattr(verify, "transform_program",
+                        lambda program, opts: TransformResult(parse(rewritten), []))
+    return diff_run(parse(original), budget=budget)
+
+
+@pytest.mark.parametrize("name", list(DETAILS))
+def test_each_difference_has_its_detail(monkeypatch, name):
+    original, rewritten, detail = DETAILS[name]
+    report = diff_against(monkeypatch, f"void main() {{ {original} }}",
+                          f"void main() {{ {rewritten} }}")
+    assert (report.verdict, report.detail) == ("equivalent" if detail is None else "mismatch",
+                                               detail)
+
+
+def test_entry_result_difference_has_its_detail(monkeypatch):
+    report = diff_against(monkeypatch, "int main() { return 1; }", "int main() { return 2; }")
+    assert (report.verdict, report.detail) == ("mismatch", "entry method result differs")
+
+
+WITNESS = """void main() { int x = 0; int n = 0;
+    while (n < 3) { x = x + 2; n = n + 1; }
+    print(x); print(n); %s }"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("ending, budget", [("int z = 1 / (n - n);", 1_000_000),
+                                            (LOOP_FOREVER, 20_000)])
+def test_a_failing_run_is_compared_on_its_prints(ending, budget, optimize):
+    # the stale `n` of the broken rewrite shows only in a print before the
+    # failure that both sides share
+    program = parse(WITNESS % ending)
+    assert diff_run(program, TransformOptions(optimize=optimize), budget=budget).equivalent
+    report = diff_run(program, TransformOptions(optimize=optimize,
+                                                mutation=Mutation.OMIT_RETURN_VAR), budget=budget)
+    assert (report.verdict, report.detail) == ("mismatch", "print[1]: '3' vs '0'")
+
+
+RECURSE = """void r(int n) {{ print({shown}); int i = 0; while (i < 1) {{ r(n + 1); i = i + 1; }} }}
+void main() {{ r(0); }}"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_call_depth_exhaustion_allows_a_prefix(optimize):
+    # the loop method's first call is not a tail call, so the rewrite holds
+    # two frames per level and stops at about half the original's depth
+    program = parse(RECURSE.format(shown="n"))
+    opts = TransformOptions(optimize=optimize)
+    prints = []
+    for p in (program, transform_program(program, opts).program):
+        with pytest.raises(CallDepthExceeded) as e:
+            run(p)
+        prints.append(e.value.trace.prints)
+    assert len(prints[1]) < len(prints[0]) and prints[1] == prints[0][:len(prints[1])]
+    report = diff_run(program, opts)
+    assert (report.verdict, report.detail) == ("equivalent", None)
+
+
+def test_call_depth_exhaustion_with_other_prints_is_a_mismatch(monkeypatch):
+    report = diff_against(monkeypatch, RECURSE.format(shown="n"),
+                          RECURSE.format(shown="n + 1"), budget=1_000_000)
+    assert (report.verdict, report.detail) == ("mismatch", "print[0]: '0' vs '1'")
 
 
 # ---------------------------------------------------------------- tail calls
@@ -205,6 +293,40 @@ def test_campaign_json_schema():
     payload = json.loads(summary.to_json())
     assert set(payload) == {"total", "equivalent", "mismatches", "tail_ok",
                             "iter_call_ok", "budget_exceedances"}
+
+
+# A void loop method: `n` is not read after the loop.
+VOID_LOOP = "void main() { int n = 3; while (n > 0) { n = n - 1; } }"
+
+
+def campaign_breaking(monkeypatch, breaks):
+    """A one-program campaign over VOID_LOOP whose rewrite `breaks` changes."""
+    rewrite = verify.transform_program
+
+    def broken(program, opts):
+        result = rewrite(program, opts)
+        breaks(result.program)
+        return result
+    monkeypatch.setattr(verify, "transform_program", broken)
+    monkeypatch.setattr(verify, "generate", lambda cfg: parse(VOID_LOOP))
+    return fuzz_campaign(1)
+
+
+def test_campaign_flags_a_self_call_out_of_tail_position(monkeypatch):
+    def bare_self_call(program):
+        again = program.method("main_loop").body[-1]  # if (n > 0) { return main_loop(n); }
+        call = again.then[0].value
+        again.then[0] = CallAssign(None, call.method, call.args)
+    summary = campaign_breaking(monkeypatch, bare_self_call)
+    assert (summary.equivalent, summary.tail_ok, summary.iter_call_ok) == (1, False, True)
+
+
+def test_campaign_flags_entries_that_are_not_iterations(monkeypatch):
+    def second_first_call(program):
+        first = program.method("main").body[-1]  # if (n > 0) { main_loop(n); }
+        first.then.append(first.then[0])
+    summary = campaign_breaking(monkeypatch, second_first_call)
+    assert (summary.equivalent, summary.tail_ok, summary.iter_call_ok) == (1, True, False)
 
 
 def test_campaign_catches_a_mutant():

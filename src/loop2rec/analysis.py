@@ -53,7 +53,7 @@ from .ast import (
     Assign,
     AssignIndex,
     Block,
-    CallAssign,
+    CallStmt,
     DoWhile,
     Expr,
     For,
@@ -143,28 +143,15 @@ class MethodFacts:
                 emit_names(st.value, names, kinds)
                 kinds.append(WRITE)
                 names.append(st.name)
-            elif cls is VarDecl or cls is CallAssign:
-                if cls is VarDecl:
-                    emit_names(st.init, names, kinds)
-                    declared, ty = st.name, st.type
-                else:
-                    kinds.append(CALL)
-                    names.append(st.method)
-                    for a in st.args:
-                        emit_names(a, names, kinds)
-                    declared, ty = st.target, st.decl_type
-                    if ty is None:  # a plain call, or an assignment
-                        if declared is not None:
-                            kinds.append(WRITE)
-                            names.append(declared)
-                        continue
+            elif cls is VarDecl:
+                emit_names(st.value, names, kinds)
                 kinds.append(DECLARE)
-                names.append(declared)
+                names.append(st.name)
                 if scope is not None:
                     if not owned:
                         scope, owned = dict(scope), True
-                    scope[declared] = ty
-            elif cls is Print or cls is Return:
+                    scope[st.name] = st.type
+            elif cls is Print or cls is Return or cls is CallStmt:
                 emit_names(st.value, names, kinds)
             elif cls is AssignIndex:
                 kinds.append(READ)

@@ -210,8 +210,9 @@ class Cast(Expr):
 
 @record
 class Call(Expr):
-    """Method call expression. Only legal as the operand of a `return`;
-    everywhere else calls are statements (CallAssign)."""
+    """`method(args)`. A call is the whole value of a declaration, an
+    assignment or a `return`, or a statement of its own (CallStmt); it never
+    stands inside another expression."""
 
     method: str
     args: list
@@ -232,14 +233,14 @@ class Stmt:
 class VarDecl(Stmt):
     type: Type
     name: str
-    init: Expr
+    value: Expr  # an expression or a Call
     loc: Optional[Loc] = None
 
 
 @record(where=("loc",))
 class Assign(Stmt):
     name: str
-    value: Expr
+    value: Expr  # an expression or a Call
     loc: Optional[Loc] = None
 
 
@@ -252,14 +253,10 @@ class AssignIndex(Stmt):
 
 
 @record(where=("loc",))
-class CallAssign(Stmt):
-    """`target = method(args);`, bare `method(args);`, or the declaring form
-    `decl_type target = method(args);`."""
+class CallStmt(Stmt):
+    """A bare `method(args);`, whose result (if any) is dropped."""
 
-    target: Optional[str]
-    method: str
-    args: list
-    decl_type: Optional[Type] = None
+    value: Call
     loc: Optional[Loc] = None
 
 
@@ -291,7 +288,7 @@ class DoWhile(Stmt):
 class For(Stmt):
     init: list  # VarDecl or Assign statements
     cond: Expr
-    update: list  # Assign or CallAssign statements
+    update: list  # Assign or CallStmt statements
     body: list
     loop_id: int = -1
     loc: Optional[Loc] = None
@@ -315,7 +312,7 @@ class Block(Stmt):
 
 @record(where=("loc",))
 class Return(Stmt):
-    value: Expr
+    value: Expr  # an expression or a Call
     loc: Optional[Loc] = None
 
 
@@ -400,21 +397,18 @@ def iter_stmts(stmts: list) -> Iterator[Stmt]:
 def stmt_exprs(st: Stmt) -> list:
     """Expressions held directly by a statement (not those of nested blocks)."""
     cls = st.__class__
-    if cls is Assign or cls is Print or cls is Return:
+    if cls in _HAS_VALUE:
         return [st.value]
-    if cls is VarDecl:
-        return [st.init]
     if cls in _HAS_COND:
         return [st.cond]
     if cls is AssignIndex:
         return [st.index, st.value]
-    if cls is CallAssign:
-        return list(st.args)
     if cls is Foreach:
         return [st.collection]
     return []
 
 
+_HAS_VALUE = (VarDecl, Assign, CallStmt, Return, Print)
 _HAS_COND = (If, While, DoWhile, For)
 
 
@@ -499,7 +493,7 @@ def emit_names(e: Expr, out: list, kinds: list) -> None:
 
 def collect_identifiers(program: Program) -> set:
     """Every identifier occurring anywhere in the program: method names,
-    parameters, declarations, assignment targets, call targets and variable
+    parameters, declarations, assignment targets, called methods and variable
     references. The package takes them from its event tapes
     (`analysis.NameAllocator`); the tests keep this as their reference."""
     ids = []
@@ -513,10 +507,6 @@ def collect_identifiers(program: Program) -> set:
             cls = st.__class__
             if cls is VarDecl or cls is Assign or cls is AssignIndex:
                 ids.append(st.name)
-            elif cls is CallAssign:
-                if st.target is not None:
-                    ids.append(st.target)
-                ids.append(st.method)
             elif cls is Foreach:
                 ids.append(st.elem_name)
             for e in stmt_exprs(st):

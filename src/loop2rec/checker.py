@@ -22,7 +22,7 @@ from .ast import (
     BoolLit,
     Builtin,
     Call,
-    CallAssign,
+    CallStmt,
     Cast,
     DOUBLE,
     DoWhile,
@@ -162,16 +162,12 @@ class _Checker:
 
     def check_return(self, value: Expr, loc) -> None:
         want = self.current.ret_type
-        if isinstance(value, Call):
-            got = self.check_call(value.method, value.args, loc)
-        else:
-            got = self.expr_type(value, loc)
-            if got == VOID:
-                got = None
+        got = self.value_type(value, loc)
+        call = value.__class__ is Call
         if want == VOID:
-            if not (isinstance(value, Call) and got == VOID):
+            if not (call and got == VOID):
                 self.error(loc, f"method '{self.current.name}' is void and cannot return a value")
-        elif got is not None and got != want:
+        elif got is not None and got != want and (call or got != VOID):
             self.error(loc, f"return type mismatch: expected {want}, got {got}")
 
     # ------------------------------------------------------------ statements
@@ -184,10 +180,18 @@ class _Checker:
 
     def check_stmt(self, st) -> None:
         if isinstance(st, VarDecl):
-            self.declare(st.loc, st.name, st.type, self.expr_type(st.init, st.loc))
+            self.declare(st.loc, st.name, st.type, self.value_type(st.value, st.loc))
         elif isinstance(st, Assign):
-            want = self.target(st.loc, st.name)
-            self.check_assign(st.loc, st.name, want, self.expr_type(st.value, st.loc))
+            if st.value.__class__ is Call:  # the call's errors come before the target's
+                got = self.value_type(st.value, st.loc)
+                self.check_assign(st.loc, st.name, self.target(st.loc, st.name), got)
+                if got == VOID:
+                    self.error(st.loc, f"method '{st.value.method}' is void and returns no value")
+            else:
+                want = self.target(st.loc, st.name)
+                self.check_assign(st.loc, st.name, want, self.expr_type(st.value, st.loc))
+        elif isinstance(st, CallStmt):
+            self.value_type(st.value, st.loc)
         elif isinstance(st, AssignIndex):
             base = self.target(st.loc, st.name)
             if base is not None and base.kind != "array":
@@ -198,14 +202,6 @@ class _Checker:
             got = self.expr_type(st.value, st.loc)
             if base is not None and base.kind == "array" and got is not None and got != base.elem:
                 self.error(st.loc, f"cannot store {got} into {base}")
-        elif isinstance(st, CallAssign):
-            got = self.check_call(st.method, st.args, st.loc)
-            if st.decl_type is not None:
-                self.declare(st.loc, st.target, st.decl_type, got)
-            elif st.target is not None:
-                self.check_assign(st.loc, st.target, self.target(st.loc, st.target), got)
-                if got == VOID:
-                    self.error(st.loc, f"method '{st.method}' is void and returns no value")
         elif isinstance(st, If):
             self.check_cond(st.cond, st.loc)
             self.check_seq(st.then)
@@ -254,7 +250,12 @@ class _Checker:
         if got is not None and got != BOOL:
             self.error(loc, f"condition must be bool, got {got}")
 
-    def check_call(self, name: str, args: list, loc) -> Optional[Type]:
+    def value_type(self, value: Expr, loc) -> Optional[Type]:
+        """The type of what a statement holds: a call's result type, or an
+        expression's; None after reporting an error."""
+        if value.__class__ is not Call:
+            return self.expr_type(value, loc)
+        name, args = value.method, value.args
         m = self.methods.get(name)
         if m is None:
             self.error(loc, f"call to undefined method '{name}'")
@@ -305,6 +306,8 @@ class _Checker:
                     self.error(loc, f"unary '-' needs a numeric operand, got {ot}")
                     return None
                 return ot
+            if e.op != "!":
+                raise ValueError(f"unknown operator {e.op}")
             if ot != BOOL:
                 self.error(loc, f"unary '!' needs a bool operand, got {ot}")
                 return None

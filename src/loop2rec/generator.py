@@ -23,7 +23,7 @@ from .ast import (
     BOOL,
     Binary,
     BoolLit,
-    CallAssign,
+    Call,
     DOUBLE,
     DoWhile,
     DoubleLit,
@@ -170,8 +170,8 @@ class _Gen:
                 return AssignIndex(name, IntLit(self.rng.randrange(length)),
                                    self.double_expr(scope))
         if roll < 0.8 and self.helper and (doubles := self.assignable(scope.doubles)):
-            return CallAssign(self.rng.choice(doubles), self.helper,
-                              [self.double_expr(scope), self.int_expr(scope)])
+            return Assign(self.rng.choice(doubles), Call(
+                self.helper, [self.double_expr(scope), self.int_expr(scope)]))
         candidates = scope.ints + scope.doubles + scope.bools
         if candidates:
             return Print(Var(self.rng.choice(candidates)))

@@ -40,7 +40,7 @@ from .ast import (
     BoolLit,
     Builtin,
     Call,
-    CallAssign,
+    CallStmt,
     Cast,
     DOUBLE,
     DoWhile,
@@ -554,6 +554,8 @@ def _unary(e: Unary, b: dict):
         if _num(v, "unary '-'").__class__ is float:
             return -v
         return wrap32(-v)
+    if e.op != "!":
+        raise TypeMismatchError(f"unknown operator '{e.op}'")
     return not _bool(v, "unary '!'")
 
 
@@ -651,7 +653,7 @@ def _cast(e: Cast, b: dict):
     return v
 
 
-def _call(e: Call, b: dict):
+def _call_expr(e: Call, b: dict):
     raise TypeMismatchError("method calls cannot be evaluated as expressions")
 
 
@@ -668,7 +670,7 @@ _EVAL = {
     Length: _length,
     Builtin: _builtin,
     Cast: _cast,
-    Call: _call,
+    Call: _call_expr,
 }
 
 
@@ -799,12 +801,14 @@ class _Run:
 
 
 def _assign(r: _Run, st, b: dict):
-    """VarDecl and Assign."""
+    """VarDecl and Assign; one whose value is a call runs as `_call`."""
+    x = st.value
+    c = x.__class__
+    if c is Call:
+        return _call(r, st, b)
     r.steps += 1
     if r.steps > r.limit:
         r.slow_step("assign", st.loc)
-    x = st.init if st.__class__ is VarDecl else st.value
-    c = x.__class__
     v = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
     if v is None:
         v = _EVAL[c](x, b)
@@ -832,15 +836,17 @@ def _assign_index(r: _Run, st: AssignIndex, b: dict):
     base.cells[idx] = _EVAL[x.__class__](x, b)
 
 
-def _call_assign(r: _Run, st: CallAssign, b: dict):
-    # the invocation step is counted at frame entry, in invoke()
-    r.invoke(st.method, _values(st.args, b), st.loc)
+def _call(r: _Run, st, b: dict):
+    """CallStmt, and a VarDecl or Assign whose value is a call; the
+    invocation step is counted at frame entry, in invoke()."""
+    x = st.value
+    r.invoke(x.method, _values(x.args, b), st.loc)
     frames = r.frames
-    if st.target is not None:
+    if st.__class__ is not CallStmt:
         value = frames[-1].ret_slot
         if value is None:
-            raise MissingReturnError(f"callee returned no value for '{st.target}'")
-        b[st.target] = value
+            raise MissingReturnError(f"callee returned no value for '{st.name}'")
+        b[st.name] = value
         if r.recorder is not None:
             r.state.record("upd_vr")
     frames.pop()
@@ -976,7 +982,7 @@ _EXEC = {
     VarDecl: _assign,
     Assign: _assign,
     AssignIndex: _assign_index,
-    CallAssign: _call_assign,
+    CallStmt: _call,
     If: _if,
     While: _while,
     DoWhile: _do_while,

@@ -5,8 +5,8 @@ The parser enforces the structural rules the loop rewriter depends on:
   * `return` is only legal as the last statement of its enclosing block and
     never inside a loop body (so a loop can never exit early);
   * duplicate method names and duplicate parameter names are rejected;
-  * a method call appears only as a statement (optionally declaring or
-    assigning its target) or as the operand of `return`;
+  * a method call is only ever the whole value of a declaration, an
+    assignment or a `return`, or a statement of its own;
   * brackets, blocks, type arguments and unary operators nest at most
     MAX_NESTING deep.
 
@@ -32,7 +32,7 @@ from .ast import (
     BoolLit,
     Builtin,
     Call,
-    CallAssign,
+    CallStmt,
     Cast,
     DOUBLE,
     DoWhile,
@@ -388,7 +388,7 @@ class _Parser:
                 raise ParseError(line, col, "a statement",
                                  "'return' (not allowed inside a loop)")
             self.pos += 1
-            value = self.parse_return_value()
+            value = self.parse_value()
             self.expect_sym(";")
             return Return(value, loc=loc)
         if text == "print":
@@ -418,18 +418,20 @@ class _Parser:
             orelse = self.parse_body(in_loop)
         return If(cond, then, orelse, loc=loc)
 
-    def parse_return_value(self) -> Expr:
+    def parse_value(self) -> Expr:
+        """A call or an expression: what a declaration, an assignment or a
+        `return` holds."""
         if self.at_call():
             name = self.next()[1]
             return Call(name, self.parse_expr_list("(", ")"))
         return self.parse_expr()
 
     def parse_decl(self, loc: Loc) -> Stmt:
-        """`type name = ...`, a declaration or a declaring call."""
+        """`type name = value`."""
         ty = self.parse_decl_type()
         name = self.expect_ident("variable name")[1]
         self.expect_sym("=")
-        return self.parse_value(name, ty, loc)
+        return _bind(name, ty, self.parse_value(), loc)
 
     def parse_decl_type(self) -> Type:
         ty = self.parse_type()
@@ -438,20 +440,12 @@ class _Parser:
         return ty
 
     def parse_assign_or_call(self, loc: Loc) -> Stmt:
-        """`f(...)` or `name = ...`: a statement or a `for` update."""
+        """`f(...)` or `name = value`: a statement or a `for` update."""
         name = self.expect_ident("variable name")[1]
         if self.at_sym("("):
-            return CallAssign(None, name, self.parse_expr_list("(", ")"), loc=loc)
+            return CallStmt(Call(name, self.parse_expr_list("(", ")")), loc=loc)
         self.expect_sym("=")
-        return self.parse_value(name, None, loc)
-
-    def parse_value(self, name: str, ty: Type | None, loc: Loc) -> Stmt:
-        """What follows `[type] name =`: a call gives a CallAssign, declaring
-        iff `ty` is a type; anything else a VarDecl or an Assign."""
-        if self.at_call():
-            method = self.next()[1]
-            return CallAssign(name, method, self.parse_expr_list("(", ")"), decl_type=ty, loc=loc)
-        return _bind(name, ty, self.parse_expr(), loc)
+        return _bind(name, None, self.parse_value(), loc)
 
     def parse_for(self, loc: Loc) -> Stmt:
         self.expect_kw("for")

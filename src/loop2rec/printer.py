@@ -20,7 +20,7 @@ from .ast import (
     BoolLit,
     Builtin,
     Call,
-    CallAssign,
+    CallStmt,
     Cast,
     DoWhile,
     DoubleLit,
@@ -90,7 +90,11 @@ def _expr(e: Expr):
         parts.append(fmt_expr(e, p))
         return "".join(reversed(parts)), top
     if isinstance(e, Unary):
-        return f"{e.op}{fmt_expr(e.operand, _UNARY_PREC)}", _UNARY_PREC
+        x = e.operand
+        text = fmt_expr(x, _UNARY_PREC)
+        if e.op == "-" and x.__class__ in (IntLit, DoubleLit) and text[0] != "-":
+            text = f"({text})"  # `-1` would re-parse as one folded literal
+        return f"{e.op}{text}", _UNARY_PREC
     if isinstance(e, Cast):
         return f"({e.type}) {fmt_expr(e.expr, _UNARY_PREC)}", _UNARY_PREC
     if isinstance(e, Index):
@@ -117,17 +121,11 @@ def _simple_stmt(st: Stmt) -> str:
     """One-line statement text, without trailing semicolon or indentation.
     Only the forms that may appear in a for-header are supported here."""
     if isinstance(st, VarDecl):
-        return f"{st.type} {st.name} = {fmt_expr(st.init)}"
+        return f"{st.type} {st.name} = {fmt_expr(st.value)}"
     if isinstance(st, Assign):
         return f"{st.name} = {fmt_expr(st.value)}"
-    if isinstance(st, CallAssign):
-        args = ", ".join(fmt_expr(a) for a in st.args)
-        call = f"{st.method}({args})"
-        if st.target is None:
-            return call
-        if st.decl_type is not None:
-            return f"{st.decl_type} {st.target} = {call}"
-        return f"{st.target} = {call}"
+    if isinstance(st, CallStmt):
+        return fmt_expr(st.value)
     raise TypeError(f"not a header statement: {st!r}")
 
 
@@ -136,21 +134,21 @@ def _for_init(init: list) -> str:
         return ""
     if isinstance(init[0], VarDecl):
         ty = init[0].type
-        decls = [f"{d.name} = {fmt_expr(d.init)}" for d in init]
+        decls = [f"{d.name} = {fmt_expr(d.value)}" for d in init]
         return f"{ty} " + ", ".join(decls)
     return ", ".join(_simple_stmt(s) for s in init)
 
 
 def _stmt_lines(st: Stmt, depth: int, out: list) -> None:
     pad = INDENT * depth
-    if isinstance(st, (VarDecl, Assign, CallAssign)):
+    if isinstance(st, (VarDecl, Assign, CallStmt)):
         out.append(f"{pad}{_simple_stmt(st)};")
     elif isinstance(st, AssignIndex):
         out.append(f"{pad}{st.name}[{fmt_expr(st.index)}] = {fmt_expr(st.value)};")
     elif isinstance(st, If):
         out.append(f"{pad}if ({fmt_expr(st.cond)}) {{")
         _seq_lines(st.then, depth + 1, out)
-        if st.orelse:
+        if st.orelse is not None:
             out.append(f"{pad}}} else {{")
             _seq_lines(st.orelse, depth + 1, out)
         out.append(f"{pad}}}")

@@ -50,7 +50,7 @@ from .ast import (
     Block,
     Builtin,
     Call,
-    CallAssign,
+    CallStmt,
     Cast,
     Expr,
     INT,
@@ -131,14 +131,13 @@ class _PlannedLoop:
 def _invoke_seq(plan: _PlannedLoop, params: list, loc: Optional[Loc]) -> list:
     """Caller-side first call plus catch/update of the modified variables."""
     packing, returned = plan.report.packing, plan.returned
-    name = plan.analysis.loop_method_name
-    args = [Var(p.name) for p in params]
+    call = Call(plan.analysis.loop_method_name, [Var(p.name) for p in params])
     if packing == Packing.NONE:
-        return [CallAssign(None, name, args, loc=loc)]
+        return [CallStmt(call, loc=loc)]
     if packing == Packing.SINGLE:
-        return [CallAssign(returned[0].name, name, args, loc=loc)]
+        return [Assign(returned[0].name, call, loc=loc)]
     result = plan.analysis.result_var_name
-    out = [CallAssign(result, name, args, decl_type=OBJECT_ARRAY, loc=loc)]
+    out = [VarDecl(OBJECT_ARRAY, result, call, loc=loc)]
     for i, p in enumerate(returned):
         out.append(Assign(p.name, Cast(p.type, Index(Var(result), IntLit(i))), loc=loc))
     return out
@@ -208,8 +207,7 @@ def _rewrite_loop(loop: Stmt, plan: _PlannedLoop, opts: TransformOptions):
     replacement = pre + first
     # a block scopes what the replacement's top level declares: a for's
     # init, a hoisted collection or counter, a do's result variable
-    if any(isinstance(st, VarDecl) or (isinstance(st, CallAssign) and st.decl_type is not None)
-           for st in replacement):
+    if any(isinstance(st, VarDecl) for st in replacement):
         replacement = [Block(replacement, loc=loc)]
     gen = _gen_method(plan, opts, params, head + list(loop.body) + tail, guard, loc)
     return replacement, gen

@@ -27,15 +27,17 @@ from typing import Optional
 from .ast import (
     Assign,
     AssignIndex,
-    CallAssign,
+    Call,
     For,
     MethodDef,
     Program,
+    Return,
     VarDecl,
     iter_stmts,
     program_loops,
     record,
     replace,
+    stmt_exprs,
 )
 from .generator import GenConfig, generate
 from .interp import (
@@ -77,9 +79,6 @@ def _loop_written(program: Program) -> set:
             for st in iter_stmts(block):
                 if isinstance(st, (Assign, AssignIndex)):
                     names.add(st.name)
-                elif (isinstance(st, CallAssign) and st.target is not None
-                      and st.decl_type is None):
-                    names.add(st.target)
     return names
 
 
@@ -101,9 +100,6 @@ def observable_vars(program: Program) -> list:
     for st in entry.body:
         if isinstance(st, VarDecl) and st.name not in written:
             names.append(st.name)
-        elif (isinstance(st, CallAssign) and st.decl_type is not None
-              and st.target not in written):
-            names.append(st.target)
     return names
 
 
@@ -182,10 +178,11 @@ def diff_run(program: Program, opts: Optional[TransformOptions] = None,
 
 def tail_position_check(method: MethodDef) -> bool:
     """True iff every call of the method to itself is the immediate operand
-    of a return. Calls can only occur as statements or return operands, so
-    the lone violation shape is a self CallAssign."""
+    of a return. A call is only ever the whole value of a statement, so the
+    violation is a self call held by any statement other than a `return`."""
     for st in iter_stmts(method.body):
-        if isinstance(st, CallAssign) and st.method == method.name:
+        if st.__class__ is not Return and any(
+                e.__class__ is Call and e.method == method.name for e in stmt_exprs(st)):
             return False
     return True
 

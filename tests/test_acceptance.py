@@ -13,7 +13,6 @@ from loop2rec.ast import (
     MethodDef,
     Program,
     VarDecl,
-    CallAssign,
     is_loop,
     replace,
     structural_eq,
@@ -82,7 +81,7 @@ def test_criterion_1_golden_transformation():
     assert isinstance(gen.body[2], Return) and len(gen.body) == 3
     caller = result.program.method("sqrt").body[1].orelse[0]
     assert isinstance(caller, If)
-    assert isinstance(caller.then[0], CallAssign)
+    assert isinstance(caller.then[0].value, Call)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     print(f"[acceptance] criterion 1 PASS - golden sqrt transformation ({elapsed:.3f}s)")
@@ -153,8 +152,6 @@ def top_level_decls(program: Program) -> list:
     for st in entry.body:
         if isinstance(st, VarDecl):
             names.append(st.name)
-        elif isinstance(st, CallAssign) and st.decl_type is not None:
-            names.append(st.target)
     return names
 
 

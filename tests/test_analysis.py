@@ -39,6 +39,7 @@ from loop2rec.generator import GenConfig, generate
 from loop2rec.parser import KEYWORDS, parse
 from loop2rec.printer import pretty_print
 from loop2rec.transform import TransformOptions, analyze_program, transform_program
+from loop2rec.verify import diff_run
 
 from conftest import CORPUS_FILES, corpus_text
 
@@ -109,6 +110,17 @@ def test_live_after_two_vars_in_declaration_order():
     method, loop = first_loop(parse(corpus_text("two_live.mj")))
     # sum and prod feed later prints; c does not; order follows declarations
     assert live_after(loop, method) == ["sum", "prod"]
+
+
+def test_live_after_puts_parameters_first():
+    # s is declared and written before a, but a is a parameter of f
+    p = parse("int f(int a) { int s = 0; while (a > 0) { s = s + a; a = a - 1; }"
+              " return s + a; } void main() { int r = f(3); print(r); }")
+    method, loop = first_loop(p)
+    assert live_after(loop, method) == ["a", "s"]
+    assert "return new Object[] { a, s };" in pretty_print(transform_program(p).program)
+    for optimize in (True, False):
+        assert diff_run(p, TransformOptions(optimize=optimize)).equivalent, optimize
 
 
 def test_live_after_sees_enclosing_loop_back_edge():

@@ -14,6 +14,7 @@ from loop2rec.ast import (
     VOID,
     ArrayLit,
     Binary,
+    BoolLit,
     Builtin,
     Call,
     Cast,
@@ -23,9 +24,10 @@ from loop2rec.ast import (
     Param,
     Print,
     Program,
+    Unary,
     Var,
 )
-from loop2rec.checker import check_semantics
+from loop2rec.checker import check_semantics, static_type
 from loop2rec.parser import parse
 
 
@@ -250,3 +252,8 @@ def test_checker_message(name):
 def test_unknown_operators_and_builtins_raise(expr):
     with pytest.raises(ValueError):
         check_semantics(void_param_printing(expr))
+
+
+def test_an_unknown_unary_operator_is_not_taken_for_not():
+    with pytest.raises(ValueError, match="^unknown operator ~$"):
+        static_type(Unary("~", BoolLit(True)), {})

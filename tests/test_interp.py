@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from loop2rec.ast import Binary, BoolLit, IntLit, Unary, Var, assign_loop_ids
+from loop2rec.ast import Binary, BoolLit, IntLit, Print, Unary, Var, assign_loop_ids
 from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import (
     ArityMismatchError,
@@ -152,7 +152,7 @@ def test_rem_frame_cases():
 
 def eval_src(expr_src: str, frame: dict):
     program = parse(f"void m() {{ bool probe = {expr_src}; }}")
-    e = program.methods[0].body[0].init
+    e = program.methods[0].body[0].value
     return eval_expr(e, state(frame))
 
 
@@ -170,7 +170,7 @@ def test_eval_variable_lookup():
 def test_eval_first_newton_step():
     # one refinement from b = 4 toward sqrt(4): ((4/4) + 4) / 2 = 2.5 by hand
     program = parse("void m() { double r = ((4.0 / 4.0) + 4.0) / 2.0; }")
-    v = eval_expr(program.methods[0].body[0].init, state({}))
+    v = eval_expr(program.methods[0].body[0].value, state({}))
     assert v == DoubleV(2.5)
 
 
@@ -178,46 +178,46 @@ def test_eval_nan_propagates():
     v = eval_src("nan() + 1.0 > 0.0", {})
     assert v.value is False  # NaN comparisons are false
     program = parse("void m() { double r = nan() * 0.0; }")
-    v = eval_expr(program.methods[0].body[0].init, state({}))
+    v = eval_expr(program.methods[0].body[0].value, state({}))
     assert math.isnan(v.value)
 
 
 def test_integer_division_truncates_toward_zero():
     program = parse("void m() { int q = 0 - 7; }")
-    neg7 = eval_expr(program.methods[0].body[0].init, state({}))
+    neg7 = eval_expr(program.methods[0].body[0].value, state({}))
     s = state({"a": neg7, "b": IntV(2)})
     program = parse("void m() { int q = a / b; }")
-    assert eval_expr(program.methods[0].body[0].init, s) == IntV(-3)
+    assert eval_expr(program.methods[0].body[0].value, s) == IntV(-3)
 
 
 def test_integer_division_by_zero_errors():
     program = parse("void m() { int q = 1 / 0; }")
     with pytest.raises(DivisionByZeroError):
-        eval_expr(program.methods[0].body[0].init, state({}))
+        eval_expr(program.methods[0].body[0].value, state({}))
 
 
 def test_double_division_by_zero_is_ieee():
     program = parse("void m() { double q = 1.0 / 0.0; }")
-    assert eval_expr(program.methods[0].body[0].init, state({})).value == math.inf
+    assert eval_expr(program.methods[0].body[0].value, state({})).value == math.inf
     program = parse("void m() { double q = 0.0 / 0.0; }")
-    assert math.isnan(eval_expr(program.methods[0].body[0].init, state({})).value)
+    assert math.isnan(eval_expr(program.methods[0].body[0].value, state({})).value)
 
 
 def test_int_arithmetic_wraps_32_bits():
     s = state({"big": IntV(2147483647)})
     program = parse("void m() { int q = big + 1; }")
-    assert eval_expr(program.methods[0].body[0].init, s) == IntV(-2147483648)
+    assert eval_expr(program.methods[0].body[0].value, s) == IntV(-2147483648)
 
 
 def test_abs_wraps_at_int_min():
     program = parse("void m() { int q = abs(-2147483648); }")
-    assert eval_expr(program.methods[0].body[0].init, state({})) == IntV(-2147483648)
+    assert eval_expr(program.methods[0].body[0].value, state({})) == IntV(-2147483648)
 
 
 def test_short_circuit_skips_rhs():
     # the rhs would divide by zero; && must never reach it
     program = parse("void m() { bool ok = false && 1 / 0 == 0; }")
-    assert eval_expr(program.methods[0].body[0].init, state({})).value is False
+    assert eval_expr(program.methods[0].body[0].value, state({})).value is False
 
 
 def test_unbound_variable_errors():
@@ -232,7 +232,7 @@ def test_unbound_variable_errors():
 def test_index_out_of_bounds():
     program = parse("void m() { double q = new double[] { 1.0 }[3]; }")
     with pytest.raises(IndexOutOfBoundsError):
-        eval_expr(program.methods[0].body[0].init, state({}))
+        eval_expr(program.methods[0].body[0].value, state({}))
 
 
 def test_iterator_builtins_walk_a_list():
@@ -243,9 +243,9 @@ void m() {
 }
 """)
     s = state({})
-    lst = eval_expr(program.methods[0].body[0].init, s)
+    lst = eval_expr(program.methods[0].body[0].value, s)
     upd_v(s, "l", lst)
-    it = eval_expr(program.methods[0].body[1].init, s)
+    it = eval_expr(program.methods[0].body[1].value, s)
     upd_v(s, "it", it)
     seen = []
     from loop2rec.ast import Builtin, Var
@@ -564,6 +564,8 @@ def test_nan_comparisons_are_false_except_not_equal():
     (Binary("&&", IntLit(1), BoolLit(True)), "'&&' needs a bool, got 1"),
     (Binary("||", BoolLit(False), IntLit(2)), "'||' needs a bool, got 2"),
     (Unary("-", BoolLit(True)), "unary '-' needs a number, got true"),
+    (Binary("%", IntLit(1), IntLit(2)), "unknown operator '%'"),
+    (Unary("~", BoolLit(True)), "unknown operator '~'"),
 ])
 def test_ill_typed_operands_are_type_mismatches(e, message):
     with pytest.raises(TypeMismatchError) as exc:
@@ -640,6 +642,42 @@ def test_a_return_error_carries_the_location_of_its_return(f_body, call, message
     src = (f"double g(int a) {{\n    return a;\n}}\ndouble f(int a) {{\n    {f_body}\n}}\n"
            f"void main() {{\n    double r = {call};\n    print(r);\n}}\n")
     assert run_error_texts(src) == [message] * 3
+
+
+def _call_inside_print(main):
+    # `print(f(1) + 1)` as a hand-built tree: no source puts a call there
+    st = main.body[0]
+    main.body[0] = Print(Binary("+", st.value, IntLit(1)), loc=st.loc)
+
+
+@pytest.mark.parametrize("src, edit, message", [
+    ("void main() {\n    double[] xs = new double[] { 1.0 };\n    print(xs[true]);\n}", None,
+     "3:5: TypeMismatch: index must be an int"),
+    ("void main() {\n    int n = 1;\n    print(n[0]);\n}", None,
+     "3:5: TypeMismatch: cannot index into 1"),
+    ("void main() {\n    print(length(1));\n}", None,
+     "2:5: TypeMismatch: length() of non-collection 1"),
+    ("void main() {\n    print(iterator(1));\n}", None,
+     "2:5: TypeMismatch: iterator() needs a list, got 1"),
+    ("void main() {\n    print(hasNext(1));\n}", None,
+     "2:5: TypeMismatch: hasNext() needs an iterator, got 1"),
+    ("void main() {\n    print(next(1));\n}", None,
+     "2:5: TypeMismatch: next() needs an iterator, got 1"),
+    ("void main() {\n    int r = f(1);\n}\nint f(int a) {\n    return a;\n}", _call_inside_print,
+     "2:5: TypeMismatch: method calls cannot be evaluated as expressions"),
+    ("void main() {\n    for (int e : 5) {\n        print(e);\n    }\n}", None,
+     "2:5: TypeMismatch: foreach needs an array or list, got 5"),
+    ("void main(int x) {\n    print(x);\n}", None,
+     "NoEntryMethod: entry method 'main' must take no parameters"),
+])
+def test_unchecked_programs_fail_at_run_time(src, edit, message):
+    # parse() does not run the checker, which refuses each of these programs
+    program = parse(src)
+    if edit is not None:
+        edit(program.methods[0])
+    with pytest.raises(InterpError) as exc:
+        run(program)
+    assert str(exc.value) == message
 
 
 def test_a_tail_link_steps_at_its_own_return():

@@ -117,7 +117,7 @@ def test_int_literal_range():
 
 def test_int_min_literal_is_writable():
     p = parse("void m() { int x = -2147483648; }")
-    assert p.methods[0].body[0].init == IntLit(-2147483648)
+    assert p.methods[0].body[0].value == IntLit(-2147483648)
     with pytest.raises(ParseError):
         parse("void m() { int x = -2147483649; }")
 
@@ -126,7 +126,7 @@ def test_negative_literals_fold_and_round_trip():
     from loop2rec.ast import structural_eq
     from loop2rec.printer import pretty_print
     p = parse("void m() { int x = -5; double d = -1.5; int y = 1; y = y - -5; }")
-    assert p.methods[0].body[0].init == IntLit(-5)
+    assert p.methods[0].body[0].value == IntLit(-5)
     assert structural_eq(p, parse(pretty_print(p)))
 
 
@@ -296,7 +296,7 @@ def test_non_decimal_digit_is_a_parse_error(literal):
 
 def test_arabic_indic_digits_are_decimal_literals():
     p = parse("void main() { int x = ١٢; print(x); }")
-    assert p.methods[0].body[0].init == IntLit(12)
+    assert p.methods[0].body[0].value == IntLit(12)
     assert tokenize("١٢")[0][:2] == ("int", "١٢")
 
 
@@ -322,7 +322,7 @@ def test_double_literal_overflowing_to_infinity_is_an_error(literal):
 
 def test_largest_double_literal_parses():
     p = parse("void m() { double d = -1.7976931348623157e308; }")
-    assert p.methods[0].body[0].init == DoubleLit(-1.7976931348623157e308)
+    assert p.methods[0].body[0].value == DoubleLit(-1.7976931348623157e308)
 
 
 # ------------------------------------------------------------ loop numbering

@@ -107,3 +107,29 @@ def test_literal_forms_round_trip():
     assert "new List<double> { 1.0 }" in text
     assert "new double[] {}" in text
     assert structural_eq(p, parse(text))
+
+
+@pytest.mark.parametrize("src, printed", [
+    ("-(1)", "-(1)"),
+    ("-(16.0)", "-(16.0)"),
+    ("- -(16.0)", "--(16.0)"),
+    ("(double) -(1.5)", "(double) -(1.5)"),
+    ("- -1", "--1"),
+    ("-(-0.0)", "--0.0"),
+    ("-1", "-1"),
+])
+def test_negated_literals_round_trip(src, printed):
+    # a negated literal is folded when parsed, so `-` of a literal that is not
+    # itself negative keeps its parentheses
+    p = parse(f"void m() {{ r = {src}; }}")
+    text = pretty_print(p)
+    assert text == f"void m() {{\n    r = {printed};\n}}\n"
+    assert structural_eq(p, parse(text))
+
+
+def test_empty_else_round_trips():
+    p = parse("void m() { if (true) { print(1); } else { } }")
+    assert p.methods[0].body[0].orelse == []
+    text = pretty_print(p)
+    assert "} else {\n    }" in text
+    assert structural_eq(p, parse(text))

@@ -28,8 +28,10 @@ from conftest import CORPUS_FILES, ROOT, corpus_text
 # the deeper generator setting, each with its two rewrites (TransformResult,
 # so LoopReport too) and its analyze_program rows (LoopAnalysis), then one
 # ExecTrace, two DiffReports, a CampaignSummary, GenConfig() and
-# TransformOptions(), as the dataclass-decorated records printed them.
-RECORD_REPR_PIN_SHA256 = "ee73e3cf56fa6ba4d4970f546becd7a8815ba8183e3e603577197b749f7bf968"
+# TransformOptions(), as the dataclass-decorated records printed them, with
+# each call a `Call` value that a VarDecl, an Assign, a Return or a CallStmt
+# holds whole.
+RECORD_REPR_PIN_SHA256 = "32d2e7ec35f338ccfd23aedf5a4a96481e64e8674a0a2181b5620cdfbf361bb6"
 
 
 def test_record_reprs_are_pinned():

@@ -9,7 +9,6 @@ from loop2rec.ast import (
     Block,
     BoolLit,
     Call,
-    CallAssign,
     Foreach,
     If,
     Return,
@@ -48,8 +47,6 @@ def loops_in(program):
 def calls_in(method):
     names = set()
     for st in iter_stmts(method.body):
-        if isinstance(st, CallAssign):
-            names.add(st.method)
         for e in stmt_exprs(st):
             for sub in walk_expr(e):
                 if isinstance(sub, Call):
@@ -166,8 +163,8 @@ def test_do_caller_is_unconditional_without_block():
     branch = sqrt_do.body[1].then  # inside `if (x > 1.0)`
     assert len(branch) == 1
     call = branch[0]
-    assert isinstance(call, CallAssign) and call.target == "b"
-    assert call.method == "sqrtDo_loop"
+    assert isinstance(call, Assign) and call.name == "b"
+    assert call.value.method == "sqrtDo_loop"
 
 
 def test_do_single_forced_iteration():
@@ -184,8 +181,8 @@ def test_do_generic_mode_gets_a_block():
     main = result.program.method("main")
     block = main.body[1]
     assert isinstance(block, Block)
-    assert isinstance(block.body[0], CallAssign)
-    assert block.body[0].decl_type is not None
+    assert isinstance(block.body[0], VarDecl)
+    assert isinstance(block.body[0].value, Call)
 
 
 def test_for_hoists_init_and_places_updates():
@@ -346,8 +343,6 @@ def identifiers(program):
         for st in iter_stmts(m.body):
             if isinstance(st, (VarDecl, Assign, AssignIndex)):
                 ids.add(st.name)
-            elif isinstance(st, CallAssign):
-                ids.update(n for n in (st.target, st.method) if n is not None)
             elif isinstance(st, Foreach):
                 ids.add(st.elem_name)
             exprs += stmt_exprs(st)

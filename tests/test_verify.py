@@ -6,7 +6,7 @@ from loop2rec import verify
 from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import CallDepthExceeded, run
 from loop2rec.checker import check_semantics
-from loop2rec.ast import CallAssign, Foreach, is_loop, iter_stmts, program_loops, structural_eq
+from loop2rec.ast import CallStmt, Foreach, is_loop, iter_stmts, program_loops, structural_eq
 from loop2rec.parser import parse
 from loop2rec.transform import Mutation, TransformOptions, TransformResult, transform_program
 from loop2rec.verify import (
@@ -205,6 +205,18 @@ void main() { }
     assert not tail_position_check(p.method("f"))
 
 
+@pytest.mark.parametrize("stmt, tail", [
+    ("int y = f(n);", False),
+    ("x = f(n);", False),
+    ("f(n);", False),
+    ("return f(n);", True),
+])
+def test_each_statement_holding_a_self_call(stmt, tail):
+    # only a `return` may hold a call of the method to itself
+    p = parse(f"int f(int n) {{ int x = 0; if (n > 0) {{ {stmt} }} return x; }} void main() {{ }}")
+    assert tail_position_check(p.method("f")) is tail
+
+
 # ------------------------------------------------------- iterations vs calls
 
 
@@ -316,7 +328,7 @@ def test_campaign_flags_a_self_call_out_of_tail_position(monkeypatch):
     def bare_self_call(program):
         again = program.method("main_loop").body[-1]  # if (n > 0) { return main_loop(n); }
         call = again.then[0].value
-        again.then[0] = CallAssign(None, call.method, call.args)
+        again.then[0] = CallStmt(call)
     summary = campaign_breaking(monkeypatch, bare_self_call)
     assert (summary.equivalent, summary.tail_ok, summary.iter_call_ok) == (1, False, True)
 

@@ -7,9 +7,10 @@ copy the callee's return slot into the caller's target variable, pop the
 frame. Executing `return` fills the slot and ends the frame's statement
 sequence, so the slot is written at most once.
 
-do/for/foreach execute by the classical desugaring into the while/if/call
-rules (see docs/semantics.md); the rewriter under test is never involved, so
-runs of original programs are an independent oracle.
+Every loop kind runs natively, by the step rules of docs/semantics.md: a
+`for` runs as its `while`, while `do` and `foreach` have handlers of their
+own. The rewriter under test is never involved, so runs of original programs
+are an independent oracle.
 
 `return m(...)` chains are executed iteratively: frames still pile up in the
 state exactly as the call rule dictates, but the host stack stays flat, so
@@ -65,6 +66,7 @@ from .ast import (
     Var,
     VarDecl,
     While,
+    loop_kind,
     program_loops,
     record,
 )
@@ -146,54 +148,23 @@ class UndefinedMethodError(InterpError):
 # ------------------------------------------------------------------- values
 
 
-class FrozenInstanceError(AttributeError):
-    """Assignment to, or deletion of, a field of an immutable value."""
+@record(frozen=True)
+class IntV:
+    value: int  # always within 32-bit two's complement
 
 
-class _Scalar:
-    """An immutable boxed scalar, equal and hashed by class and value, shown
-    as `IntV(value=5)`. `__init__` stores through the slot descriptor
-    (`_store`), since ordinary assignment raises FrozenInstanceError."""
-
-    __slots__ = ()
-
-    def __init__(self, value):
-        self._store(self, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(value={self.value!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field '{name}'")
+@record(frozen=True)
+class DoubleV:
+    value: float
 
 
-class IntV(_Scalar):
-    __slots__ = ("value",)  # always within 32-bit two's complement
+@record(frozen=True)
+class BoolV:
+    value: bool
 
-
-class DoubleV(_Scalar):
-    __slots__ = ("value",)
-
-
-class BoolV(_Scalar):
-    __slots__ = ("value",)
-
-
-for _cls in (IntV, DoubleV, BoolV):
-    _cls._store = _cls.value.__set__
 
 _BOXES = {int: IntV, float: DoubleV, bool: BoolV}
+_BOXED = (IntV, DoubleV, BoolV)
 
 
 def _box(v):
@@ -204,7 +175,7 @@ def _box(v):
 
 
 def _unbox(v):
-    return v.value if isinstance(v, _Scalar) else v
+    return v.value if isinstance(v, _BOXED) else v
 
 
 class ArrayV:
@@ -277,7 +248,7 @@ def render_value(v) -> str:
         return "[" + ", ".join(render_value(x) for x in v.cells) + "]"
     if isinstance(v, IterV):
         return f"iterator({v.pos})"
-    if isinstance(v, _Scalar):
+    if isinstance(v, _BOXED):
         return render_value(v.value)
     raise TypeError(f"not a value: {v!r}")
 
@@ -292,7 +263,7 @@ def values_equal(a, b) -> bool:
             return struct.pack("<d", a) == struct.pack("<d", b)
         if c is int or c is bool:
             return a == b
-    if isinstance(a, _Scalar) or isinstance(b, _Scalar):
+    if isinstance(a, _BOXED) or isinstance(b, _BOXED):
         return values_equal(_unbox(a), _unbox(b))
     if c is not b.__class__:
         return False
@@ -560,7 +531,7 @@ def _unary(e: Unary, b: dict):
 
 
 def _values(xs: list, b: dict) -> list:
-    """The values of call arguments or array cells, in order."""
+    """The values of call arguments or collection cells, in order."""
     out = []
     for x in xs:
         c = x.__class__
@@ -577,7 +548,7 @@ def _array_lit(e: ArrayLit, b: dict):
 
 
 def _list_lit(e: ListLit, b: dict):
-    return ListV(e.elem_type, [_EVAL[x.__class__](x, b) for x in e.elements])
+    return ListV(e.elem_type, _values(e.elements, b))
 
 
 def _index(e: Index, b: dict):
@@ -607,21 +578,17 @@ def _builtin(e: Builtin, b: dict):
     name = e.name
     if name == "nan":
         return math.nan
+    x = e.args[0]
+    v = _EVAL[x.__class__](x, b)
     if name == "abs":
-        x = e.args[0]
-        v = _num(_EVAL[x.__class__](x, b), "abs()")
-        if v.__class__ is float:
+        if _num(v, "abs()").__class__ is float:
             return math.fabs(v)
         return wrap32(abs(v))
     if name == "iterator":
-        x = e.args[0]
-        v = _EVAL[x.__class__](x, b)
         if not isinstance(v, ListV):
             raise TypeMismatchError(f"iterator() needs a list, got {render_value(v)}")
         return IterV(v, 0)
     if name == "hasNext" or name == "next":
-        x = e.args[0]
-        v = _EVAL[x.__class__](x, b)
         if not isinstance(v, IterV):
             raise TypeMismatchError(f"{name}() needs an iterator, got {render_value(v)}")
         if name == "hasNext":
@@ -869,19 +836,30 @@ def _if(r: _Run, st: If, b: dict):
     return None
 
 
-def _while(r: _Run, st: While, b: dict):
+def _while(r: _Run, st: While | For, b: dict):
+    """While, and For as its `while`: the init first, the updates after each
+    body. The loop kind names the step's rule."""
+    update = ()
+    if st.__class__ is For:
+        sig = r.exec_seq(st.init, b)
+        if sig is not None:
+            return sig
+        update = st.update
+    rule = loop_kind(st)
     x = st.cond
     while True:
         r.steps += 1
         if r.steps > r.limit:
-            r.slow_step("while", st.loc)
+            r.slow_step(rule, st.loc)
         c = _EVAL[x.__class__](x, b)
         if c is False:
             return None
         if c is not True:
-            _bool(c, "while condition")  # raises
+            _bool(c, f"{rule} condition")  # raises
         r.iterations[st.loop_id] += 1
         sig = r.exec_seq(st.body, b)
+        if sig is None and update:
+            sig = r.exec_seq(update, b)
         if sig is not None:  # unreachable from parsed programs
             return sig
 
@@ -901,26 +879,6 @@ def _do_while(r: _Run, st: DoWhile, b: dict):
             return None
         if c is not True:
             _bool(c, "do condition")  # raises
-
-
-def _for(r: _Run, st: For, b: dict):
-    sig = r.exec_seq(st.init, b)
-    if sig is not None:
-        return sig
-    x = st.cond
-    while True:
-        r.steps += 1
-        if r.steps > r.limit:
-            r.slow_step("for", st.loc)
-        c = _EVAL[x.__class__](x, b)
-        if c is False:
-            return None
-        if c is not True:
-            _bool(c, "for condition")  # raises
-        r.iterations[st.loop_id] += 1
-        sig = r.exec_seq(st.body, b) or r.exec_seq(st.update, b)
-        if sig is not None:
-            return sig
 
 
 def _foreach(r: _Run, st: Foreach, b: dict):
@@ -986,7 +944,7 @@ _EXEC = {
     If: _if,
     While: _while,
     DoWhile: _do_while,
-    For: _for,
+    For: _while,
     Foreach: _foreach,
     Block: _block,
     Return: _return,
@@ -1010,12 +968,12 @@ def run(program: Program, budget: int = DEFAULT_BUDGET,
     try:
         r.invoke(entry.name, [], entry.loc)
     except InterpError as err:
-        r.trace.steps = r.steps
         err.trace = r.trace
         raise
+    finally:
+        r.trace.steps = r.steps
     assert len(r.state.frames) == 1, "frame imbalance"
     top = r.state.top()
     r.trace.final_bindings = {k: _box(v) for k, v in top.bindings.items()}
     r.trace.result = _box(top.ret_slot)
-    r.trace.steps = r.steps
     return r.trace

@@ -454,7 +454,7 @@ class _Parser:
         # foreach: `for (type name : collection)`
         if self.at_type():
             save = self.pos
-            elem_type = self.parse_type()
+            elem_type = self.parse_decl_type()
             if self.toks[self.pos][0] == "ident" and self.at_sym(":", 1):
                 elem = self.expect_ident()[1]
                 self.expect_sym(":")

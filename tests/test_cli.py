@@ -6,7 +6,8 @@ from loop2rec import cli
 from loop2rec.cli import main
 from loop2rec.parser import MAX_NESTING, parse
 from loop2rec.printer import pretty_print
-from loop2rec.transform import TransformOptions, transform_program
+from loop2rec.transform import Mutation, TransformOptions, transform_program
+from loop2rec.verify import fuzz_campaign
 
 from conftest import CORPUS, CORPUS_FILES, TERMINATING
 
@@ -56,6 +57,22 @@ void main() {
 """)
     assert main(["transform", str(f)]) == 2
     assert "must not modify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diff", "analyze"])
+def test_collection_mutation_is_a_frontend_error(tmp_path, capsys, command):
+    f = tmp_path / "bad.mj"
+    f.write_text("void main() {\n    double[] xs = new double[] { 1.0 };\n"
+                 "    for (double v : xs) {\n        xs[0] = v + 1.0;\n    }\n}\n")
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err == (
+        f"{f}:3:5: foreach body must not modify the traversed collection 'xs'\n")
+
+
+def test_transform_output_to_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.mj"
+    assert main(["transform", str(CORPUS / "sqrt.mj"), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"{out}: ")
 
 
 def test_transform_dump_analysis(capsys):
@@ -205,6 +222,13 @@ def test_diff_no_optimize(capsys):
     assert main(["diff", str(CORPUS / "two_live.mj"), "--no-optimize"]) == 0
 
 
+def test_diff_reports_a_mismatch_in_text(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "TransformOptions", lambda optimize: TransformOptions(
+        optimize, Mutation.OMIT_RETURN_VAR))
+    assert main(["diff", str(CORPUS / "two_live.mj")]) == 1
+    assert capsys.readouterr().out == "mismatch: print[1]: '120' vs '1'\n"
+
+
 def test_analyze_emits_table(capsys):
     assert main(["analyze", str(CORPUS / "two_live.mj")]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -224,6 +248,20 @@ def test_fuzz_small_batch(capsys):
 
 def test_fuzz_zero_batch(capsys):
     assert main(["fuzz", "-n", "0"]) == 0
+
+
+def test_fuzz_lists_each_mismatching_seed_in_text(monkeypatch, capsys):
+    def mutant_campaign(n, cfg, budget):
+        return fuzz_campaign(n, cfg, budget, TransformOptions(mutation=Mutation.OMIT_RETURN_VAR))
+
+    monkeypatch.setattr(cli, "fuzz_campaign", mutant_campaign)
+    assert main(["fuzz", "-n", "5"]) == 1
+    assert capsys.readouterr().out == (
+        "1/5 equivalent, tail_ok=True, iter_call_ok=True, budget_exceedances=0\n"
+        "  seed 0: print[5]: '0' vs '2'\n"
+        "  seed 1: print[1]: '0' vs '2'\n"
+        "  seed 2: print[31]: '0' vs '5'\n"
+        "  seed 3: print[6]: '20' vs '10020'\n")
 
 
 def test_fuzz_deterministic(capsys):

@@ -13,7 +13,6 @@ from loop2rec.interp import (
     DoubleV,
     EmptyStateError,
     Frame,
-    FrozenInstanceError,
     IndexOutOfBoundsError,
     InterpError,
     IntV,
@@ -474,11 +473,11 @@ def test_values_are_immutable_and_compare_by_class_and_value():
         assert repr(v) == text
         same = type(v)(v.value)
         assert v == same and hash(v) == hash(same) and not v != same
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'value'$"):
             v.value = v.value
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot delete field 'value'$"):
             del v.value
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'other'$"):
             v.other = 1
     assert IntV(1) != BoolV(True) and IntV(1) != DoubleV(1.0) and IntV(1) != 1
     assert IntV(1) != IntV(2)

@@ -284,6 +284,29 @@ def test_lexical_error_positions(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("void main() { List<void> xs = new List<int> { }; }",
+     "1:15: expected non-void element type, found void"),
+    ("void main() { void[] xs = new int[] { }; }",
+     "1:15: expected non-void element type, found void[]"),
+    ("void f(void x) { } void main() { }", "1:13: expected non-void parameter type, found x"),
+    ("void main() { ; }", "1:15: expected a statement, found ;"),
+    ("void main() { void x = 1; }", "1:20: expected a non-void declaration type, found x"),
+    ("void main() { int x = (void) 1; }", "1:30: expected a non-void cast type, found 1"),
+    ("void main() { int x = ; }", "1:23: expected an expression, found ;"),
+    ("void main() { int x = new int { }; }",
+     "1:31: expected an array or list type after 'new', found {"),
+    ("void main() { List<int> xs = new List<int> { 1 }; for (void x : xs) { print(x); } }",
+     "1:61: expected a non-void declaration type, found x"),
+    ("void main() { for (void x = 1; true; ) { } }",
+     "1:25: expected a non-void declaration type, found x"),
+])
+def test_syntax_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("literal", ["²", "9²"])
 def test_non_decimal_digit_is_a_parse_error(literal):
     # str.isdigit() holds for '²' but int() refuses it

@@ -8,9 +8,6 @@ from .analysis import (
     Packing,
     UnsupportedConstruct,
     analyze_loop,
-    live_after,
-    modified_vars,
-    used_vars,
 )
 from .ast import Program, structural_eq
 from .checker import SemanticError, check_semantics
@@ -80,8 +77,6 @@ __all__ = [
     "fuzz_campaign",
     "generate",
     "iteration_call_equality",
-    "live_after",
-    "modified_vars",
     "parse",
     "pretty_print",
     "rem_frame",
@@ -92,6 +87,5 @@ __all__ = [
     "upd_r",
     "upd_v",
     "upd_vr",
-    "used_vars",
     "values_equal",
 ]

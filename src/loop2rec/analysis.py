@@ -1,6 +1,7 @@
 """Per-loop variable analysis feeding the loop-to-recursion rewrite.
 
-For each loop this module computes:
+For each loop `analyze_loop` computes one record, `LoopAnalysis`, which the
+rewrite follows and `loop2rec analyze` prints:
 
   * the outer variables the loop reads or writes (they become the generated
     method's parameters and call arguments),
@@ -8,6 +9,8 @@ For each loop this module computes:
   * the modified variables whose values are still needed once the loop is
     gone (these must travel back to the caller),
   * how to pack them (nothing, one typed value, or an Object[] with casts),
+  * the loop's kind, a foreach's resolved by the static type of its
+    collection (array or list),
   * clash-free fresh names for the generated method and helper variables.
 
 Liveness is syntactic, not path-sensitive: a modified variable counts as live
@@ -48,14 +51,12 @@ from .ast import (
     CALL,
     DECLARE,
     READ,
-    VOID,
     WRITE,
     Assign,
     AssignIndex,
     Block,
     CallStmt,
     DoWhile,
-    Expr,
     For,
     Foreach,
     If,
@@ -71,8 +72,10 @@ from .ast import (
     While,
     emit_names,
     is_loop,
+    loop_kind,
     record,
 )
+from .checker import static_type
 from .parser import KEYWORDS
 
 
@@ -90,14 +93,26 @@ class Packing(Enum):
     OBJECT_ARRAY = "object_array"
 
 
-@record(frozen=True)
+@record(frozen=True, where=("loc",))
 class LoopAnalysis:
+    """Everything the rewrite of one loop needs, and the row `analyze` prints.
+    `kind` is the loop's kind, a foreach's resolved to `foreach_array` or
+    `foreach_list`; `counter` is a foreach's index or iterator variable and
+    `coll_name` the hoisted collection of an array foreach over anything but
+    a variable."""
+
+    loop_id: int
+    kind: str
+    in_method: str
     params: tuple  # Param, call/parameter order
     modified: tuple  # Param, first-write order
     live_after: tuple  # Param, declaration order
     packing: Packing
     loop_method_name: str
     result_var_name: str
+    counter: Optional[str] = None
+    coll_name: Optional[str] = None
+    loc: Optional[Loc] = None
 
 
 def packing_for(returned, optimize: bool) -> Packing:
@@ -114,9 +129,10 @@ def packing_for(returned, optimize: bool) -> Packing:
 class MethodFacts:
     """The event tape of one method (`kinds` and `names`, side by side) and,
     per loop, what the walk saw of it. `loops` maps id(loop) to (scope, own
-    scan, back edge, observers): the scope is as `scope_at` returns it (None
+    scan, back edge, observers): the scope maps each name in scope where
+    the loop sits, plus a for loop's init declarations, to its Type (None
     for a loop the scoping rules do not reach, such as one inside a for
-    header); a scan is a flat list of tape positions [start, end, start,
+    header; shared, so never changed); a scan is a flat list of tape positions [start, end, start,
     end, ...]; observers is a linked list (scan, rest) of the scans that can
     observe the loop's writes, ending in None."""
 
@@ -223,20 +239,6 @@ class MethodFacts:
             own = [e, len(names)]
         self.loops.setdefault(id(st), (here, own, edge, observers))
 
-    def _entry(self, loop: Stmt):
-        entry = self.loops.get(id(loop))
-        if entry is None:
-            raise ValueError("loop does not occur in the given method")
-        return entry
-
-    def scope_at(self, loop: Stmt) -> dict:
-        """name -> Type for everything in scope where the loop statement sits,
-        plus a for loop's init declarations; the caller must not change it."""
-        scope = self._entry(loop)[0]
-        if scope is None:
-            raise ValueError("loop does not occur in the given method")
-        return scope
-
     def scan(self, spans):
         """(uses, writes) of a scan: the names it reads or writes in first-use
         order and those it writes in first-write order, as dicts, the names
@@ -293,52 +295,13 @@ class MethodFacts:
         i = next((i for i in self._where[name] if kinds[i] is DECLARE), len(kinds))
         return len(self.param_order) + i
 
-    def live_after(self, loop: Stmt, modified: list) -> list:
-        """The `modified` names read after the loop, in declaration order."""
-        observers = self._entry(loop)[3]
+    def live_after(self, observers, modified) -> list:
+        """The `modified` names that one of the `observers` scans reads, in
+        declaration order."""
         live = [name for name in modified if self._reads(name, observers)]
         if len(live) > 1:
             live.sort(key=self._order)
         return live
-
-
-def method_facts(method: MethodDef, facts: dict) -> MethodFacts:
-    """The method's entry in `facts` (id(method) -> MethodFacts), built on
-    first use."""
-    here = facts.get(id(method))
-    if here is None:
-        here = facts[id(method)] = MethodFacts(method)
-    return here
-
-
-def _parts(body: list, cond, extra):
-    """(uses, writes) of body, then cond, then extra (statements or
-    expressions). An expression scans as the statement that prints it."""
-    stmts = list(body) + [x if isinstance(x, Stmt) else Print(x)
-                          for x in ((cond,) if cond is not None else ()) + tuple(extra)]
-    facts = MethodFacts(MethodDef(VOID, "", [], stmts))
-    return facts.scan((0, len(facts.names)))
-
-
-def used_vars(body: list, cond: Optional[Expr] = None, extra=()) -> list:
-    """Identifiers free in body + cond + extra, in first-use order. `extra`
-    carries a for-loop's update statements (or any further expressions)."""
-    return list(_parts(body, cond, extra)[0])
-
-
-def modified_vars(body: list, extra=()) -> list:
-    """The used_vars subset written by the loop (assignment targets, indexed
-    array bases, call-assignment targets), in first-write order."""
-    return list(_parts(body, None, extra)[1])
-
-
-def live_after(loop: Stmt, method: MethodDef) -> list:
-    """Modified variables still read once the loop is done, in declaration
-    order."""
-    if not is_loop(loop):
-        raise TypeError(f"not a loop: {loop!r}")
-    facts = MethodFacts(method)
-    return facts.live_after(loop, list(facts.scan(facts._entry(loop)[1])[1]))
 
 
 # -------------------------------------------------------------- fresh names
@@ -349,17 +312,17 @@ class NameAllocator:
     `base3`, ... and the first one absent from the program (and from earlier
     allocations) wins. Keywords are pre-claimed: an emitted name must survive
     re-parsing. The program's identifiers are its method and parameter names
-    and every name on its methods' tapes; `facts` (id(method) ->
-    MethodFacts) lends the tapes and keeps those built here."""
+    and every name on its methods' tapes; `facts` maps id(method) to the
+    MethodFacts of each of the program's methods."""
 
-    def __init__(self, program: Program, facts: Optional[dict] = None):
-        if facts is None:
-            facts = {}
+    def __init__(self, program: Program):
         used = set(KEYWORDS)
+        self.facts = {}
         for m in program.methods:
+            here = self.facts[id(m)] = MethodFacts(m)
             used.add(m.name)
             used.update(p.name for p in m.params)
-            used.update(method_facts(m, facts).names)
+            used.update(here.names)
         self.used = used
         # base -> first suffix not yet tried; every smaller one is taken for
         # good, because `used` only grows
@@ -387,26 +350,19 @@ class NameAllocator:
 # ------------------------------------------------------------- loop summary
 
 
-def analyze_loop(
-    loop: Stmt,
-    method: MethodDef,
-    program: Program,
-    optimize: bool = True,
-    names=None,
-    facts: Optional[dict] = None,
-) -> LoopAnalysis:
-    """Summarize a loop for extraction. `names` preassigns the fresh
-    (method, result) pair; without it the names are derived from the program
-    as it stands. `facts` maps id(method) to its MethodFacts, filled in here
-    on first use: pass one dict for all the loops of a program, so that
-    each method is walked once."""
+def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
+                 optimize: bool = True) -> LoopAnalysis:
+    """Summarize a loop of `method` for extraction. The method's tape comes
+    from `names`, which also gives the loop its fresh names: its method and
+    result variable, then a foreach's counter and hoisted collection. One
+    allocator serves a program's loops, analyzed in document order."""
     if not is_loop(loop):
         raise TypeError(f"not a loop: {loop!r}")
-    if facts is None:
-        facts = {}
-    here = method_facts(method, facts)
-    scope = here.scope_at(loop)
-    _, own, edge, _ = here.loops[id(loop)]
+    here = names.facts.get(id(method))  # None for a method of another program
+    entry = None if here is None else here.loops.get(id(loop))
+    if entry is None or entry[0] is None:  # no scope: where the scoping rules never reach
+        raise ValueError("loop does not occur in the given method")
+    scope, own, edge, observers = entry
     coll = loop.collection.name if loop.__class__ is Foreach \
         and loop.collection.__class__ is Var else None
     if coll is not None and coll in here.scan(edge)[1]:
@@ -426,15 +382,28 @@ def analyze_loop(
         raise UnsupportedConstruct(loop.loc, f"loop references '{err.args[0]}' which is not "
                                    "in scope; run check_semantics first") from None
     typed = dict(zip(used, params))
-    modified = tuple([typed[n] for n in writes])
-    live = tuple([typed[n] for n in here.live_after(loop, list(writes))])
-    if names is None:
-        names = NameAllocator(program, facts).loop_names(method.name)
+    live = tuple([typed[n] for n in here.live_after(observers, writes)])
+    loop_method_name, result_var_name = names.loop_names(method.name)
+    kind, counter, coll_name = loop_kind(loop), None, None
+    if kind == "foreach":
+        ty = static_type(loop.collection, scope)
+        if ty is not None and ty.kind == "list":
+            kind, counter = "foreach_list", names.fresh("it")
+        else:
+            kind, counter = "foreach_array", names.fresh("index")
+            if coll is None:  # not a variable: hoisted
+                coll_name = names.fresh("coll")
     return LoopAnalysis(
+        loop_id=loop.loop_id,
+        kind=kind,
+        in_method=method.name,
         params=params,
-        modified=modified,
+        modified=tuple([typed[n] for n in writes]),
         live_after=live,
         packing=packing_for(live, optimize),
-        loop_method_name=names[0],
-        result_var_name=names[1],
+        loop_method_name=loop_method_name,
+        result_var_name=result_var_name,
+        counter=counter,
+        coll_name=coll_name,
+        loc=loop.loc,
     )

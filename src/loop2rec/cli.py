@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -78,40 +79,40 @@ def _write_out(text: str, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _analysis_json(program, optimize: bool = True) -> str:
-    rows = []
-    for loop_id, kind, method, a in analyze_program(program, optimize):
-        rows.append({
-            "loop_id": loop_id,
-            "method": method,
-            "kind": kind,
-            "params": [[p.name, str(p.type)] for p in a.params],
-            "modified": [[p.name, str(p.type)] for p in a.modified],
-            "liveAfter": [[p.name, str(p.type)] for p in a.live_after],
-            "packing": a.packing.value,
-            "loopMethodName": a.loop_method_name,
-            "resultVarName": a.result_var_name,
-        })
-    return json.dumps(rows, indent=2)
+def _rows_json(rows: list) -> str:
+    """LoopAnalysis rows as the JSON that `analyze` prints."""
+    return json.dumps([{
+        "loop_id": a.loop_id,
+        "method": a.in_method,
+        "kind": a.kind,
+        "params": [[p.name, str(p.type)] for p in a.params],
+        "modified": [[p.name, str(p.type)] for p in a.modified],
+        "liveAfter": [[p.name, str(p.type)] for p in a.live_after],
+        "packing": a.packing.value,
+        "loopMethodName": a.loop_method_name,
+        "resultVarName": a.result_var_name,
+    } for a in rows], indent=2)
+
+
+def _analysis_json(program) -> str:
+    return _rows_json(analyze_program(program))
 
 
 def cmd_transform(args) -> int:
-    import os
-
+    program, code = _load(args.file)
+    if program is None:
+        return code
     if args.output is not None and os.path.exists(args.output) \
             and os.path.samefile(args.output, args.file):
         print("refusing to overwrite the input file in place", file=sys.stderr)
         return EXIT_IO
-    program, code = _load(args.file)
-    if program is None:
-        return code
     try:
-        if args.dump_analysis:
-            print(_analysis_json(program, not args.no_optimize), file=sys.stderr)
         result = transform_program(program, TransformOptions(optimize=not args.no_optimize))
     except UnsupportedConstruct as e:
         print(f"{args.file}:{e}", file=sys.stderr)
         return EXIT_FRONTEND
+    if args.dump_analysis:
+        print(_rows_json(result.report), file=sys.stderr)
     text = pretty_print(result.program)
     if args.verify:
         try:

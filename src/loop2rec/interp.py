@@ -575,10 +575,13 @@ def _length(e: Length, b: dict):
 
 
 def _builtin(e: Builtin, b: dict):
-    name = e.name
-    if name == "nan":
+    name, args = e.name, e.args
+    arity = 0 if name == "nan" else 1
+    if len(args) != arity:
+        raise ArityMismatchError(f"{name}() expects {arity} argument(s), got {len(args)}")
+    if not arity:
         return math.nan
-    x = e.args[0]
+    x = args[0]
     v = _EVAL[x.__class__](x, b)
     if name == "abs":
         if _num(v, "abs()").__class__ is float:

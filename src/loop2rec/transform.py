@@ -15,8 +15,10 @@ One template serves every loop kind, read as a `while` with parts:
 The loop is replaced by `pre` and the (guarded) first call, and a new method
 is appended whose body runs one iteration and then either tail-calls itself
 (`return <method>(...)`) or returns the variables the loop modified. Loops are
-analyzed against the original program in document order, then rewritten
-innermost-first so every extraction sees an already loop-free body.
+analyzed against the original program in document order, one
+`analysis.LoopAnalysis` row each, then rewritten innermost-first so every
+extraction sees an already loop-free body. The rows are the result's report,
+and `analyze_program` returns them alone.
 
 Caller-side packing of the modified variables:
 
@@ -72,12 +74,10 @@ from .ast import (
     array_of,
     is_loop,
     iterator_of,
-    loop_kind,
     program_loops,
     record,
     replace,
 )
-from .checker import static_type
 
 
 class Mutation(Enum):
@@ -95,68 +95,51 @@ class TransformOptions:
 
 
 @record
-class LoopReport:
-    loop_id: int
-    kind: str
-    in_method: str
-    loop_method_name: str
-    packing: Packing
-    loc: Optional[Loc]
-
-
-@record
 class TransformResult:
     program: Program
-    report: list
+    report: list  # LoopAnalysis, by loop id
 
 
 # ----------------------------------------------------------------- template
 
 
-@record
-class _PlannedLoop:
-    """A loop's analysis, its report and the fresh names its rewrite needs;
-    `returned` is what travels back to the caller, mutant applied, packed as
-    the report says. `counter` is a foreach's index or iterator, `coll_name`
-    the hoisted collection of an array foreach over anything but a
-    variable."""
-
-    analysis: LoopAnalysis
-    report: LoopReport
-    returned: list  # Param
-    counter: Optional[str] = None
-    coll_name: Optional[str] = None
+def _returned(row: LoopAnalysis, opts: TransformOptions) -> tuple:
+    """What travels back to the caller: the live variables, or every
+    parameter with optimization off; the OMIT_RETURN_VAR mutant drops the
+    last."""
+    returned = row.live_after if opts.optimize else row.params
+    if opts.mutation == Mutation.OMIT_RETURN_VAR:
+        returned = returned[:-1]
+    return returned
 
 
-def _invoke_seq(plan: _PlannedLoop, params: list, loc: Optional[Loc]) -> list:
+def _invoke_seq(row: LoopAnalysis, returned: tuple, params: list, loc: Optional[Loc]) -> list:
     """Caller-side first call plus catch/update of the modified variables."""
-    packing, returned = plan.report.packing, plan.returned
-    call = Call(plan.analysis.loop_method_name, [Var(p.name) for p in params])
-    if packing == Packing.NONE:
+    call = Call(row.loop_method_name, [Var(p.name) for p in params])
+    if row.packing == Packing.NONE:
         return [CallStmt(call, loc=loc)]
-    if packing == Packing.SINGLE:
+    if row.packing == Packing.SINGLE:
         return [Assign(returned[0].name, call, loc=loc)]
-    result = plan.analysis.result_var_name
+    result = row.result_var_name
     out = [VarDecl(OBJECT_ARRAY, result, call, loc=loc)]
     for i, p in enumerate(returned):
         out.append(Assign(p.name, Cast(p.type, Index(Var(result), IntLit(i))), loc=loc))
     return out
 
 
-def _gen_method(plan: _PlannedLoop, opts: TransformOptions, params: list,
+def _gen_method(row: LoopAnalysis, returned: tuple, opts: TransformOptions, params: list,
                 core: list, guard: Expr, loc: Optional[Loc]) -> MethodDef:
     """The recursive method: one iteration, a guarded tail call, and a return
     of the modified variables."""
-    packing, returned = plan.report.packing, plan.returned
-    name = plan.analysis.loop_method_name
+    name = row.loop_method_name
     again = If(guard, [Return(Call(name, [Var(p.name) for p in params]), loc=loc)], loc=loc)
     if opts.mutation == Mutation.COND_BEFORE_BODY:
         body = [again] + core
     else:
         body = core + [again]
-    if packing == Packing.NONE:
+    if row.packing == Packing.NONE:
         ret_type = VOID
-    elif packing == Packing.SINGLE:
+    elif row.packing == Packing.SINGLE:
         ret_type = returned[0].type
         body.append(Return(Var(returned[0].name), loc=loc))
     else:
@@ -165,18 +148,18 @@ def _gen_method(plan: _PlannedLoop, opts: TransformOptions, params: list,
     return MethodDef(ret_type, name, params, body, loc=loc)
 
 
-def _rewrite_loop(loop: Stmt, plan: _PlannedLoop, opts: TransformOptions):
+def _rewrite_loop(loop: Stmt, row: LoopAnalysis, opts: TransformOptions):
     """(replacement statements, generated method) for a loop whose body is
     already loop-free. Every kind is a `while` with parts: `pre` runs once
     before the first call, `guard` is checked before the first call (except
     for `do`, whose body always runs once) and before each tail call, and
     one iteration is `head + body + tail`. A foreach's counter or iterator
     is the last parameter; its hoisted collection is the first."""
-    kind, loc, counter = plan.report.kind, loop.loc, plan.counter
-    params = list(plan.analysis.params)
+    kind, loc, counter = row.kind, loop.loc, row.counter
+    params = list(row.params)
     pre, head, tail = [], [], []
     if kind == "foreach_array":
-        coll = plan.coll_name
+        coll = row.coll_name
         if coll is None:  # a variable, which the analysis made the first parameter
             coll = loop.collection.name
         else:
@@ -201,7 +184,8 @@ def _rewrite_loop(loop: Stmt, plan: _PlannedLoop, opts: TransformOptions):
             pre = list(loop.init)
             if opts.mutation != Mutation.DROP_FOR_UPDATE:
                 tail = list(loop.update)
-    first = _invoke_seq(plan, params, loc)
+    returned = _returned(row, opts)
+    first = _invoke_seq(row, returned, params, loc)
     if kind != "do":
         first = [If(guard, first, loc=loc)]
     replacement = pre + first
@@ -209,7 +193,7 @@ def _rewrite_loop(loop: Stmt, plan: _PlannedLoop, opts: TransformOptions):
     # init, a hoisted collection or counter, a do's result variable
     if any(isinstance(st, VarDecl) for st in replacement):
         replacement = [Block(replacement, loc=loc)]
-    gen = _gen_method(plan, opts, params, head + list(loop.body) + tail, guard, loc)
+    gen = _gen_method(row, returned, opts, params, head + list(loop.body) + tail, guard, loc)
     return replacement, gen
 
 
@@ -217,67 +201,49 @@ def _rewrite_loop(loop: Stmt, plan: _PlannedLoop, opts: TransformOptions):
 
 
 def _plan(program: Program, opts: TransformOptions) -> list:
-    """Analyze every loop against the untouched program, allocating fresh
-    names in document order (an outer loop is named before its inner loops),
-    and decide its kind, packing and report; the walk that finds the loops
-    also numbers them, so a plan's place in the list is its loop id. Each
-    method is walked once, into the event tape that both the fresh names and
-    the loop analyses read; dropped on return."""
-    facts = {}
-    alloc = NameAllocator(program, facts)
-    plans = []
+    """Analyze every loop against the untouched program in document order,
+    so that an outer loop is named before its inner loops; the walk that
+    finds the loops also numbers them, so a row's place in the list is its
+    loop id. Each method is walked once, into the tape that the allocator
+    holds and every analysis reads. The OMIT_RETURN_VAR mutant packs what it
+    returns."""
+    names = NameAllocator(program)
+    rows = []
     for loop_id, (method, loop) in enumerate(program_loops(program)):
         loop.loop_id = loop_id
-        analysis = analyze_loop(loop, method, program, optimize=opts.optimize,
-                                names=alloc.loop_names(method.name), facts=facts)
-        returned = list(analysis.live_after if opts.optimize else analysis.params)
+        row = analyze_loop(loop, method, names, opts.optimize)
         if opts.mutation == Mutation.OMIT_RETURN_VAR:
-            returned = returned[:-1]
-        kind = loop_kind(loop)
-        counter = coll_name = None
-        if kind == "foreach":
-            ty = static_type(loop.collection, facts[id(method)].scope_at(loop))
-            if ty is not None and ty.kind == "list":
-                kind = "foreach_list"
-                counter = alloc.fresh("it")
-            else:
-                kind = "foreach_array"
-                counter = alloc.fresh("index")
-                if not isinstance(loop.collection, Var):
-                    coll_name = alloc.fresh("coll")
-        report = LoopReport(loop_id, kind, method.name, analysis.loop_method_name,
-                            packing_for(returned, opts.optimize), loop.loc)
-        plans.append(_PlannedLoop(analysis, report, returned, counter, coll_name))
-    return plans
+            row = replace(row, packing=packing_for(_returned(row, opts), opts.optimize))
+        rows.append(row)
+    return rows
 
 
-def _rewrite_seq(stmts: list, opts: TransformOptions, plans: list, generated: list) -> list:
+def _rewrite_seq(stmts: list, opts: TransformOptions, rows: list, generated: list) -> list:
     out = []
     for st in stmts:
         if is_loop(st):
-            body = _rewrite_seq(st.body, opts, plans, generated)
-            repl, gen = _rewrite_loop(replace(st, body=body), plans[st.loop_id], opts)
+            body = _rewrite_seq(st.body, opts, rows, generated)
+            repl, gen = _rewrite_loop(replace(st, body=body), rows[st.loop_id], opts)
             generated.append(gen)
             out.extend(repl)
         elif st.__class__ is If:
             out.append(If(
                 st.cond,
-                _rewrite_seq(st.then, opts, plans, generated),
-                _rewrite_seq(st.orelse, opts, plans, generated) if st.orelse else st.orelse,
+                _rewrite_seq(st.then, opts, rows, generated),
+                _rewrite_seq(st.orelse, opts, rows, generated) if st.orelse else st.orelse,
                 loc=st.loc,
             ))
         elif st.__class__ is Block:
-            out.append(Block(_rewrite_seq(st.body, opts, plans, generated), loc=st.loc))
+            out.append(Block(_rewrite_seq(st.body, opts, rows, generated), loc=st.loc))
         else:
             out.append(st)
     return out
 
 
 def analyze_program(program: Program, optimize: bool = True) -> list:
-    """Per-loop analyses with the names the rewrite would use, in document
-    order: (loop_id, kind, enclosing method, LoopAnalysis)."""
-    plans = _plan(program, TransformOptions(optimize=optimize))
-    return [(p.report.loop_id, p.report.kind, p.report.in_method, p.analysis) for p in plans]
+    """The LoopAnalysis of every loop in document order, as `transform_program`
+    reports it with the same `optimize`."""
+    return _plan(program, TransformOptions(optimize=optimize))
 
 
 def transform_program(program: Program, opts: Optional[TransformOptions] = None) -> TransformResult:
@@ -286,11 +252,11 @@ def transform_program(program: Program, opts: Optional[TransformOptions] = None)
     lists the loops by id. Loop-free programs come back unchanged with an
     empty report."""
     opts = opts or TransformOptions()
-    plans = _plan(program, opts)
+    rows = _plan(program, opts)
     generated: list = []
     methods = []
     for m in program.methods:
-        body = _rewrite_seq(m.body, opts, plans, generated)
+        body = _rewrite_seq(m.body, opts, rows, generated)
         methods.append(MethodDef(m.ret_type, m.name, m.params, body, loc=m.loc))
     out = Program(methods + generated, entry=program.entry)
-    return TransformResult(out, [p.report for p in plans])
+    return TransformResult(out, rows)

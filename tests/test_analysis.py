@@ -8,9 +8,6 @@ from loop2rec.analysis import (
     Packing,
     UnsupportedConstruct,
     analyze_loop,
-    live_after,
-    modified_vars,
-    used_vars,
 )
 from loop2rec.ast import (
     DOUBLE,
@@ -65,59 +62,71 @@ def first_loop(program):
     raise AssertionError("no loop")
 
 
+def first_row(src: str):
+    """The analysis of the first loop of `src`, as `analyze_program` gives it."""
+    return analyze_program(parse(src))[0]
+
+
+def analyze(program, method, loop):
+    return analyze_loop(loop, method, NameAllocator(program))
+
+
+def names_of(params) -> list:
+    return [p.name for p in params]
+
+
 def test_used_vars_sqrt_loop():
-    _, loop = first_loop(parse(SQRT))
-    assert used_vars(loop.body, loop.cond) == ["x", "b"]
+    # the loop's used variables are its parameters, in first-use order over
+    # the body, then the condition
+    assert names_of(first_row(SQRT).params) == ["x", "b"]
 
 
 def test_used_vars_only_locals():
-    _, loop = first_loop(parse("void m() { while (true) { int t = 1; print(t); } }"))
-    assert used_vars(loop.body, loop.cond) == []
+    row = first_row("void m() { while (true) { int t = 1; print(t); } }")
+    assert (row.params, row.modified, row.live_after) == ((), (), ())
 
 
 def test_used_vars_for_loop_includes_updates():
-    _, loop = first_loop(parse(FIG6_FOR))
-    assert used_vars(loop.body, loop.cond, tuple(loop.update)) == ["x", "b", "iter"]
+    # iter is used only by the update
+    row = first_row(FIG6_FOR.replace("print(iter);", "print(x);"))
+    assert names_of(row.params) == ["x", "b", "iter"]
 
 
 def test_modified_vars_sqrt_loop():
-    _, loop = first_loop(parse(SQRT))
-    assert modified_vars(loop.body) == ["b"]
+    assert names_of(first_row(SQRT).modified) == ["b"]
 
 
 def test_modified_vars_read_only_body():
-    _, loop = first_loop(parse("void m() { int x = 1; while (x > 0) { print(x); } }"))
-    assert modified_vars(loop.body) == []
+    row = first_row("void m() { int x = 1; while (x > 0) { print(x); } }")
+    assert (names_of(row.params), row.modified) == (["x"], ())
 
 
 def test_modified_vars_for_loop():
-    _, loop = first_loop(parse(FIG6_FOR))
-    assert modified_vars(loop.body, tuple(loop.update)) == ["b", "iter"]
+    # iter is written only by the update, after b in the body
+    assert names_of(first_row(FIG6_FOR).modified) == ["b", "iter"]
 
 
 def test_live_after_sqrt_is_the_returned_var():
-    method, loop = first_loop(parse(SQRT))
-    assert live_after(loop, method) == ["b"]
+    assert names_of(first_row(SQRT).live_after) == ["b"]
 
 
 def test_live_after_nothing_follows():
-    method, loop = first_loop(parse(
-        "void m() { int x = 3; while (x > 0) { x = x - 1; } }"))
-    assert live_after(loop, method) == []
+    row = first_row("void m() { int x = 3; while (x > 0) { x = x - 1; } }")
+    assert (names_of(row.modified), row.live_after) == (["x"], ())
 
 
 def test_live_after_two_vars_in_declaration_order():
-    method, loop = first_loop(parse(corpus_text("two_live.mj")))
     # sum and prod feed later prints; c does not; order follows declarations
-    assert live_after(loop, method) == ["sum", "prod"]
+    row = first_row(corpus_text("two_live.mj"))
+    assert names_of(row.live_after) == ["sum", "prod"]
 
 
 def test_live_after_puts_parameters_first():
     # s is declared and written before a, but a is a parameter of f
     p = parse("int f(int a) { int s = 0; while (a > 0) { s = s + a; a = a - 1; }"
               " return s + a; } void main() { int r = f(3); print(r); }")
-    method, loop = first_loop(p)
-    assert live_after(loop, method) == ["a", "s"]
+    (row,) = analyze_program(p)
+    assert names_of(row.live_after) == ["a", "s"]
     assert "return new Object[] { a, s };" in pretty_print(transform_program(p).program)
     for optimize in (True, False):
         assert diff_run(p, TransformOptions(optimize=optimize)).equivalent, optimize
@@ -144,7 +153,8 @@ void main() {
 """)
     method = program.methods[0]
     inner = [st for st in iter_stmts(method.body) if is_loop(st)][1]
-    assert "b" in live_after(inner, method)
+    assert "b" in names_of(analyze(program, method, inner).live_after)
+    assert "b" in names_of(analyze_program(program)[1].live_after)
 
 
 def test_fresh_names_default():
@@ -158,26 +168,28 @@ def test_fresh_names_skip_taken():
 
 def test_nested_loops_named_in_document_order():
     rows = analyze_program(parse(corpus_text("nested.mj")))
-    names = [a.loop_method_name for _, _, _, a in rows]
+    names = [a.loop_method_name for a in rows]
     assert names == ["f_loop", "f_loop2"]  # outer first
 
 
 def test_analyze_sqrt_loop():
     p = parse(SQRT)
     method, loop = first_loop(p)
-    a = analyze_loop(loop, method, p)
+    a = analyze(p, method, loop)
     assert [(x.name, x.type) for x in a.params] == [("x", DOUBLE), ("b", DOUBLE)]
     assert [x.name for x in a.modified] == ["b"]
     assert [x.name for x in a.live_after] == ["b"]
     assert a.packing == Packing.SINGLE
-    assert live_after(loop, method) == ["b"]
     assert (a.loop_method_name, a.result_var_name) == ("sqrt_loop", "result")
+    assert (a.loop_id, a.kind, a.in_method, a.loc) == (0, "while", "sqrt", loop.loc)
+    assert (a.counter, a.coll_name) == (None, None)
+    assert analyze_program(p) == [a]
 
 
 def test_analyze_print_only_loop_packs_nothing():
     p = parse("void m() { int x = 1; while (x > 0) { print(x); } }")
     method, loop = first_loop(p)
-    a = analyze_loop(loop, method, p)
+    a = analyze(p, method, loop)
     assert a.packing == Packing.NONE
     assert a.live_after == ()
 
@@ -185,7 +197,7 @@ def test_analyze_print_only_loop_packs_nothing():
 def test_analyze_generic_mode_packs_object_array():
     p = parse(SQRT)
     method, loop = first_loop(p)
-    a = analyze_loop(loop, method, p, optimize=False)
+    a = analyze_loop(loop, method, NameAllocator(p), optimize=False)
     assert a.packing == Packing.OBJECT_ARRAY
     assert [x.name for x in a.params] == ["x", "b"]
 
@@ -201,13 +213,13 @@ void main() {
 """)
     method, loop = first_loop(p)
     with pytest.raises(UnsupportedConstruct):
-        analyze_loop(loop, method, p)
+        analyze(p, method, loop)
 
 
 def test_analyze_for_loop_init_vars_become_params():
     p = parse(FIG6_FOR)
     method, loop = first_loop(p)
-    a = analyze_loop(loop, method, p)
+    a = analyze(p, method, loop)
     assert [(x.name, x.type) for x in a.params] == [
         ("x", DOUBLE), ("b", DOUBLE), ("iter", INT)]
     assert [x.name for x in a.modified] == ["b", "iter"]
@@ -220,7 +232,7 @@ def test_set_inclusions_and_determinism_over_fuzz():
         rows = analyze_program(p)
         again = analyze_program(generate(GenConfig(seed=seed)))
         assert rows == again, f"seed {seed} not deterministic"
-        for _, _, _, a in rows:
+        for a in rows:
             used = [x.name for x in a.params]
             mod = [x.name for x in a.modified]
             live = [x.name for x in a.live_after]
@@ -230,6 +242,18 @@ def test_set_inclusions_and_determinism_over_fuzz():
                 assert live == []
             elif a.packing == Packing.SINGLE:
                 assert len(live) == 1
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["optimized", "generic"])
+def test_analyze_program_rows_are_the_transform_report(optimize):
+    programs = [parse(corpus_text(n)) for n in CORPUS_FILES]
+    programs += [generate(GenConfig(seed=s, **kw)) for s in range(100)
+                 for kw in ({}, {"max_depth": 4, "max_loops": 6})]
+    for p in programs:
+        rows = analyze_program(p, optimize=optimize)
+        report = transform_program(p, TransformOptions(optimize=optimize)).report
+        assert rows == report
+        assert [r.loc for r in rows] == [r.loc for r in report]
 
 
 def test_fresh_names_never_collide_with_program_identifiers():
@@ -335,7 +359,7 @@ def test_unchecked_tree_errors(src, loc, message):
         assert (str(exc.value), str(exc.value.loc), exc.value.message) == (expected, loc, message)
     method, loop = first_loop(p)
     with pytest.raises(UnsupportedConstruct) as exc:
-        analyze_loop(loop, method, p)
+        analyze(p, method, loop)
     assert str(exc.value) == expected
 
 
@@ -343,28 +367,36 @@ def test_inner_loop_of_rejected_foreach_still_analyzes():
     p = parse("void main() { double[] xs = new double[] { 1.0 }; int i = 0;\n"
               "  for (double v : xs) { while (i < 1) { xs = new double[] { v }; i = i + 1; } } }")
     (_, outer), (method, inner) = program_loops(p)
-    a = analyze_loop(inner, method, p)
+    a = analyze(p, method, inner)
     assert [x.name for x in a.params] == ["v", "xs", "i"]
     assert [x.name for x in a.modified] == ["xs", "i"]
     # i is re-read by the outer body on the foreach's back edge; v is not
     # written, xs is never read again
     assert [x.name for x in a.live_after] == ["i"]
-    assert live_after(outer, method) == []
+    with pytest.raises(UnsupportedConstruct):
+        analyze(p, method, outer)
+    # over another array the outer loop analyzes: nothing it writes is read
+    # after it
+    outer_row, _ = analyze_program(parse(
+        "void main() { double[] xs = new double[] { 1.0 }; double[] ys = xs; int i = 0;\n"
+        "  for (double v : ys) { while (i < 1) { xs = new double[] { v }; i = i + 1; } } }"))
+    assert (names_of(outer_row.modified), outer_row.live_after) == (["xs", "i"], ())
 
 
 def test_loop_with_the_wrong_method():
     p = parse("int f(int a) { int b = a; while (b > 0) { b = b - 1; } return b; }\n"
               "void main() { int z = 0; print(z); }")
     (f, loop), main = first_loop(p), p.methods[1]
-    for call in (lambda: analyze_loop(loop, main, p), lambda: live_after(loop, main)):
+    other = parse("void main() { int z = 0; print(z); }").methods[0]
+    for wrong in (main, other):  # a method of the program, or of another one
         with pytest.raises(ValueError, match="^loop does not occur in the given method$"):
-            call()
-    assert live_after(loop, f) == ["b"]
+            analyze(p, wrong, loop)
+    assert names_of(analyze(p, f, loop).live_after) == ["b"]
 
 
 def test_loop_inside_a_for_header_has_no_scope():
     # hand-built: the scope rules never reach a loop in a for loop's init
-    # list, but liveness does
+    # list, so it cannot be analyzed; the for loop itself can
     inner = While(Binary("<", Var("a"), IntLit(1)),
                   [Assign("a", Binary("+", Var("a"), IntLit(1)))], loc=Loc(3, 5))
     outer = For([VarDecl(INT, "i", IntLit(0)), inner], Binary("<", Var("i"), IntLit(1)),
@@ -373,11 +405,12 @@ def test_loop_inside_a_for_header_has_no_scope():
     method = MethodDef(VOID, "main", [], [VarDecl(INT, "a", IntLit(0)), outer])
     p = Program([method])
     for call in (lambda: transform_program(p), lambda: analyze_program(p),
-                 lambda: analyze_loop(inner, method, p)):
+                 lambda: analyze(p, method, inner)):
         with pytest.raises(ValueError, match="^loop does not occur in the given method$"):
             call()
-    assert live_after(outer, method) == []
-    assert live_after(inner, method) == ["a"]
+    row = analyze(p, method, outer)
+    assert (names_of(row.params), names_of(row.modified), row.live_after) == (
+        ["a", "i"], ["i"], ())
 
 
 def test_declarations_hide_names_for_the_rest_of_the_scan():
@@ -387,15 +420,14 @@ def test_declarations_hide_names_for_the_rest_of_the_scan():
               "    if (s > 1) { int t = 1; s = s + t; } else { t = 2; }\n"
               "    s = s + 1; }\n"
               "  print(s); }")
-    _, loop = first_loop(p)
-    assert used_vars(loop.body, loop.cond) == ["s"]
-    assert modified_vars(loop.body) == ["s"]
+    row = analyze_program(p)[0]
+    assert (names_of(row.params), names_of(row.modified)) == (["s"], ["s"])
     # a later block that declares x again reads its own x, not the loop's
     p = parse("void main() { int x = 0; int c = 1;\n"
               "  while (x < 3) { x = x + 1; c = c + x; }\n"
               "  if (c > 0) { int x = 5; print(x); } else { print(c); } }")
     method, loop = first_loop(p)
-    a = analyze_loop(loop, method, p)
+    a = analyze(p, method, loop)
     assert [x.name for x in a.params] == ["x", "c"]
     assert [x.name for x in a.live_after] == ["c"]
     # unchecked: after the block that declares x again, `print(x)` still
@@ -403,8 +435,7 @@ def test_declarations_hide_names_for_the_rest_of_the_scan():
     p = parse("void main() { int x = 0;\n"
               "  while (x < 3) { x = x + 1; }\n"
               "  { int x = 5; print(x); } print(x); }")
-    method, loop = first_loop(p)
-    assert live_after(loop, method) == []
+    assert analyze_program(p)[0].live_after == ()
 
 
 # ------------------------------------------------------ liveness edge cases

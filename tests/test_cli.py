@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from loop2rec import cli
+from loop2rec import cli, transform
+from loop2rec.ast import program_loops
 from loop2rec.cli import main
 from loop2rec.parser import MAX_NESTING, parse
 from loop2rec.printer import pretty_print
@@ -43,6 +44,17 @@ def test_transform_never_overwrites_input(tmp_path, capsys):
     f.write_text("void main() { }")
     assert main(["transform", str(f), "-o", str(f)]) == 3
     assert f.read_text() == "void main() { }"
+    assert capsys.readouterr().err == "refusing to overwrite the input file in place\n"
+
+
+def test_transform_of_a_missing_file_is_an_io_error(tmp_path, capsys):
+    # with or without -o naming a file that exists: the input loads first
+    missing, existing = tmp_path / "missing.mj", tmp_path / "out.mj"
+    existing.write_text("kept")
+    for output in ([], ["-o", str(existing)]):
+        assert main(["transform", str(missing)] + output) == 3
+        assert capsys.readouterr().err == f"{missing}: No such file or directory\n"
+    assert existing.read_text() == "kept"
 
 
 def test_transform_rejects_collection_mutation(tmp_path, capsys):
@@ -92,6 +104,26 @@ def test_transform_dumps_the_analysis_of_its_own_scheme(name, capsys):
                                TransformOptions(optimize=False)).report
     assert [r["loopMethodName"] for r in rows] == [r.loop_method_name for r in report]
     assert {r["packing"] for r in rows} <= {"object_array"}
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_transform_dump_analysis_plans_once(name, monkeypatch, capsys):
+    # one analysis per loop, printed as `analyze` prints it
+    path = str(CORPUS / name)
+    assert main(["analyze", path]) == 0
+    rows = capsys.readouterr().out
+    calls = []
+    analyze_loop = transform.analyze_loop
+
+    def counted(loop, *args):
+        calls.append(loop)
+        return analyze_loop(loop, *args)
+
+    monkeypatch.setattr(transform, "analyze_loop", counted)
+    assert main(["transform", path, "--dump-analysis"]) == 0
+    assert capsys.readouterr().err == rows
+    loops = [loop for _, loop in program_loops(parse((CORPUS / name).read_text()))]
+    assert calls == loops and len(set(map(id, calls))) == len(loops)
 
 
 def test_run_foreach_array_prints_roots(capsys):

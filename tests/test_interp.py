@@ -668,6 +668,15 @@ def _call_inside_print(main):
      "2:5: TypeMismatch: foreach needs an array or list, got 5"),
     ("void main(int x) {\n    print(x);\n}", None,
      "NoEntryMethod: entry method 'main' must take no parameters"),
+    # a builtin with the wrong number of arguments
+    ("void main() {\n    print(abs());\n}", None,
+     "2:5: ArityMismatch: abs() expects 1 argument(s), got 0"),
+    ("void main() {\n    print(abs(1, 2));\n}", None,
+     "2:5: ArityMismatch: abs() expects 1 argument(s), got 2"),
+    ("void main() {\n    print(nan(1));\n}", None,
+     "2:5: ArityMismatch: nan() expects 0 argument(s), got 1"),
+    ("void main() {\n    int n = 0;\n    while (hasNext()) {\n        n = 1;\n    }\n}", None,
+     "3:5: ArityMismatch: hasNext() expects 1 argument(s), got 0"),
 ])
 def test_unchecked_programs_fail_at_run_time(src, edit, message):
     # parse() does not run the checker, which refuses each of these programs

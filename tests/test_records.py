@@ -26,12 +26,12 @@ from conftest import CORPUS_FILES, ROOT, corpus_text
 
 # sha256 over the repr of every corpus tree and seeds 0-49 in the default and
 # the deeper generator setting, each with its two rewrites (TransformResult,
-# so LoopReport too) and its analyze_program rows (LoopAnalysis), then one
+# whose report is LoopAnalysis rows) and its analyze_program rows, then one
 # ExecTrace, two DiffReports, a CampaignSummary, GenConfig() and
 # TransformOptions(), as the dataclass-decorated records printed them, with
 # each call a `Call` value that a VarDecl, an Assign, a Return or a CallStmt
 # holds whole.
-RECORD_REPR_PIN_SHA256 = "32d2e7ec35f338ccfd23aedf5a4a96481e64e8674a0a2181b5620cdfbf361bb6"
+RECORD_REPR_PIN_SHA256 = "7509999a653eafac9befcaba7e88c1e3e451f345900d6866c0b0d71aa3e71e92"
 
 
 def test_record_reprs_are_pinned():
@@ -69,16 +69,23 @@ def test_mutable_records_are_unhashable():
 
 
 def test_loop_analyses_are_values():
-    def row(params=()):
-        return LoopAnalysis(params, (), (), Packing.NONE, "f_loop", "result")
+    def row(params=(), counter=None, loc=None):
+        return LoopAnalysis(0, "foreach_list", "f", params, (), (), Packing.NONE, "f_loop",
+                            "result", counter, loc=loc)
 
     assert row() == row() and hash(row()) == hash(row())
     a = row()
-    with pytest.raises(AttributeError):
-        a.packing = Packing.SINGLE
+    for field in ("packing", "kind", "counter", "loc"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
     with pytest.raises(AttributeError):
         del a.params
-    assert a == row() and a != row((Param("x", INT),))
+    assert a == row() and a != row((Param("x", INT),)) and a != row(counter="it")
+    assert (a.counter, a.coll_name, a.loc) == (None, None, None)
+    # the location is where the loop is, not what it is
+    moved = row(loc=Loc(3, 4))
+    assert moved == a and hash(moved) == hash(a) and moved.loc == Loc(3, 4)
+    assert "loc" not in repr(moved)
 
 
 def test_importing_the_package_leaves_dataclasses_and_inspect_out():

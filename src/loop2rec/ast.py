@@ -89,6 +89,9 @@ VOID = Type("void")
 OBJECT = Type("Object")
 OBJECT_ARRAY = Type("Object[]")
 
+INT_MIN = -(2**31)  # the range of a 32-bit int
+INT_MAX = 2**31 - 1
+
 
 def array_of(elem: Type) -> Type:
     return Type("array", elem)

@@ -10,6 +10,9 @@ so scripts can tell failure classes apart:
     4  step budget exceeded
     5  runtime error with a source location
     6  internal error: an unexpected exception, reported in one line
+
+`main` is the one place that prints a failure and picks its exit code:
+commands raise `_Exit(code, *lines)` to it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from .analysis import UnsupportedConstruct
 from .checker import check_semantics
@@ -38,45 +40,36 @@ EXIT_RUNTIME = 5
 EXIT_INTERNAL = 6
 
 
+class _Exit(Exception):
+    """`_Exit(code, *lines)`: `main` prints `lines` to stderr and exits `code`."""
+
+
+def _read(text: str, where: str, what: str = ""):
+    """Parse and check `text`; exit 2 naming `where`, `what` leading a parse error."""
+    try:
+        program = parse(text)
+    except ParseError as e:
+        raise _Exit(EXIT_FRONTEND, f"{where}:{e.line}:{e.col}: {what}expected "
+                                   f"{e.expected}, found {e.found}")
+    errors = check_semantics(program)
+    if errors:
+        raise _Exit(EXIT_FRONTEND, *(f"{where}:{err}" for err in errors))
+    return program
+
+
 def _load(path: str):
-    """Parse and check a source file; (program, None) or (None, exit code)."""
+    """The checked program in the file at `path`."""
     try:
         # no newline translation: only '\n' starts a line, as in `parse`
         with open(path, "r", encoding="utf-8", newline="") as f:
             text = f.read()
     except OSError as e:
-        print(f"{path}: {e.strerror or e}", file=sys.stderr)
-        return None, EXIT_IO
+        raise _Exit(EXIT_IO, f"{path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
         # the whole file is decoded in one piece, so e.start is a file offset
-        print(f"{path}: not valid UTF-8 (byte 0x{e.object[e.start]:02x} at "
-              f"offset {e.start})", file=sys.stderr)
-        return None, EXIT_IO
-    try:
-        program = parse(text)
-    except ParseError as e:
-        print(f"{path}:{e.line}:{e.col}: expected {e.expected}, found {e.found}",
-              file=sys.stderr)
-        return None, EXIT_FRONTEND
-    errors = check_semantics(program)
-    if errors:
-        for err in errors:
-            print(f"{path}:{err}", file=sys.stderr)
-        return None, EXIT_FRONTEND
-    return program, None
-
-
-def _write_out(text: str, out: Optional[str]) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        print(f"{out}: {e.strerror or e}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        raise _Exit(EXIT_IO, f"{path}: not valid UTF-8 (byte 0x{e.object[e.start]:02x} "
+                             f"at offset {e.start})")
+    return _read(text, path)
 
 
 def _rows_json(rows: list) -> str:
@@ -99,40 +92,29 @@ def _analysis_json(program) -> str:
 
 
 def cmd_transform(args) -> int:
-    program, code = _load(args.file)
-    if program is None:
-        return code
+    program = _load(args.file)
     if args.output is not None and os.path.exists(args.output) \
             and os.path.samefile(args.output, args.file):
-        print("refusing to overwrite the input file in place", file=sys.stderr)
-        return EXIT_IO
-    try:
-        result = transform_program(program, TransformOptions(optimize=not args.no_optimize))
-    except UnsupportedConstruct as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
-        return EXIT_FRONTEND
+        raise _Exit(EXIT_IO, "refusing to overwrite the input file in place")
+    result = transform_program(program, TransformOptions(optimize=not args.no_optimize))
     if args.dump_analysis:
         print(_rows_json(result.report), file=sys.stderr)
     text = pretty_print(result.program)
     if args.verify:
-        try:
-            reparsed = parse(text)
-        except ParseError as e:
-            print(f"<transformed>:{e.line}:{e.col}: output does not re-parse: "
-                  f"expected {e.expected}, found {e.found}", file=sys.stderr)
-            return EXIT_FRONTEND
-        errors = check_semantics(reparsed)
-        if errors:
-            for err in errors:
-                print(f"<transformed>:{err}", file=sys.stderr)
-            return EXIT_FRONTEND
-    return _write_out(text, args.output)
+        _read(text, "<transformed>", "output does not re-parse: ")
+    if args.output is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise _Exit(EXIT_IO, f"{args.output}: {e.strerror or e}")
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    program, code = _load(args.file)
-    if program is None:
-        return code
+    program = _load(args.file)
     tracer = None
     if args.trace:
         def tracer(rule, loc, depth):
@@ -140,27 +122,17 @@ def cmd_run(args) -> int:
             print(f"{rule} {where} depth={depth}", file=sys.stderr)
     try:
         trace = run(program, budget=args.budget, tracer=tracer)
-    except StepBudgetExceeded as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
-        return EXIT_BUDGET
     except InterpError as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        code = EXIT_BUDGET if isinstance(e, StepBudgetExceeded) else EXIT_RUNTIME
+        raise _Exit(code, f"{args.file}:{e}")
     for line in trace.prints:
         print(line)
     return EXIT_OK
 
 
 def cmd_diff(args) -> int:
-    program, code = _load(args.file)
-    if program is None:
-        return code
-    try:
-        report = diff_run(program, TransformOptions(optimize=not args.no_optimize),
-                          budget=args.budget)
-    except UnsupportedConstruct as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
-        return EXIT_FRONTEND
+    report = diff_run(_load(args.file), TransformOptions(optimize=not args.no_optimize),
+                      budget=args.budget)
     if args.json:
         print(json.dumps({
             "verdict": report.verdict,
@@ -175,14 +147,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    program, code = _load(args.file)
-    if program is None:
-        return code
-    try:
-        print(_analysis_json(program))
-    except UnsupportedConstruct as e:
-        print(f"{args.file}:{e}", file=sys.stderr)
-        return EXIT_FRONTEND
+    print(_analysis_json(_load(args.file)))
     return EXIT_OK
 
 
@@ -246,11 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "budget", 1) <= 0:
-        print("budget must be positive", file=sys.stderr)
-        return EXIT_FRONTEND
     try:
-        return args.func(args)
+        if getattr(args, "budget", 1) <= 0:
+            raise _Exit(EXIT_FRONTEND, "budget must be positive")
+        if getattr(args, "count", 0) < 0:
+            raise _Exit(EXIT_FRONTEND, "count must not be negative")
+        try:
+            return args.func(args)
+        except UnsupportedConstruct as e:
+            if "file" not in args:  # fuzz: the generator made the loop
+                raise
+            raise _Exit(EXIT_FRONTEND, f"{args.file}:{e}")
+    except _Exit as e:
+        code, *lines = e.args
+        print(*lines, sep="\n", file=sys.stderr)
+        return code
     except Exception as e:  # a bug in loop2rec: keep it out of codes 1-5
         print(f"loop2rec: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

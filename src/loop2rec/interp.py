@@ -50,6 +50,8 @@ from .ast import (
     For,
     Foreach,
     INT,
+    INT_MAX,
+    INT_MIN,
     If,
     Index,
     IntLit,
@@ -75,9 +77,6 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 30_000))
 
 DEFAULT_BUDGET = 1_000_000
 MAX_CALL_DEPTH = 2_000  # non-tail nesting; tail chains are unbounded
-
-INT_MIN = -(2**31)
-INT_MAX = 2**31 - 1
 
 
 # ------------------------------------------------------------------- errors
@@ -892,7 +891,7 @@ def _foreach(r: _Run, st: Foreach, b: dict):
     coll = _EVAL[x.__class__](x, b)
     if not isinstance(coll, (ArrayV, ListV)):
         raise TypeMismatchError(f"foreach needs an array or list, got {render_value(coll)}")
-    for cell in list(coll.cells):
+    for cell in coll.cells:  # read live, as in Java: the body may write a later cell
         r.steps += 1
         if r.steps > r.limit:
             r.slow_step("foreach", st.loc)

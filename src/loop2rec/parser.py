@@ -41,6 +41,8 @@ from .ast import (
     For,
     Foreach,
     INT,
+    INT_MAX,
+    INT_MIN,
     If,
     Index,
     IntLit,
@@ -65,9 +67,6 @@ from .ast import (
     iterator_of,
     list_of,
 )
-
-INT_MIN = -(2**31)
-INT_MAX = 2**31 - 1
 
 # Deepest nesting of brackets, blocks, type arguments and unary operators the
 # parser accepts (see docs/language.md). Generated programs reach 9; at 256 no

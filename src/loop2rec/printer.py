@@ -33,7 +33,6 @@ from .ast import (
     Length,
     ListLit,
     MethodDef,
-    OBJECT,
     Print,
     Program,
     Return,
@@ -109,8 +108,7 @@ def _expr(e: Expr):
         return f"{e.method}({args})", _POSTFIX_PREC
     if isinstance(e, ArrayLit):
         elems = ", ".join(fmt_expr(x) for x in e.elements)
-        ty = "Object" if e.elem_type == OBJECT else str(e.elem_type)
-        return f"new {ty}[] {{{' ' + elems + ' ' if elems else ''}}}", _POSTFIX_PREC
+        return f"new {e.elem_type}[] {{{' ' + elems + ' ' if elems else ''}}}", _POSTFIX_PREC
     if isinstance(e, ListLit):
         elems = ", ".join(fmt_expr(x) for x in e.elements)
         return f"new List<{e.elem_type}> {{{' ' + elems + ' ' if elems else ''}}}", _POSTFIX_PREC

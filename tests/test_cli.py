@@ -3,7 +3,8 @@ import json
 import pytest
 
 from loop2rec import cli, transform
-from loop2rec.ast import program_loops
+from loop2rec.analysis import UnsupportedConstruct
+from loop2rec.ast import Loc, program_loops
 from loop2rec.cli import main
 from loop2rec.parser import MAX_NESTING, parse
 from loop2rec.printer import pretty_print
@@ -68,7 +69,8 @@ void main() {
 }
 """)
     assert main(["transform", str(f)]) == 2
-    assert "must not modify" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"{f}:4:5: foreach body must not modify the traversed collection 'xs'\n")
 
 
 @pytest.mark.parametrize("command", ["diff", "analyze"])
@@ -85,6 +87,27 @@ def test_transform_output_to_a_missing_directory_is_an_io_error(tmp_path, capsys
     out = tmp_path / "missing" / "out.mj"
     assert main(["transform", str(CORPUS / "sqrt.mj"), "-o", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"{out}: ")
+
+
+def test_transform_output_to_a_directory_is_an_io_error(tmp_path, capsys):
+    assert main(["transform", str(CORPUS / "sqrt.mj"), "-o", str(tmp_path)]) == 3
+    assert capsys.readouterr() == ("", f"{tmp_path}: Is a directory\n")
+
+
+@pytest.mark.parametrize("printed, err", [
+    ("void main( {\n",
+     "<transformed>:1:12: output does not re-parse: expected a type, found {\n"),
+    ("void main() {\n    x = 1;\n    print(y);\n}\n",
+     "<transformed>:2:5: assignment to undeclared variable 'x'\n"
+     "<transformed>:3:5: use of undeclared variable 'y'\n"),
+], ids=["reparse", "recheck"])
+def test_transform_verify_rejects_output_that_does_not_load(tmp_path, monkeypatch, capsys,
+                                                            printed, err):
+    monkeypatch.setattr(cli, "pretty_print", lambda program: printed)
+    out = tmp_path / "out.mj"
+    assert main(["transform", str(CORPUS / "sqrt.mj"), "--verify", "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
 
 
 def test_transform_dump_analysis(capsys):
@@ -133,6 +156,41 @@ def test_run_foreach_array_prints_roots(capsys):
     assert len(values) == 2
     assert abs(values[0] - 2.0) <= 1e-6
     assert abs(values[1] - 3.0) <= 1e-6
+
+
+FOREACH_WRITES_THROUGH_AN_ALIAS = {
+    "variable": ("void main() {\n"
+                 "    double[] xs = new double[] { 1.0, 2.0, 3.0 };\n"
+                 "    double[] ys = xs;\n"
+                 "    for (double v : xs) {\n"
+                 "        ys[1] = 9.0;\n"
+                 "        print(v);\n"
+                 "    }\n"
+                 "}\n"),
+    "callee": ("void poke(double[] a) {\n"
+               "    a[1] = 9.0;\n"
+               "}\n"
+               "\n"
+               "void main() {\n"
+               "    double[] xs = new double[] { 1.0, 2.0, 3.0 };\n"
+               "    for (double v : xs) {\n"
+               "        poke(xs);\n"
+               "        print(v);\n"
+               "    }\n"
+               "}\n"),
+}
+
+
+@pytest.mark.parametrize("alias", sorted(FOREACH_WRITES_THROUGH_AN_ALIAS))
+def test_foreach_reads_each_cell_live(tmp_path, capsys, alias):
+    # the rewrite reads xs[i] on each call, as Java's foreach does
+    f = tmp_path / "alias.mj"
+    f.write_text(FOREACH_WRITES_THROUGH_AN_ALIAS[alias])
+    assert main(["run", str(f)]) == 0
+    assert capsys.readouterr() == ("1.0\n9.0\n3.0\n", "")
+    for mode in ([], ["--no-optimize"]):
+        assert main(["diff", str(f)] + mode) == 0
+        assert capsys.readouterr() == ("equivalent\n", "")
 
 
 def test_run_empty_main(tmp_path, capsys):
@@ -282,6 +340,11 @@ def test_fuzz_zero_batch(capsys):
     assert main(["fuzz", "-n", "0"]) == 0
 
 
+def test_fuzz_rejects_a_negative_count(capsys):
+    assert main(["fuzz", "-n", "-3"]) == 2
+    assert capsys.readouterr() == ("", "count must not be negative\n")
+
+
 def test_fuzz_lists_each_mismatching_seed_in_text(monkeypatch, capsys):
     def mutant_campaign(n, cfg, budget):
         return fuzz_campaign(n, cfg, budget, TransformOptions(mutation=Mutation.OMIT_RETURN_VAR))
@@ -305,6 +368,7 @@ def test_fuzz_deterministic(capsys):
 
 def test_budget_must_be_positive(capsys):
     assert main(["run", str(CORPUS / "sqrt.mj"), "--budget", "0"]) == 2
+    assert capsys.readouterr() == ("", "budget must be positive\n")
 
 
 @pytest.mark.parametrize("command, target", [
@@ -320,3 +384,16 @@ def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys, co
     monkeypatch.setattr(cli, target, boom)
     assert main(command + [str(CORPUS / "sqrt.mj")]) == cli.EXIT_INTERNAL == 6
     assert capsys.readouterr().err == "loop2rec: internal error: RuntimeError: boom\n"
+
+
+def test_unsupported_construct_inside_fuzz_is_an_internal_error(monkeypatch, capsys):
+    # fuzz reads no file: an unsupported loop there comes from the generator
+    def unsupported(*args, **kwargs):
+        raise UnsupportedConstruct(Loc(3, 5), "foreach body must not modify the "
+                                              "traversed collection 'xs'")
+
+    monkeypatch.setattr(cli, "fuzz_campaign", unsupported)
+    assert main(["fuzz", "-n", "1"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == ("", (
+        "loop2rec: internal error: UnsupportedConstruct: 3:5: foreach body must not "
+        "modify the traversed collection 'xs'\n"))

@@ -10,7 +10,7 @@ printer, interpreter) shares them. Source locations and loop numbers are
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 
 def record(cls=None, *, frozen=False, where=()):
@@ -325,12 +325,12 @@ class Print(Stmt):
     loc: Optional[Loc] = None
 
 
-LOOP_KINDS = (While, DoWhile, For, Foreach)
-COMPOUND_KINDS = (If, Block) + LOOP_KINDS  # the statements that hold statements
+LOOP_KINDS = frozenset((While, DoWhile, For, Foreach))
+COMPOUND_KINDS = LOOP_KINDS | {If, Block}  # the statements that hold statements
 
 
 def is_loop(st: Stmt) -> bool:
-    return isinstance(st, LOOP_KINDS)
+    return st.__class__ in LOOP_KINDS
 
 
 def loop_kind(st: Stmt) -> str:
@@ -389,12 +389,18 @@ def stmt_blocks(st: Stmt) -> list:
     return []
 
 
-def iter_stmts(stmts: list) -> Iterator[Stmt]:
-    """All statements, pre-order (a statement before its nested blocks)."""
-    for st in stmts:
-        yield st
-        for block in stmt_blocks(st):
-            yield from iter_stmts(block)
+def iter_stmts(stmts: list) -> list:
+    """All statements, pre-order (a statement before its nested blocks). The
+    walk keeps its own stack, so the recursion limit does not bound nesting."""
+    out = []
+    stack = stmts[::-1]  # the statements still to visit, the next one last
+    while stack:
+        st = stack.pop()
+        out.append(st)
+        if st.__class__ in COMPOUND_KINDS:
+            for block in reversed(stmt_blocks(st)):
+                stack += reversed(block)
+    return out
 
 
 def stmt_exprs(st: Stmt) -> list:
@@ -504,9 +510,7 @@ def collect_identifiers(program: Program) -> set:
     for m in program.methods:
         ids.append(m.name)
         ids += [p.name for p in m.params]
-        stack = list(m.body)
-        while stack:
-            st = stack.pop()
+        for st in iter_stmts(m.body):
             cls = st.__class__
             if cls is VarDecl or cls is Assign or cls is AssignIndex:
                 ids.append(st.name)
@@ -514,9 +518,6 @@ def collect_identifiers(program: Program) -> set:
                 ids.append(st.elem_name)
             for e in stmt_exprs(st):
                 emit_names(e, ids, kinds)
-            if cls in COMPOUND_KINDS:
-                for block in stmt_blocks(st):
-                    stack += block
     return set(ids)
 
 
@@ -532,20 +533,8 @@ def assign_loop_ids(program: Program) -> int:
 
 def program_loops(program: Program) -> list:
     """(method, loop) pairs in document order."""
-    out = []
-
-    def walk(m, stmts):
-        for st in stmts:
-            cls = st.__class__
-            if cls in LOOP_KINDS:
-                out.append((m, st))
-            if cls in COMPOUND_KINDS:
-                for block in stmt_blocks(st):
-                    walk(m, block)
-
-    for m in program.methods:
-        walk(m, m.body)
-    return out
+    return [(m, st) for m in program.methods for st in iter_stmts(m.body)
+            if st.__class__ in LOOP_KINDS]
 
 
 def structural_eq(a: Program, b: Program) -> bool:

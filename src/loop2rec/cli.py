@@ -5,7 +5,7 @@ so scripts can tell failure classes apart:
 
     0  success / equivalent
     1  semantic mismatch reported by diff or fuzz
-    2  parse or semantic-check error (also unsupported constructs)
+    2  parse, semantic-check or usage error (also unsupported constructs)
     3  I/O error
     4  step budget exceeded
     5  runtime error with a source location
@@ -42,6 +42,14 @@ EXIT_INTERNAL = 6
 
 class _Exit(Exception):
     """`_Exit(code, *lines)`: `main` prints `lines` to stderr and exits `code`."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error to `main` as exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise _Exit(EXIT_FRONTEND, self.format_usage().rstrip("\n"),
+                    f"{self.prog}: error: {message}")
 
 
 def _read(text: str, where: str, what: str = ""):
@@ -165,7 +173,7 @@ def cmd_fuzz(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="loop2rec",
         description="Rewrite loops into tail-recursive methods and check the "
                     "rewrite by differential execution.")
@@ -210,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "budget", 1) <= 0:
             raise _Exit(EXIT_FRONTEND, "budget must be positive")
         if getattr(args, "count", 0) < 0:

@@ -680,7 +680,7 @@ class _Run:
 
     def __init__(self, program: Program, budget: int,
                  tracer: Optional[Callable] = None, recorder=None):
-        self.methods = {m.name: (m, tuple(p.name for p in m.params))
+        self.methods = {m.name: (m, tuple([p.name for p in m.params]))
                         for m in program.methods}
         self.state = State(recorder=recorder)
         self.frames = self.state.frames

@@ -148,9 +148,9 @@ def _gen_method(row: LoopAnalysis, returned: tuple, opts: TransformOptions, para
     return MethodDef(ret_type, name, params, body, loc=loc)
 
 
-def _rewrite_loop(loop: Stmt, row: LoopAnalysis, opts: TransformOptions):
-    """(replacement statements, generated method) for a loop whose body is
-    already loop-free. Every kind is a `while` with parts: `pre` runs once
+def _rewrite_loop(loop: Stmt, body: list, row: LoopAnalysis, opts: TransformOptions):
+    """(replacement statements, generated method) for a loop; `body` is
+    its body made loop-free. Every kind is a `while` with parts: `pre` runs once
     before the first call, `guard` is checked before the first call (except
     for `do`, whose body always runs once) and before each tail call, and
     one iteration is `head + body + tail`. A foreach's counter or iterator
@@ -193,7 +193,7 @@ def _rewrite_loop(loop: Stmt, row: LoopAnalysis, opts: TransformOptions):
     # init, a hoisted collection or counter, a do's result variable
     if any(isinstance(st, VarDecl) for st in replacement):
         replacement = [Block(replacement, loc=loc)]
-    gen = _gen_method(row, returned, opts, params, head + list(loop.body) + tail, guard, loc)
+    gen = _gen_method(row, returned, opts, params, head + body + tail, guard, loc)
     return replacement, gen
 
 
@@ -223,7 +223,7 @@ def _rewrite_seq(stmts: list, opts: TransformOptions, rows: list, generated: lis
     for st in stmts:
         if is_loop(st):
             body = _rewrite_seq(st.body, opts, rows, generated)
-            repl, gen = _rewrite_loop(replace(st, body=body), rows[st.loop_id], opts)
+            repl, gen = _rewrite_loop(st, body, rows[st.loop_id], opts)
             generated.append(gen)
             out.extend(repl)
         elif st.__class__ is If:

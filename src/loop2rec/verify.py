@@ -29,6 +29,7 @@ from .ast import (
     AssignIndex,
     Call,
     For,
+    LOOP_KINDS,
     MethodDef,
     Program,
     Return,
@@ -70,15 +71,15 @@ def _loop_written(program: Program) -> set:
     """Assignment targets inside any loop body (or for-update), computed
     directly off the tree so this oracle does not lean on the analysis module
     it is meant to check."""
-    names = set()
+    names, inner = set(), set()  # inner: ids of the loops in a body or update already walked
     for _, loop in program_loops(program):
-        blocks = [loop.body]
-        if isinstance(loop, For):
-            blocks.append(loop.update)
-        for block in blocks:
-            for st in iter_stmts(block):
-                if isinstance(st, (Assign, AssignIndex)):
+        if id(loop) not in inner:
+            for st in iter_stmts(loop.body + loop.update if loop.__class__ is For else loop.body):
+                cls = st.__class__
+                if cls is Assign or cls is AssignIndex:
                     names.add(st.name)
+                elif cls in LOOP_KINDS:
+                    inner.add(id(st))
     return names
 
 
@@ -181,9 +182,10 @@ def tail_position_check(method: MethodDef) -> bool:
     of a return. A call is only ever the whole value of a statement, so the
     violation is a self call held by any statement other than a `return`."""
     for st in iter_stmts(method.body):
-        if st.__class__ is not Return and any(
-                e.__class__ is Call and e.method == method.name for e in stmt_exprs(st)):
-            return False
+        if st.__class__ is not Return:
+            for e in stmt_exprs(st):
+                if e.__class__ is Call and e.method == method.name:
+                    return False
     return True
 
 

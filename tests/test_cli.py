@@ -366,6 +366,28 @@ def test_fuzz_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv, prog, message", [
+    (["bogus"], "loop2rec", "argument command: invalid choice: 'bogus'"),
+    (["run"], "loop2rec run", "the following arguments are required: file"),
+    (["run", "--budget", "x", str(CORPUS / "sqrt.mj")], "loop2rec run",
+     "argument --budget: invalid int value: 'x'"),
+])
+def test_usage_errors_return_2_through_main(capsys, argv, prog, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    usage, error = err.rstrip("\n").rsplit("\n", 1)
+    assert out == ""
+    assert usage.startswith(f"usage: {prog} [-h]")
+    assert error.startswith(f"{prog}: error: {message}")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: loop2rec [-h]")
+
+
 def test_budget_must_be_positive(capsys):
     assert main(["run", str(CORPUS / "sqrt.mj"), "--budget", "0"]) == 2
     assert capsys.readouterr() == ("", "budget must be positive\n")

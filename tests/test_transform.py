@@ -19,6 +19,7 @@ from loop2rec.ast import (
     emit_names,
     is_loop,
     iter_stmts,
+    program_loops,
     stmt_blocks,
     structural_eq,
     walk_expr,
@@ -32,7 +33,7 @@ from loop2rec.printer import pretty_print
 from loop2rec.transform import Mutation, TransformOptions, transform_program
 from loop2rec.verify import diff_run
 
-from conftest import CORPUS_FILES, ROOT, TERMINATING, corpus_text
+from conftest import CORPUS_FILES, ROOT, TERMINATING, corpus_text, hand_built_walk_trees
 
 GENERIC = TransformOptions(optimize=False)
 
@@ -367,7 +368,10 @@ def test_tree_walks_agree_with_their_recursive_definitions():
                           "\nvoid main() { double r = h(1, new double[] { 1.0 }); }"))
     programs.append(parse("void main() { int a = 1; print(" + " + ".join(["a"] * 20_000)
                           + "); }"))
+    programs += hand_built_walk_trees()
     for p in programs:
+        assert [(id(m), id(st)) for m, st in program_loops(p)] == [
+            (id(m), id(st)) for m in p.methods for st in preorder(m.body) if is_loop(st)]
         for m in p.methods:
             assert [id(st) for st in iter_stmts(m.body)] == [id(st) for st in preorder(m.body)]
             exprs = [e for st in iter_stmts(m.body) for e in stmt_exprs(st)]

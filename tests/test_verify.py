@@ -6,7 +6,17 @@ from loop2rec import verify
 from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import CallDepthExceeded, run
 from loop2rec.checker import check_semantics
-from loop2rec.ast import CallStmt, Foreach, is_loop, iter_stmts, program_loops, structural_eq
+from loop2rec.ast import (
+    Assign,
+    AssignIndex,
+    CallStmt,
+    For,
+    Foreach,
+    is_loop,
+    iter_stmts,
+    program_loops,
+    structural_eq,
+)
 from loop2rec.parser import parse
 from loop2rec.transform import Mutation, TransformOptions, TransformResult, transform_program
 from loop2rec.verify import (
@@ -16,7 +26,7 @@ from loop2rec.verify import (
     tail_position_check,
 )
 
-from conftest import TERMINATING, corpus_text
+from conftest import CORPUS_FILES, TERMINATING, corpus_text, hand_built_walk_trees
 
 
 # ------------------------------------------------------------------ diffing
@@ -177,6 +187,34 @@ def test_call_depth_exhaustion_with_other_prints_is_a_mismatch(monkeypatch):
     report = diff_against(monkeypatch, RECURSE.format(shown="n"),
                           RECURSE.format(shown="n + 1"), budget=1_000_000)
     assert (report.verdict, report.detail) == ("mismatch", "print[0]: '0' vs '1'")
+
+
+def loop_written(program):
+    """The loop-written oracle as its definition: every loop walks its own
+    body and update, nested loops again for each loop around them."""
+    names = set()
+    for _, loop in program_loops(program):
+        blocks = [loop.body]
+        if isinstance(loop, For):
+            blocks.append(loop.update)
+        for block in blocks:
+            for st in iter_stmts(block):
+                if isinstance(st, (Assign, AssignIndex)):
+                    names.add(st.name)
+    return names
+
+
+def test_loop_written_walks_each_statement_once_to_the_same_set():
+    programs = [parse(corpus_text(n)) for n in CORPUS_FILES]
+    programs += [generate(GenConfig(seed=s, **kw)) for s in range(100)
+                 for kw in ({}, {"max_depth": 4, "max_loops": 6})]
+    programs += [transform_program(p).program for p in programs]
+    trees = hand_built_walk_trees()
+    for p in programs + trees:
+        assert verify._loop_written(p) == loop_written(p)
+    # a for's init counts only inside an enclosing loop
+    assert [sorted(verify._loop_written(p)) for p in trees] == [
+        ["a", "i"], ["a", "c", "i", "x"], ["a", "i"], ["a", "c", "i", "x"], ["d", "f"]]
 
 
 # ---------------------------------------------------------------- tail calls

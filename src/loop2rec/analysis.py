@@ -98,8 +98,8 @@ class LoopAnalysis:
     """Everything the rewrite of one loop needs, and the row `analyze` prints.
     `kind` is the loop's kind, a foreach's resolved to `foreach_array` or
     `foreach_list`; `counter` is a foreach's index or iterator variable and
-    `coll_name` the hoisted collection of an array foreach over anything but
-    a variable."""
+    `coll_name` the hoisted collection of an array foreach, unless it
+    traverses a variable its body leaves alone."""
 
     loop_id: int
     kind: str
@@ -129,12 +129,13 @@ def packing_for(returned, optimize: bool) -> Packing:
 class MethodFacts:
     """The event tape of one method (`kinds` and `names`, side by side) and,
     per loop, what the walk saw of it. `loops` maps id(loop) to (scope, own
-    scan, back edge, observers): the scope maps each name in scope where
-    the loop sits, plus a for loop's init declarations, to its Type (None
-    for a loop the scoping rules do not reach, such as one inside a for
-    header; shared, so never changed); a scan is a flat list of tape positions [start, end, start,
-    end, ...]; observers is a linked list (scan, rest) of the scans that can
-    observe the loop's writes, ending in None."""
+    scan, observers): the scope maps each name in scope where the loop
+    sits, plus a for loop's init declarations, to its Type (None for a loop
+    the scoping rules do not reach, such as one inside a for header; shared,
+    so never changed); a scan is a flat list of tape positions [start, end,
+    start, end, ...]; observers is a linked list (scan, rest) of the scans
+    that can observe the loop's writes, ending in None. A loop's back edge
+    is a link only in the observers of the loops it holds."""
 
     def __init__(self, method: MethodDef):
         self.kinds = []
@@ -237,7 +238,7 @@ class MethodFacts:
                       inner)
             edge += (e + 1, len(names))
             own = [e, len(names)]
-        self.loops.setdefault(id(st), (here, own, edge, observers))
+        self.loops.setdefault(id(st), (here, own, observers))
 
     def scan(self, spans):
         """(uses, writes) of a scan: the names it reads or writes in first-use
@@ -362,18 +363,15 @@ def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
     entry = None if here is None else here.loops.get(id(loop))
     if entry is None or entry[0] is None:  # no scope: where the scoping rules never reach
         raise ValueError("loop does not occur in the given method")
-    scope, own, edge, observers = entry
-    coll = loop.collection.name if loop.__class__ is Foreach \
-        and loop.collection.__class__ is Var else None
-    if coll is not None and coll in here.scan(edge)[1]:
-        raise UnsupportedConstruct(
-            loop.loc, f"foreach body must not modify the traversed collection '{coll}'")
-
+    scope, own, observers = entry
     uses, writes = here.scan(own)
     used = list(uses)
-    if coll is not None:
-        # the traversed collection is re-read by the generated guard and
-        # element access; it leads the parameter list
+    coll = None
+    if loop.__class__ is Foreach and loop.collection.__class__ is Var \
+            and loop.collection.name not in writes:
+        # a collection variable the body leaves alone is re-read by the
+        # generated guard and element access; it leads the parameter list
+        coll = loop.collection.name
         used = [coll] + [n for n in used if n != coll]
 
     try:
@@ -391,7 +389,7 @@ def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
             kind, counter = "foreach_list", names.fresh("it")
         else:
             kind, counter = "foreach_array", names.fresh("index")
-            if coll is None:  # not a variable: hoisted
+            if coll is None:  # not a variable, or one the body writes: hoisted
                 coll_name = names.fresh("coll")
     return LoopAnalysis(
         loop_id=loop.loop_id,

@@ -5,7 +5,7 @@ so scripts can tell failure classes apart:
 
     0  success / equivalent
     1  semantic mismatch reported by diff or fuzz
-    2  parse, semantic-check or usage error (also unsupported constructs)
+    2  parse, semantic-check or usage error
     3  I/O error
     4  step budget exceeded
     5  runtime error with a source location
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 
-from .analysis import UnsupportedConstruct
 from .checker import check_semantics
 from .generator import GenConfig
 from .interp import DEFAULT_BUDGET, InterpError, StepBudgetExceeded, run
@@ -224,12 +223,7 @@ def main(argv=None) -> int:
             raise _Exit(EXIT_FRONTEND, "budget must be positive")
         if getattr(args, "count", 0) < 0:
             raise _Exit(EXIT_FRONTEND, "count must not be negative")
-        try:
-            return args.func(args)
-        except UnsupportedConstruct as e:
-            if "file" not in args:  # fuzz: the generator made the loop
-                raise
-            raise _Exit(EXIT_FRONTEND, f"{args.file}:{e}")
+        return args.func(args)
     except _Exit as e:
         code, *lines = e.args
         print(*lines, sep="\n", file=sys.stderr)

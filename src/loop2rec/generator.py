@@ -252,7 +252,8 @@ class _Gen:
         if kind == "foreach_array":
             if not zero and scope.arrays and self.rng.random() < 0.5:
                 name, length = self.rng.choice(scope.arrays)
-                # the traversed collection must stay unmodified in the body
+                # the body leaves the traversed array alone only to keep default
+                # programs and every digest unchanged; the rewrite hoists a written one
                 inner.arrays = [a for a in inner.arrays if a[0] != name]
                 coll = Var(name)
             elif self.rng.random() < 0.75:

@@ -799,8 +799,7 @@ def _assign_index(r: _Run, st: AssignIndex, b: dict):
     idx = _EVAL[x.__class__](x, b)
     if idx.__class__ is not int or not 0 <= idx < len(base.cells):
         raise IndexOutOfBoundsError(
-            f"index {idx if idx.__class__ in _BOXES else '?'} out of bounds for "
-            f"length {len(base.cells)}")
+            f"index {render_value(idx)} out of bounds for length {len(base.cells)}")
     x = st.value
     base.cells[idx] = _EVAL[x.__class__](x, b)
 

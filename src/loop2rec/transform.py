@@ -3,8 +3,8 @@
 One template serves every loop kind, read as a `while` with parts:
 
   * `pre` runs once before the first call: a `for`'s init, or a foreach's
-    hoisted collection (an array expression that is not a variable) and its
-    counter `index = 0` or iterator `it = iterator(coll)`;
+    hoisted collection (an array, unless it is a variable the body leaves
+    alone) and its counter `index = 0` or iterator `it = iterator(coll)`;
   * `guard` is checked before the first call and before each tail call:
     the loop's condition, `index < length(coll)` or `hasNext(it)`; a `do`
     makes its first call unguarded;

@@ -202,7 +202,7 @@ def test_analyze_generic_mode_packs_object_array():
     assert [x.name for x in a.params] == ["x", "b"]
 
 
-def test_foreach_collection_mutation_rejected():
+def test_foreach_writing_its_array_hoists_it():
     p = parse("""
 void main() {
     double[] xs = new double[] { 1.0, 2.0 };
@@ -212,8 +212,12 @@ void main() {
 }
 """)
     method, loop = first_loop(p)
-    with pytest.raises(UnsupportedConstruct):
-        analyze(p, method, loop)
+    a = analyze(p, method, loop)
+    assert (a.kind, a.coll_name, a.counter) == ("foreach_array", "coll", "index")
+    # xs is an ordinary parameter; the hoisted coll leads the generated method's
+    assert names_of(a.params) == names_of(a.modified) == ["xs"]
+    (gen,) = transform_program(p).program.methods[1:]
+    assert names_of(gen.params) == ["coll", "xs", "index"]
 
 
 def test_analyze_for_loop_init_vars_become_params():
@@ -323,7 +327,6 @@ def test_analysis_and_rewrites_are_pinned():
 # ------------------------------------------- errors on unchecked trees
 
 NOT_IN_SCOPE = "loop references '{}' which is not in scope; run check_semantics first"
-WRITES_COLLECTION = "foreach body must not modify the traversed collection '{}'"
 
 
 @pytest.mark.parametrize("src, loc, message", [
@@ -337,16 +340,9 @@ WRITES_COLLECTION = "foreach body must not modify the traversed collection '{}'"
     ("void main() { int c = 1;\n  if (c > 0) { int t = 1; print(t); }\n"
      "  else { while (t < 3) { t = t + 1; } } }",
      "3:10", NOT_IN_SCOPE.format("t")),
-    ("void main() { double[] xs = new double[] { 1.0 };\n"
-     "  for (double v : xs) { xs[0] = v; } }",
-     "2:3", WRITES_COLLECTION.format("xs")),
-    # the collection check comes before the scope check
+    # a written collection is a parameter like any other name the body uses
     ("void main() { for (double v : ys) { ys[0] = q; } }",
-     "1:15", WRITES_COLLECTION.format("ys")),
-    # a write in a nested loop counts, and the outer loop is analyzed first
-    ("void main() { double[] xs = new double[] { 1.0 }; int i = 0;\n"
-     "  for (double v : xs) { while (i < 1) { xs = new double[] { v }; i = i + 1; } } }",
-     "2:3", WRITES_COLLECTION.format("xs")),
+     "1:15", NOT_IN_SCOPE.format("ys")),
 ])
 def test_unchecked_tree_errors(src, loc, message):
     p = parse(src)  # never checked
@@ -363,7 +359,7 @@ def test_unchecked_tree_errors(src, loc, message):
     assert str(exc.value) == expected
 
 
-def test_inner_loop_of_rejected_foreach_still_analyzes():
+def test_foreach_whose_inner_loop_rebinds_its_array_analyzes():
     p = parse("void main() { double[] xs = new double[] { 1.0 }; int i = 0;\n"
               "  for (double v : xs) { while (i < 1) { xs = new double[] { v }; i = i + 1; } } }")
     (_, outer), (method, inner) = program_loops(p)
@@ -373,8 +369,9 @@ def test_inner_loop_of_rejected_foreach_still_analyzes():
     # i is re-read by the outer body on the foreach's back edge; v is not
     # written, xs is never read again
     assert [x.name for x in a.live_after] == ["i"]
-    with pytest.raises(UnsupportedConstruct):
-        analyze(p, method, outer)
+    # the outer loop hoists xs, which its body writes, and returns nothing
+    a = analyze(p, method, outer)
+    assert (names_of(a.params), a.packing, a.coll_name) == (["i", "xs"], Packing.NONE, "coll")
     # over another array the outer loop analyzes: nothing it writes is read
     # after it
     outer_row, _ = analyze_program(parse(

@@ -58,29 +58,34 @@ def test_transform_of_a_missing_file_is_an_io_error(tmp_path, capsys):
     assert existing.read_text() == "kept"
 
 
-def test_transform_rejects_collection_mutation(tmp_path, capsys):
-    f = tmp_path / "bad.mj"
-    f.write_text("""
-void main() {
-    double[] xs = new double[] { 1.0 };
-    for (double v : xs) {
-        xs[0] = v + 1.0;
-    }
-}
-""")
-    assert main(["transform", str(f)]) == 2
-    assert capsys.readouterr().err == (
-        f"{f}:4:5: foreach body must not modify the traversed collection 'xs'\n")
+WRITES_ITS_ARRAY = ("void main() {\n    double[] xs = new double[] { 1.0 };\n"
+                    "    for (double v : xs) {\n        xs[0] = v + 1.0;\n    }\n}\n")
+
+
+def test_transform_hoists_an_array_its_foreach_writes(tmp_path, capsys):
+    f = tmp_path / "writes.mj"
+    f.write_text(WRITES_ITS_ARRAY)
+    assert main(["transform", "--verify", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "        double[] coll = xs;\n" in out
+    assert "void main_loop(double[] coll, double[] xs, int index) {\n" \
+           "    double v = coll[index];\n    xs[0] = v + 1.0;\n" in out
 
 
 @pytest.mark.parametrize("command", ["diff", "analyze"])
-def test_collection_mutation_is_a_frontend_error(tmp_path, capsys, command):
-    f = tmp_path / "bad.mj"
-    f.write_text("void main() {\n    double[] xs = new double[] { 1.0 };\n"
-                 "    for (double v : xs) {\n        xs[0] = v + 1.0;\n    }\n}\n")
-    assert main([command, str(f)]) == 2
-    assert capsys.readouterr().err == (
-        f"{f}:3:5: foreach body must not modify the traversed collection 'xs'\n")
+def test_a_foreach_that_writes_its_array_is_no_frontend_error(tmp_path, capsys, command):
+    f = tmp_path / "writes.mj"
+    f.write_text(WRITES_ITS_ARRAY)
+    assert main([command, str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "diff":
+        assert out == "equivalent\n"
+    else:
+        (row,) = json.loads(out)
+        assert (row["kind"], row["params"], row["packing"]) == (
+            "foreach_array", [["xs", "double[]"]], "none")
 
 
 def test_transform_output_to_a_missing_directory_is_an_io_error(tmp_path, capsys):
@@ -408,14 +413,18 @@ def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys, co
     assert capsys.readouterr().err == "loop2rec: internal error: RuntimeError: boom\n"
 
 
-def test_unsupported_construct_inside_fuzz_is_an_internal_error(monkeypatch, capsys):
-    # fuzz reads no file: an unsupported loop there comes from the generator
+@pytest.mark.parametrize("command, target", [
+    (["fuzz", "-n", "1"], "fuzz_campaign"),
+    (["transform", str(CORPUS / "sqrt.mj")], "transform_program"),
+], ids=["fuzz", "transform"])
+def test_unsupported_construct_is_an_internal_error(monkeypatch, capsys, command, target):
+    # every checked program rewrites, so no command maps the class to exit 2
     def unsupported(*args, **kwargs):
-        raise UnsupportedConstruct(Loc(3, 5), "foreach body must not modify the "
-                                              "traversed collection 'xs'")
+        raise UnsupportedConstruct(Loc(3, 5), "loop references 'k' which is not in scope; "
+                                              "run check_semantics first")
 
-    monkeypatch.setattr(cli, "fuzz_campaign", unsupported)
-    assert main(["fuzz", "-n", "1"]) == cli.EXIT_INTERNAL
+    monkeypatch.setattr(cli, target, unsupported)
+    assert main(command) == cli.EXIT_INTERNAL == 6
     assert capsys.readouterr() == ("", (
-        "loop2rec: internal error: UnsupportedConstruct: 3:5: foreach body must not "
-        "modify the traversed collection 'xs'\n"))
+        "loop2rec: internal error: UnsupportedConstruct: 3:5: loop references 'k' which is "
+        "not in scope; run check_semantics first\n"))

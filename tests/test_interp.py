@@ -604,6 +604,8 @@ def run_error_texts(src: str, budget: int = 1_000_000) -> list:
      "3:5: IndexOutOfBounds: index 3 out of bounds for length 1"),
     ("double[] xs = new double[] { 1.0 };\n    xs[1.5] = 2.0;", 100,
      "3:5: IndexOutOfBounds: index 1.5 out of bounds for length 1"),
+    ("double[] xs = new double[] { 1.0 };\n    xs[true] = 2.0;", 100,
+     "3:5: IndexOutOfBounds: index true out of bounds for length 1"),
     ("xs[0] = 1.0;", 100, "2:5: UnboundVariable: variable 'xs' is not bound"),
     ("int xs = 1;\n    xs[0] = 1.0;", 100, "3:5: TypeMismatch: 'xs' is not an array"),
     ("List<double> l = new List<double> { };\n    Iterator<double> it = iterator(l);"

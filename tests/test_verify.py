@@ -18,6 +18,7 @@ from loop2rec.ast import (
     structural_eq,
 )
 from loop2rec.parser import parse
+from loop2rec.printer import pretty_print
 from loop2rec.transform import Mutation, TransformOptions, TransformResult, transform_program
 from loop2rec.verify import (
     diff_run,
@@ -57,6 +58,70 @@ void main() {
 }
 """))
     assert report.equivalent, report.detail
+
+
+# A foreach whose body writes the array it traverses: the rewrite hoists the
+# array into a fresh `coll`, Java's one evaluation of the collection, and the
+# body's writes go through the variable. Each shape runs in `main` and in a
+# helper whose parameter is the array, with and without a read after the loop.
+WRITING_BODIES = {
+    "one_cell": "A[0] = v + 1.0;",
+    "later_cell": "A[2] = v * 2.0;",
+    "rebind": "A = new double[] { v, v + 1.0 };",
+    "rebind_then_cell": "A = new double[] { v, 0.5 };\n        A[1] = v;",
+    "while_cells": "int j = 0;\n        while (j < length(A)) { A[j] = A[j] + v; j = j + 1; }",
+    "while_rebind": "int j = 0;\n        while (j < 1) { A = new double[] { v, s }; j = j + 1; }",
+    "poke": "A = poke(A, 1, v);",
+    "read_and_write": "s = s + A[1];\n        A[1] = v + s;",
+    "inner_foreach": "for (double w : A) { A[1] = w + v; }",
+}
+
+
+def writing_foreach(body: str, helper: bool, read_after: bool) -> str:
+    loop = f"    for (double v : A) {{\n        {body}\n        print(v);\n    }}\n"
+    if read_after:
+        loop += "    print(A[0]);\n    print(length(A));\n"
+    poke = "double[] poke(double[] pa, int pi, double pv) {\n    pa[pi] = pv;\n    return pa;\n}\n"
+    if helper:
+        return (poke + f"double walk(double[] A, double s) {{\n{loop}    return s;\n}}\n"
+                "void main() {\n    double[] xs = new double[] { 1.0, 2.0, 3.0 };\n"
+                "    double r = walk(xs, 0.0);\n    print(r);\n    print(xs[1]);\n}\n")
+    return (poke + "void main() {\n    double[] A = new double[] { 1.0, 2.0, 3.0 };\n"
+            f"    double s = 0.0;\n{loop}    print(s);\n}}\n")
+
+
+WRITING_FOREACH = {
+    f"{name}-{'helper' if helper else 'main'}-{'read' if read_after else 'no_read'}":
+        writing_foreach(body, helper, read_after)
+    for name, body in WRITING_BODIES.items()
+    for helper in (False, True) for read_after in (False, True)}
+# a list's iterator is taken once before the first call, so a rebinding
+# needs no hoist
+WRITING_FOREACH["list_rebind-main"] = (
+    "void main() {\n    List<double> L = new List<double> { 1.0, 2.0 };\n"
+    "    for (double v : L) {\n        L = new List<double> { v, v, v };\n        print(v);\n"
+    "    }\n    print(length(L));\n}\n")
+WRITING_FOREACH["list_while_rebind-helper"] = (
+    "int walk(List<double> L) {\n    int n = 0;\n    for (double v : L) {\n"
+    "        int j = 0;\n        while (j < 1) { L = new List<double> { v }; j = j + 1; }\n"
+    "        n = n + length(L);\n    }\n    return n;\n}\n"
+    "void main() {\n    int n = walk(new List<double> { 1.0, 2.0, 3.0 });\n    print(n);\n}\n")
+
+
+@pytest.mark.parametrize("src", list(WRITING_FOREACH.values()), ids=list(WRITING_FOREACH))
+def test_foreach_writing_its_collection_rewrites_equivalent(src):
+    p = parse(src)
+    assert check_semantics(p) == []
+    for optimize in (True, False):
+        opts = TransformOptions(optimize=optimize)
+        report = diff_run(p, opts)
+        assert report.equivalent, (optimize, report.detail)
+        result = transform_program(p, opts)
+        first = result.report[0]
+        assert first.coll_name == ("coll" if first.kind == "foreach_array" else None)
+        again = parse(pretty_print(result.program))
+        assert check_semantics(again) == []
+        assert structural_eq(again, result.program)
 
 
 def test_both_sides_exceeding_budget_counts_as_equivalent():

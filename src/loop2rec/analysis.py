@@ -58,7 +58,6 @@ from .ast import (
     CallStmt,
     DoWhile,
     For,
-    Foreach,
     If,
     Loc,
     MethodDef,
@@ -366,11 +365,16 @@ def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
     scope, own, observers = entry
     uses, writes = here.scan(own)
     used = list(uses)
+    kind, counter, coll_name = loop_kind(loop), None, None
+    if kind == "foreach":
+        ty = static_type(loop.collection, scope)
+        kind = "foreach_list" if ty is not None and ty.kind == "list" else "foreach_array"
     coll = None
-    if loop.__class__ is Foreach and loop.collection.__class__ is Var \
+    if kind == "foreach_array" and loop.collection.__class__ is Var \
             and loop.collection.name not in writes:
-        # a collection variable the body leaves alone is re-read by the
-        # generated guard and element access; it leads the parameter list
+        # an array variable the body leaves alone is re-read by the generated
+        # guard and element access; it leads the parameter list (a list is
+        # read once, by the `iterator` call before the first call)
         coll = loop.collection.name
         used = [coll] + [n for n in used if n != coll]
 
@@ -382,15 +386,12 @@ def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
     typed = dict(zip(used, params))
     live = tuple([typed[n] for n in here.live_after(observers, writes)])
     loop_method_name, result_var_name = names.loop_names(method.name)
-    kind, counter, coll_name = loop_kind(loop), None, None
-    if kind == "foreach":
-        ty = static_type(loop.collection, scope)
-        if ty is not None and ty.kind == "list":
-            kind, counter = "foreach_list", names.fresh("it")
-        else:
-            kind, counter = "foreach_array", names.fresh("index")
-            if coll is None:  # not a variable, or one the body writes: hoisted
-                coll_name = names.fresh("coll")
+    if kind == "foreach_list":
+        counter = names.fresh("it")
+    elif kind == "foreach_array":
+        counter = names.fresh("index")
+        if coll is None:  # not a variable, or one the body writes: hoisted
+            coll_name = names.fresh("coll")
     return LoopAnalysis(
         loop_id=loop.loop_id,
         kind=kind,

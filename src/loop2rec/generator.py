@@ -14,7 +14,7 @@ occasional variable named `result` or `index` to stress fresh-name selection.
 from __future__ import annotations
 
 import random
-from itertools import accumulate, count
+from itertools import count
 
 from .ast import (
     Assign,
@@ -48,6 +48,7 @@ from .ast import (
 )
 
 LOOP_KINDS = ("while", "do", "for", "foreach_array", "foreach_list")
+ZERO_GUARD_KINDS = tuple(k for k in LOOP_KINDS if k != "do")  # a do-loop always runs once
 MAX_STMTS = 5  # per body
 
 
@@ -56,7 +57,6 @@ class GenConfig:
     seed: int = 0
     max_depth: int = 3  # loop nesting
     max_loops: int = 4  # per program
-    loop_weights: dict = {k: 1.0 for k in LOOP_KINDS}
     zero_guard_bias: float = 0.0  # probability a loop runs zero iterations
 
 
@@ -81,11 +81,6 @@ class _Gen:
         self.helper = None  # (name,) of an extra callable method, if any
         # loops are numbered as they are made, each before the loops it holds
         self.loop_ids = count()
-        self.kind_cum_weights = []  # for pick_kind(False) and pick_kind(True)
-        for zero in (False, True):
-            # a do-loop always runs once; swap it out of the zero-guard pool
-            w = [0.0 if zero and k == "do" else cfg.loop_weights.get(k, 0.0) for k in LOOP_KINDS]
-            self.kind_cum_weights.append(list(accumulate([1.0] * len(w) if sum(w) <= 0 else w)))
 
     def fresh(self, base: str) -> str:
         self.counter += 1
@@ -199,14 +194,13 @@ class _Gen:
 
     # ---------------------------------------------------------------- loops
 
-    def pick_kind(self, zero: bool) -> str:
-        return self.rng.choices(LOOP_KINDS, cum_weights=self.kind_cum_weights[zero])[0]
-
     def loop(self, scope: _Scope, depth: int) -> list:
         self.loops_left -= 1
         loop_id = next(self.loop_ids)
         zero = self.rng.random() < self.cfg.zero_guard_bias
-        kind = self.pick_kind(zero)
+        # `choices`, not `choice`: each seed's program rests on one `random()`
+        # draw here, which `choice` would replace by a `getrandbits` draw
+        kind = self.rng.choices(ZERO_GUARD_KINDS if zero else LOOP_KINDS)[0]
         inner = _Scope(scope)
         bound = 0 if zero else self.rng.randint(1, 6)
         if kind == "while" or kind == "do":

@@ -21,6 +21,12 @@ division (division by integer zero is an error), doubles are IEEE binary64
 (division by zero gives infinities/NaN). Inside a run an int, double or bool
 is a plain Python int, float or bool, told apart by exact class (`bool` is a
 subclass of `int`); the API boxes them into IntV, DoubleV and BoolV.
+
+Every value has one language type, `type_of(v)`: a scalar's by its exact
+class, a collection's (a CollV: an array, a list or an object array) as it
+was built, and an iterator's from its list. A cast checks that type: it
+passes when the target is `Object` or equals it. Indexing, `length`,
+traversal and the iterator builtins read the collection's type kind.
 """
 
 from __future__ import annotations
@@ -68,6 +74,9 @@ from .ast import (
     Var,
     VarDecl,
     While,
+    array_of,
+    iterator_of,
+    list_of,
     loop_kind,
     program_loops,
     record,
@@ -174,41 +183,32 @@ def _box(v):
 
 
 def _unbox(v):
-    return v.value if isinstance(v, _BOXED) else v
+    return v.value if v.__class__ in _BOXED else v
 
 
-class ArrayV:
-    """Mutable cell sequence with identity; bindings share the cells. Cells
-    hold raw values, which `repr` shows boxed."""
+class CollV:
+    """An array, list or object array: its language type (`array_of(T)`,
+    `list_of(T)` or OBJECT_ARRAY) and its cells, which hold raw values and
+    which `repr` shows boxed. A collection has identity: bindings share the
+    cells."""
 
-    __slots__ = ("elem_type", "cells")
+    __slots__ = ("type", "cells")
 
-    def __init__(self, elem_type: Type, cells: list):
-        self.elem_type = elem_type
+    def __init__(self, type: Type, cells: list):
+        self.type = type
         self.cells = cells
 
     def __repr__(self):
-        return f"ArrayV({self.elem_type}, {list(map(_box, self.cells))!r})"
-
-
-class ListV:
-    __slots__ = ("elem_type", "cells")
-
-    def __init__(self, elem_type: Type, cells: list):
-        self.elem_type = elem_type
-        self.cells = cells
-
-    def __repr__(self):
-        return f"ListV({self.elem_type}, {list(map(_box, self.cells))!r})"
+        return f"CollV({self.type}, {list(map(_box, self.cells))!r})"
 
 
 class IterV:
-    """Cursor over a ListV. `pos` advances in place, like a Java iterator
+    """Cursor over a list. `pos` advances in place, like a Java iterator
     object shared by reference across frames."""
 
     __slots__ = ("target", "pos")
 
-    def __init__(self, target: ListV, pos: int = 0):
+    def __init__(self, target: CollV, pos: int = 0):
         self.target = target
         self.pos = pos
 
@@ -216,14 +216,20 @@ class IterV:
         return f"IterV(pos={self.pos})"
 
 
-class ObjectArrayV:
-    __slots__ = ("cells",)
+_SCALAR_TYPES = {int: INT, float: DOUBLE, bool: BOOL}
 
-    def __init__(self, cells: list):
-        self.cells = cells
 
-    def __repr__(self):
-        return f"ObjectArrayV({list(map(_box, self.cells))!r})"
+def type_of(v) -> Type:
+    """The language type of a raw value."""
+    c = v.__class__
+    if c is CollV:
+        return v.type
+    if c is IterV:
+        return iterator_of(v.target.type.elem)
+    ty = _SCALAR_TYPES.get(c)
+    if ty is None:
+        raise TypeError(f"not a value: {v!r}")
+    return ty
 
 
 def wrap32(x: int) -> int:
@@ -243,11 +249,11 @@ def render_value(v) -> str:
         return repr(v)
     if c is bool:
         return "true" if v else "false"
-    if isinstance(v, (ArrayV, ListV, ObjectArrayV)):
+    if c is CollV:
         return "[" + ", ".join(render_value(x) for x in v.cells) + "]"
-    if isinstance(v, IterV):
+    if c is IterV:
         return f"iterator({v.pos})"
-    if isinstance(v, _BOXED):
+    if c in _BOXED:
         return render_value(v.value)
     raise TypeError(f"not a value: {v!r}")
 
@@ -262,18 +268,15 @@ def values_equal(a, b) -> bool:
             return struct.pack("<d", a) == struct.pack("<d", b)
         if c is int or c is bool:
             return a == b
-    if isinstance(a, _BOXED) or isinstance(b, _BOXED):
+        if c is CollV:
+            return (a.type == b.type and len(a.cells) == len(b.cells)
+                    and all(values_equal(x, y) for x, y in zip(a.cells, b.cells)))
+        if c is IterV:
+            return a.pos == b.pos and values_equal(a.target, b.target)
+    if c in _BOXED or b.__class__ in _BOXED:
         return values_equal(_unbox(a), _unbox(b))
     if c is not b.__class__:
         return False
-    if isinstance(a, (ArrayV, ListV)):
-        return (a.elem_type == b.elem_type and len(a.cells) == len(b.cells)
-                and all(values_equal(x, y) for x, y in zip(a.cells, b.cells)))
-    if isinstance(a, ObjectArrayV):
-        return (len(a.cells) == len(b.cells)
-                and all(values_equal(x, y) for x, y in zip(a.cells, b.cells)))
-    if isinstance(a, IterV):
-        return a.pos == b.pos and values_equal(a.target, b.target)
     raise TypeError(f"not a value: {a!r}")
 
 
@@ -540,14 +543,12 @@ def _values(xs: list, b: dict) -> list:
 
 
 def _array_lit(e: ArrayLit, b: dict):
-    cells = _values(e.elements, b)
-    if e.elem_type == OBJECT:
-        return ObjectArrayV(cells)
-    return ArrayV(e.elem_type, cells)
+    ty = OBJECT_ARRAY if e.elem_type == OBJECT else array_of(e.elem_type)
+    return CollV(ty, _values(e.elements, b))
 
 
 def _list_lit(e: ListLit, b: dict):
-    return ListV(e.elem_type, _values(e.elements, b))
+    return CollV(list_of(e.elem_type), _values(e.elements, b))
 
 
 def _index(e: Index, b: dict):
@@ -557,7 +558,7 @@ def _index(e: Index, b: dict):
     idx = _EVAL[x.__class__](x, b)
     if idx.__class__ is not int:
         raise TypeMismatchError("index must be an int")
-    if not isinstance(base, (ArrayV, ObjectArrayV)):
+    if base.__class__ is not CollV or base.type.kind == "list":
         raise TypeMismatchError(f"cannot index into {render_value(base)}")
     if not 0 <= idx < len(base.cells):
         raise IndexOutOfBoundsError(
@@ -568,7 +569,7 @@ def _index(e: Index, b: dict):
 def _length(e: Length, b: dict):
     x = e.collection
     v = _EVAL[x.__class__](x, b)
-    if not isinstance(v, (ArrayV, ListV, ObjectArrayV)):
+    if v.__class__ is not CollV:
         raise TypeMismatchError(f"length() of non-collection {render_value(v)}")
     return len(v.cells)
 
@@ -587,11 +588,11 @@ def _builtin(e: Builtin, b: dict):
             return math.fabs(v)
         return wrap32(abs(v))
     if name == "iterator":
-        if not isinstance(v, ListV):
+        if v.__class__ is not CollV or v.type.kind != "list":
             raise TypeMismatchError(f"iterator() needs a list, got {render_value(v)}")
         return IterV(v, 0)
     if name == "hasNext" or name == "next":
-        if not isinstance(v, IterV):
+        if v.__class__ is not IterV:
             raise TypeMismatchError(f"{name}() needs an iterator, got {render_value(v)}")
         if name == "hasNext":
             return v.pos < len(v.target.cells)
@@ -607,17 +608,7 @@ def _cast(e: Cast, b: dict):
     x = e.expr
     v = _EVAL[x.__class__](x, b)
     ty = e.type
-    ok = (
-        (ty == INT and v.__class__ is int)
-        or (ty == DOUBLE and v.__class__ is float)
-        or (ty == BOOL and v.__class__ is bool)
-        or ty == OBJECT
-        or (ty == OBJECT_ARRAY and isinstance(v, ObjectArrayV))
-        or (ty.kind == "array" and isinstance(v, ArrayV) and v.elem_type == ty.elem)
-        or (ty.kind == "list" and isinstance(v, ListV) and v.elem_type == ty.elem)
-        or (ty.kind == "iterator" and isinstance(v, IterV) and v.target.elem_type == ty.elem)
-    )
-    if not ok:
+    if ty != OBJECT and ty != type_of(v):
         raise TypeMismatchError(f"cannot cast {render_value(v)} to {ty}")
     return v
 
@@ -791,15 +782,16 @@ def _assign_index(r: _Run, st: AssignIndex, b: dict):
     if r.steps > r.limit:
         r.slow_step("assign", st.loc)
     base = b.get(st.name)
-    if base.__class__ is not ArrayV:
+    if base.__class__ is not CollV or base.type.kind != "array":
         if base is None:
             raise UnboundVariableError(f"variable '{st.name}' is not bound")
         raise TypeMismatchError(f"'{st.name}' is not an array")
     x = st.index
     idx = _EVAL[x.__class__](x, b)
-    if idx.__class__ is not int or not 0 <= idx < len(base.cells):
-        raise IndexOutOfBoundsError(
-            f"index {render_value(idx)} out of bounds for length {len(base.cells)}")
+    if idx.__class__ is not int:
+        raise TypeMismatchError("index must be an int")
+    if not 0 <= idx < len(base.cells):
+        raise IndexOutOfBoundsError(f"index {idx} out of bounds for length {len(base.cells)}")
     x = st.value
     base.cells[idx] = _EVAL[x.__class__](x, b)
 
@@ -888,7 +880,7 @@ def _foreach(r: _Run, st: Foreach, b: dict):
         r.slow_step("foreach", st.loc)
     x = st.collection
     coll = _EVAL[x.__class__](x, b)
-    if not isinstance(coll, (ArrayV, ListV)):
+    if coll.__class__ is not CollV or coll.type == OBJECT_ARRAY:
         raise TypeMismatchError(f"foreach needs an array or list, got {render_value(coll)}")
     for cell in coll.cells:  # read live, as in Java: the body may write a later cell
         r.steps += 1

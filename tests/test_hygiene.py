@@ -5,7 +5,8 @@ in `src/` is longer than MAX_LINE characters, and every class the `ast`
 module defines declares its own `__slots__` (`record` gives each node class
 its slots), so no tree node carries a `__dict__`. No statement handler of the
 interpreter holds a `try`: `_Run.exec_seq` is the one place that gives a
-runtime error its location."""
+runtime error its location. No expression or statement handler names
+`isinstance`: the interpreter tells values apart by exact class."""
 
 import ast
 import inspect
@@ -172,27 +173,52 @@ def test_the_slots_check_sees_unslotted_classes():
 
 TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
 HANDLERS = {f.__name__ for f in interp._EXEC.values()}
+EVALUATORS = {f.__name__ for f in interp._EVAL.values()}
 
 
-def functions_with_try(module: ast.Module, names: set) -> list:
+def is_try(node: ast.AST) -> bool:
+    return isinstance(node, TRY)
+
+
+def names_isinstance(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "isinstance"
+
+
+def functions_holding(module: ast.Module, names: set, found) -> list:
     """The module-level functions of `module` named in `names` that hold a
-    `try` statement."""
+    node for which `found` is true."""
     return [node.name for node in module.body
             if isinstance(node, ast.FunctionDef) and node.name in names
-            and any(isinstance(n, TRY) for n in ast.walk(node))]
+            and any(found(n) for n in ast.walk(node))]
 
 
 def test_no_statement_handler_catches_errors():
     module = parse_file(PACKAGE / "interp.py")
     defined = {node.name for node in module.body if isinstance(node, ast.FunctionDef)}
     assert HANDLERS <= defined
-    assert functions_with_try(module, HANDLERS) == []
+    assert functions_holding(module, HANDLERS, is_try) == []
 
 
 def test_the_try_check_sees_a_handler_that_catches():
     copy = (inspect.getsource(interp._print)
             + "    try:\n        pass\n    except InterpError:\n        raise\n")
-    assert functions_with_try(ast.parse(copy), HANDLERS) == ["_print"]
+    assert functions_holding(ast.parse(copy), HANDLERS, is_try) == ["_print"]
+
+
+def test_no_handler_tells_values_apart_by_isinstance():
+    # exact class only: `bool` is a subclass of `int` (docs/semantics.md)
+    module = parse_file(PACKAGE / "interp.py")
+    defined = {node.name for node in module.body if isinstance(node, ast.FunctionDef)}
+    assert HANDLERS | EVALUATORS <= defined
+    assert functions_holding(module, HANDLERS | EVALUATORS, names_isinstance) == []
+
+
+def test_the_isinstance_check_sees_a_handler_that_calls_it():
+    for handler in (interp._length, interp._foreach):
+        copy = (inspect.getsource(handler)
+                + "    if isinstance(x, int):\n        raise TypeMismatchError('x')\n")
+        assert functions_holding(ast.parse(copy), HANDLERS | EVALUATORS,
+                                 names_isinstance) == [handler.__name__]
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

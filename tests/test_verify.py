@@ -11,7 +11,6 @@ from loop2rec.ast import (
     AssignIndex,
     CallStmt,
     For,
-    Foreach,
     is_loop,
     iter_stmts,
     program_loops,
@@ -366,17 +365,6 @@ def test_generated_programs_always_check(subtests=None):
         p = generate(GenConfig(seed=seed))
         assert check_semantics(p) == [], f"seed {seed}"
         assert any(is_loop(st) for m in p.methods for st in iter_stmts(m.body)), f"seed {seed}"
-
-
-def test_foreach_weights_bias_output():
-    weights = {"while": 1.0, "do": 1.0, "for": 1.0,
-               "foreach_array": 10.0, "foreach_list": 10.0}
-    hits = 0
-    for seed in range(200):
-        p = generate(GenConfig(seed=seed, loop_weights=weights))
-        if any(isinstance(loop, Foreach) for _, loop in program_loops(p)):
-            hits += 1
-    assert hits >= 180  # at least 90%
 
 
 def test_zero_guard_bias_yields_zero_iteration_loops():

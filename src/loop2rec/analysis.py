@@ -154,7 +154,7 @@ class MethodFacts:
         owned = False  # whether `scope` is this sequence's own copy
         rests = []  # [end of statement, end of sequence] per compound statement
         for st in stmts:
-            cls = st.__class__
+            cls = type(st)
             if cls is Assign:
                 emit_names(st.value, names, kinds)
                 kinds.append(WRITE)
@@ -200,7 +200,7 @@ class MethodFacts:
         kinds, names = self.kinds, self.names
         edge = []  # the back edge, filled in once the loop is on the tape
         inner = (edge, observers)
-        cls = st.__class__
+        cls = type(st)
         here = scope
         if cls is While:
             c = len(names)
@@ -218,7 +218,7 @@ class MethodFacts:
         elif cls is For:
             if scope is not None:
                 here = dict(scope)
-                here.update((s.name, s.type) for s in st.init if s.__class__ is VarDecl)
+                here.update((s.name, s.type) for s in st.init if type(s) is VarDecl)
             self._seq(st.init, None, inner)
             c = len(names)
             emit_names(st.cond, names, kinds)
@@ -370,7 +370,7 @@ def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
         ty = static_type(loop.collection, scope)
         kind = "foreach_list" if ty is not None and ty.kind == "list" else "foreach_array"
     coll = None
-    if kind == "foreach_array" and loop.collection.__class__ is Var \
+    if kind == "foreach_array" and type(loop.collection) is Var \
             and loop.collection.name not in writes:
         # an array variable the body leaves alone is re-read by the generated
         # guard and element access; it leads the parameter list (a list is

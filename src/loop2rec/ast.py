@@ -35,7 +35,7 @@ def record(cls=None, *, frozen=False, where=()):
                            if isinstance(g.get(f"_d_{n}"), (list, dict)) else n) for n in fields]
     key = "".join(f"self.{n}, " for n in shown)
     exec(f"def __init__(self, {', '.join(params)}):\n pass\n " + "\n ".join(stores)
-         + "\ndef __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+         + "\ndef __eq__(self, other):\n if type(other) is type(self):\n"
          + f"  return ({key}) == ({key.replace('self.', 'other.')})\n return NotImplemented", g)
     own = {"__init__": g["__init__"], "__eq__": g["__eq__"], "__repr__": lambda self: (
         f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})")}
@@ -52,7 +52,7 @@ def _refuse(self, name, *value):
 
 def replace(rec, **changes):
     """A copy of the record `rec`, with `changes` as new field values."""
-    return rec.__class__(**{n: getattr(rec, n) for n in rec._fields} | changes)
+    return type(rec)(**{n: getattr(rec, n) for n in rec._fields} | changes)
 
 
 class Loc(NamedTuple):
@@ -146,14 +146,14 @@ class Binary(Expr):
     def __eq__(self, other):
         # the left spine is compared in a loop, so a left-deep chain such as
         # `1 + 1 + ...` is not bounded by the recursion limit
-        if other.__class__ is not Binary:
+        if type(other) is not Binary:
             return NotImplemented
         a, b = self, other
         while True:
             if a.op != b.op or a.rhs != b.rhs:
                 return False
             a, b = a.lhs, b.lhs
-            if a.__class__ is not Binary or b.__class__ is not Binary:
+            if type(a) is not Binary or type(b) is not Binary:
                 return a == b
 
 
@@ -330,7 +330,7 @@ COMPOUND_KINDS = LOOP_KINDS | {If, Block}  # the statements that hold statements
 
 
 def is_loop(st: Stmt) -> bool:
-    return st.__class__ in LOOP_KINDS
+    return type(st) in LOOP_KINDS
 
 
 def loop_kind(st: Stmt) -> str:
@@ -397,7 +397,7 @@ def iter_stmts(stmts: list) -> list:
     while stack:
         st = stack.pop()
         out.append(st)
-        if st.__class__ in COMPOUND_KINDS:
+        if type(st) in COMPOUND_KINDS:
             for block in reversed(stmt_blocks(st)):
                 stack += reversed(block)
     return out
@@ -405,7 +405,7 @@ def iter_stmts(stmts: list) -> list:
 
 def stmt_exprs(st: Stmt) -> list:
     """Expressions held directly by a statement (not those of nested blocks)."""
-    cls = st.__class__
+    cls = type(st)
     if cls in _HAS_VALUE:
         return [st.value]
     if cls in _HAS_COND:
@@ -433,12 +433,12 @@ def _walk_expr(e: Expr, out: list) -> None:
     # a left operand chain is walked in a loop, so `1 + 1 + ...` is not
     # bounded by the recursion limit
     rights = []
-    while e.__class__ is Binary:
+    while type(e) is Binary:
         out.append(e)
         rights.append(e.rhs)
         e = e.lhs
     out.append(e)
-    cls = e.__class__
+    cls = type(e)
     if cls is Unary:
         _walk_expr(e.operand, out)
     elif cls is Index:
@@ -469,12 +469,12 @@ def emit_names(e: Expr, out: list, kinds: list) -> None:
     chain is walked in a loop, so `a + a + ...` is not bounded by the
     recursion limit; its leaf operands cost no call."""
     parts = []  # the right operands, outermost first, then the leftmost
-    while e.__class__ is Binary:
+    while type(e) is Binary:
         parts.append(e.rhs)
         e = e.lhs
     parts.append(e)
     for e in reversed(parts):
-        cls = e.__class__
+        cls = type(e)
         if cls is Var:
             out.append(e.name)
             kinds.append(READ)
@@ -511,7 +511,7 @@ def collect_identifiers(program: Program) -> set:
         ids.append(m.name)
         ids += [p.name for p in m.params]
         for st in iter_stmts(m.body):
-            cls = st.__class__
+            cls = type(st)
             if cls is VarDecl or cls is Assign or cls is AssignIndex:
                 ids.append(st.name)
             elif cls is Foreach:
@@ -534,7 +534,7 @@ def assign_loop_ids(program: Program) -> int:
 def program_loops(program: Program) -> list:
     """(method, loop) pairs in document order."""
     return [(m, st) for m in program.methods for st in iter_stmts(m.body)
-            if st.__class__ in LOOP_KINDS]
+            if type(st) in LOOP_KINDS]
 
 
 def structural_eq(a: Program, b: Program) -> bool:

@@ -163,7 +163,7 @@ class _Checker:
     def check_return(self, value: Expr, loc) -> None:
         want = self.current.ret_type
         got = self.value_type(value, loc)
-        call = value.__class__ is Call
+        call = type(value) is Call
         if want == VOID:
             if not (call and got == VOID):
                 self.error(loc, f"method '{self.current.name}' is void and cannot return a value")
@@ -182,7 +182,7 @@ class _Checker:
         if isinstance(st, VarDecl):
             self.declare(st.loc, st.name, st.type, self.value_type(st.value, st.loc))
         elif isinstance(st, Assign):
-            if st.value.__class__ is Call:  # the call's errors come before the target's
+            if type(st.value) is Call:  # the call's errors come before the target's
                 got = self.value_type(st.value, st.loc)
                 self.check_assign(st.loc, st.name, self.target(st.loc, st.name), got)
                 if got == VOID:
@@ -253,7 +253,7 @@ class _Checker:
     def value_type(self, value: Expr, loc) -> Optional[Type]:
         """The type of what a statement holds: a call's result type, or an
         expression's; None after reporting an error."""
-        if value.__class__ is not Call:
+        if type(value) is not Call:
             return self.expr_type(value, loc)
         name, args = value.method, value.args
         m = self.methods.get(name)
@@ -273,7 +273,7 @@ class _Checker:
     def expr_type(self, e: Expr, loc) -> Optional[Type]:
         """Type of an expression, or None after reporting an error. The two
         commonest leaves are told apart by exact class, before the ladder."""
-        cls = e.__class__
+        cls = type(e)
         if cls is Var:
             ty = self.visible.get(e.name)
             if ty is None:

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 
+from .ast import structural_eq
 from .checker import check_semantics
 from .generator import GenConfig
 from .interp import DEFAULT_BUDGET, InterpError, StepBudgetExceeded, run
@@ -108,7 +109,9 @@ def cmd_transform(args) -> int:
         print(_rows_json(result.report), file=sys.stderr)
     text = pretty_print(result.program)
     if args.verify:
-        _read(text, "<transformed>", "output does not re-parse: ")
+        again = _read(text, "<transformed>", "output does not re-parse: ")
+        if not structural_eq(again, result.program):
+            raise _Exit(EXIT_FRONTEND, "<transformed>: output does not round-trip")
     if args.output is None:
         sys.stdout.write(text)
         return EXIT_OK

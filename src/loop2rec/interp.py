@@ -20,7 +20,12 @@ Numbers behave like Java's: ints are 32-bit two's complement with truncating
 division (division by integer zero is an error), doubles are IEEE binary64
 (division by zero gives infinities/NaN). Inside a run an int, double or bool
 is a plain Python int, float or bool, told apart by exact class (`bool` is a
-subclass of `int`); the API boxes them into IntV, DoubleV and BoolV.
+subclass of `int`); the API boxes them into IntV, DoubleV and BoolV. A class
+test reads `type(v)`, as in `type(v) is int` or `_EVAL[type(e)]`, never the
+class attribute: CPython's specializing interpreter caches the call whatever
+the class, while it caches the attribute read for one class only, and misses
+whenever the class changes (tests/test_hygiene.py keeps the attribute out of
+src/).
 
 Every value has one language type, `type_of(v)`: a scalar's by its exact
 class, a collection's (a CollV: an array, a list or an object array) as it
@@ -178,12 +183,12 @@ _BOXED = (IntV, DoubleV, BoolV)
 def _box(v):
     """The API form of a value: a raw int, float or bool boxed, anything else
     (a collection, an iterator, None) as it is."""
-    box = _BOXES.get(v.__class__)
+    box = _BOXES.get(type(v))
     return v if box is None else box(v)
 
 
 def _unbox(v):
-    return v.value if v.__class__ in _BOXED else v
+    return v.value if type(v) in _BOXED else v
 
 
 class CollV:
@@ -221,7 +226,7 @@ _SCALAR_TYPES = {int: INT, float: DOUBLE, bool: BOOL}
 
 def type_of(v) -> Type:
     """The language type of a raw value."""
-    c = v.__class__
+    c = type(v)
     if c is CollV:
         return v.type
     if c is IterV:
@@ -238,7 +243,7 @@ def wrap32(x: int) -> int:
 
 def render_value(v) -> str:
     """A raw or boxed value as `print` shows it."""
-    c = v.__class__
+    c = type(v)
     if c is int:
         return str(v)
     if c is float:
@@ -262,8 +267,8 @@ def values_equal(a, b) -> bool:
     """Strict observable equality of raw or boxed values: an int, a double
     and a bool never equal each other, and doubles compare bit for bit (NaN
     equals NaN, 0.0 differs from -0.0)."""
-    c = a.__class__
-    if c is b.__class__:
+    c = type(a)
+    if c is type(b):
         if c is float:
             return struct.pack("<d", a) == struct.pack("<d", b)
         if c is int or c is bool:
@@ -273,9 +278,9 @@ def values_equal(a, b) -> bool:
                     and all(values_equal(x, y) for x, y in zip(a.cells, b.cells)))
         if c is IterV:
             return a.pos == b.pos and values_equal(a.target, b.target)
-    if c in _BOXED or b.__class__ in _BOXED:
+    if c in _BOXED or type(b) in _BOXED:
         return values_equal(_unbox(a), _unbox(b))
-    if c is not b.__class__:
+    if c is not type(b):
         return False
     raise TypeError(f"not a value: {a!r}")
 
@@ -396,13 +401,13 @@ def rem_frame(s: State) -> State:
 
 
 def _num(v, what: str):
-    if v.__class__ in _NUMBERS:
+    if type(v) in _NUMBERS:
         return v
     raise TypeMismatchError(f"{what} needs a number, got {render_value(v)}")
 
 
 def _bool(v, what: str) -> bool:
-    if v.__class__ is bool:
+    if type(v) is bool:
         return v
     raise TypeMismatchError(f"{what} needs a bool, got {render_value(v)}")
 
@@ -432,7 +437,7 @@ def eval_expr(e: Expr, s: State):
     doubles (NaN propagates), wrapping 32-bit ints, short-circuit boolean
     operators. `next(it)` advances the shared iterator in place."""
     b = {k: _unbox(v) for k, v in s.frames[-1].bindings.items()} if s.frames else _NO_FRAME
-    return _box(_EVAL[e.__class__](e, b))
+    return _box(_EVAL[type(e)](e, b))
 
 
 def _lit(e, b: dict):
@@ -462,27 +467,27 @@ _LITERALS = frozenset((IntLit, DoubleLit, BoolLit))
 def _binary(e: Binary, b: dict):
     op = e.op
     x = e.lhs
-    c = x.__class__
+    c = type(x)
     lv = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
     if lv is None:
         lv = _EVAL[c](x, b)
     if op == "&&" or op == "||":
-        if lv.__class__ is not bool:
+        if type(lv) is not bool:
             _bool(lv, f"'{op}'")  # raises
         if lv is (op == "||"):
             return lv
         x = e.rhs
-        rv = _EVAL[x.__class__](x, b)
-        if rv.__class__ is not bool:
+        rv = _EVAL[type(x)](x, b)
+        if type(rv) is not bool:
             _bool(rv, f"'{op}'")  # raises
         return rv
     x = e.rhs
-    c = x.__class__
+    c = type(x)
     rv = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
     if rv is None:
         rv = _EVAL[c](x, b)
-    lc = lv.__class__
-    rc = rv.__class__
+    lc = type(lv)
+    rc = type(rv)
     f = _ARITH.get(op)
     if f is not None:
         if lc is int and rc is int:
@@ -506,13 +511,13 @@ def _binary_checked(op: str, lv, rv):
     if op == "/":
         a = _num(lv, what)
         d = _num(rv, what)
-        if a.__class__ is not int or d.__class__ is not int:
+        if type(a) is not int or type(d) is not int:
             return _ddiv(float(a), float(d))
         if d == 0:
             raise DivisionByZeroError("integer division by zero")
         q = abs(a) // abs(d)
         return wrap32(-q if (a < 0) != (d < 0) else q)
-    if (op == "==" or op == "!=") and lv.__class__ is bool and rv.__class__ is bool:
+    if (op == "==" or op == "!=") and type(lv) is bool and type(rv) is bool:
         return (lv is rv) is (op == "==")
     if op in _ARITH or op in _COMPARE:
         _num(lv, what)
@@ -522,9 +527,9 @@ def _binary_checked(op: str, lv, rv):
 
 def _unary(e: Unary, b: dict):
     x = e.operand
-    v = _EVAL[x.__class__](x, b)
+    v = _EVAL[type(x)](x, b)
     if e.op == "-":
-        if _num(v, "unary '-'").__class__ is float:
+        if type(_num(v, "unary '-'")) is float:
             return -v
         return wrap32(-v)
     if e.op != "!":
@@ -536,7 +541,7 @@ def _values(xs: list, b: dict) -> list:
     """The values of call arguments or collection cells, in order."""
     out = []
     for x in xs:
-        c = x.__class__
+        c = type(x)
         v = b.get(x.name) if c is Var else x.value if c in _LITERALS else None
         out.append(_EVAL[c](x, b) if v is None else v)
     return out
@@ -553,12 +558,12 @@ def _list_lit(e: ListLit, b: dict):
 
 def _index(e: Index, b: dict):
     x = e.base
-    base = _EVAL[x.__class__](x, b)
+    base = _EVAL[type(x)](x, b)
     x = e.index
-    idx = _EVAL[x.__class__](x, b)
-    if idx.__class__ is not int:
+    idx = _EVAL[type(x)](x, b)
+    if type(idx) is not int:
         raise TypeMismatchError("index must be an int")
-    if base.__class__ is not CollV or base.type.kind == "list":
+    if type(base) is not CollV or base.type.kind == "list":
         raise TypeMismatchError(f"cannot index into {render_value(base)}")
     if not 0 <= idx < len(base.cells):
         raise IndexOutOfBoundsError(
@@ -568,8 +573,8 @@ def _index(e: Index, b: dict):
 
 def _length(e: Length, b: dict):
     x = e.collection
-    v = _EVAL[x.__class__](x, b)
-    if v.__class__ is not CollV:
+    v = _EVAL[type(x)](x, b)
+    if type(v) is not CollV:
         raise TypeMismatchError(f"length() of non-collection {render_value(v)}")
     return len(v.cells)
 
@@ -582,17 +587,17 @@ def _builtin(e: Builtin, b: dict):
     if not arity:
         return math.nan
     x = args[0]
-    v = _EVAL[x.__class__](x, b)
+    v = _EVAL[type(x)](x, b)
     if name == "abs":
-        if _num(v, "abs()").__class__ is float:
+        if type(_num(v, "abs()")) is float:
             return math.fabs(v)
         return wrap32(abs(v))
     if name == "iterator":
-        if v.__class__ is not CollV or v.type.kind != "list":
+        if type(v) is not CollV or v.type.kind != "list":
             raise TypeMismatchError(f"iterator() needs a list, got {render_value(v)}")
         return IterV(v, 0)
     if name == "hasNext" or name == "next":
-        if v.__class__ is not IterV:
+        if type(v) is not IterV:
             raise TypeMismatchError(f"{name}() needs an iterator, got {render_value(v)}")
         if name == "hasNext":
             return v.pos < len(v.target.cells)
@@ -606,7 +611,7 @@ def _builtin(e: Builtin, b: dict):
 
 def _cast(e: Cast, b: dict):
     x = e.expr
-    v = _EVAL[x.__class__](x, b)
+    v = _EVAL[type(x)](x, b)
     ty = e.type
     if ty != OBJECT and ty != type_of(v):
         raise TypeMismatchError(f"cannot cast {render_value(v)} to {ty}")
@@ -710,7 +715,7 @@ class _Run:
         statement it arose in."""
         try:
             for st in stmts:
-                sig = _EXEC[st.__class__](self, st, b)
+                sig = _EXEC[type(st)](self, st, b)
                 if sig is not None:
                     return sig
         except InterpError as err:
@@ -744,7 +749,7 @@ class _Run:
                 b = frames[-1].bindings
                 entries[m.name] += 1
                 sig = self.exec_seq(m.body, b)
-                if sig.__class__ is not tuple:
+                if type(sig) is not tuple:
                     break
                 (m, params), values, loc = sig
                 chain += 1
@@ -763,7 +768,7 @@ class _Run:
 def _assign(r: _Run, st, b: dict):
     """VarDecl and Assign; one whose value is a call runs as `_call`."""
     x = st.value
-    c = x.__class__
+    c = type(x)
     if c is Call:
         return _call(r, st, b)
     r.steps += 1
@@ -782,18 +787,18 @@ def _assign_index(r: _Run, st: AssignIndex, b: dict):
     if r.steps > r.limit:
         r.slow_step("assign", st.loc)
     base = b.get(st.name)
-    if base.__class__ is not CollV or base.type.kind != "array":
+    if type(base) is not CollV or base.type.kind != "array":
         if base is None:
             raise UnboundVariableError(f"variable '{st.name}' is not bound")
         raise TypeMismatchError(f"'{st.name}' is not an array")
     x = st.index
-    idx = _EVAL[x.__class__](x, b)
-    if idx.__class__ is not int:
+    idx = _EVAL[type(x)](x, b)
+    if type(idx) is not int:
         raise TypeMismatchError("index must be an int")
     if not 0 <= idx < len(base.cells):
         raise IndexOutOfBoundsError(f"index {idx} out of bounds for length {len(base.cells)}")
     x = st.value
-    base.cells[idx] = _EVAL[x.__class__](x, b)
+    base.cells[idx] = _EVAL[type(x)](x, b)
 
 
 def _call(r: _Run, st, b: dict):
@@ -802,7 +807,7 @@ def _call(r: _Run, st, b: dict):
     x = st.value
     r.invoke(x.method, _values(x.args, b), st.loc)
     frames = r.frames
-    if st.__class__ is not CallStmt:
+    if type(st) is not CallStmt:
         value = frames[-1].ret_slot
         if value is None:
             raise MissingReturnError(f"callee returned no value for '{st.name}'")
@@ -819,7 +824,7 @@ def _if(r: _Run, st: If, b: dict):
     if r.steps > r.limit:
         r.slow_step("if", st.loc)
     x = st.cond
-    c = _EVAL[x.__class__](x, b)
+    c = _EVAL[type(x)](x, b)
     if c is True:
         return r.exec_seq(st.then, b)
     if c is not False:
@@ -833,7 +838,7 @@ def _while(r: _Run, st: While | For, b: dict):
     """While, and For as its `while`: the init first, the updates after each
     body. The loop kind names the step's rule."""
     update = ()
-    if st.__class__ is For:
+    if type(st) is For:
         sig = r.exec_seq(st.init, b)
         if sig is not None:
             return sig
@@ -844,7 +849,7 @@ def _while(r: _Run, st: While | For, b: dict):
         r.steps += 1
         if r.steps > r.limit:
             r.slow_step(rule, st.loc)
-        c = _EVAL[x.__class__](x, b)
+        c = _EVAL[type(x)](x, b)
         if c is False:
             return None
         if c is not True:
@@ -867,7 +872,7 @@ def _do_while(r: _Run, st: DoWhile, b: dict):
         sig = r.exec_seq(st.body, b)
         if sig is not None:
             return sig
-        c = _EVAL[x.__class__](x, b)
+        c = _EVAL[type(x)](x, b)
         if c is False:
             return None
         if c is not True:
@@ -879,8 +884,8 @@ def _foreach(r: _Run, st: Foreach, b: dict):
     if r.steps > r.limit:
         r.slow_step("foreach", st.loc)
     x = st.collection
-    coll = _EVAL[x.__class__](x, b)
-    if coll.__class__ is not CollV or coll.type == OBJECT_ARRAY:
+    coll = _EVAL[type(x)](x, b)
+    if type(coll) is not CollV or coll.type == OBJECT_ARRAY:
         raise TypeMismatchError(f"foreach needs an array or list, got {render_value(coll)}")
     for cell in coll.cells:  # read live, as in Java: the body may write a later cell
         r.steps += 1
@@ -911,10 +916,10 @@ def _return(r: _Run, st: Return, b: dict):
     if r.steps > r.limit:
         r.slow_step("return", st.loc)
     x = st.value
-    if x.__class__ is Call:
+    if type(x) is Call:
         values = _values(x.args, b)
         return r.resolve(x.method, values, st.loc), values, st.loc
-    v = _EVAL[x.__class__](x, b)
+    v = _EVAL[type(x)](x, b)
     r.frames[-1].ret_slot = v  # the return ends the frame: never set twice
     if r.recorder is not None:
         r.state.record("upd_r")
@@ -926,7 +931,7 @@ def _print(r: _Run, st: Print, b: dict):
     if r.steps > r.limit:
         r.slow_step("print", st.loc)
     x = st.value
-    r.trace.prints.append(render_value(_EVAL[x.__class__](x, b)))
+    r.trace.prints.append(render_value(_EVAL[type(x)](x, b)))
 
 
 _EXEC = {

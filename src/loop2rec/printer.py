@@ -57,7 +57,7 @@ def fmt_double(v: float) -> str:
 
 def fmt_expr(e: Expr, parent_prec: int = 0) -> str:
     # the two commonest leaves bind tightest, so they are never parenthesized
-    cls = e.__class__
+    cls = type(e)
     if cls is Var:
         return e.name
     if cls is IntLit:
@@ -91,7 +91,7 @@ def _expr(e: Expr):
     if isinstance(e, Unary):
         x = e.operand
         text = fmt_expr(x, _UNARY_PREC)
-        if e.op == "-" and x.__class__ in (IntLit, DoubleLit) and text[0] != "-":
+        if e.op == "-" and type(x) in (IntLit, DoubleLit) and text[0] != "-":
             text = f"({text})"  # `-1` would re-parse as one folded literal
         return f"{e.op}{text}", _UNARY_PREC
     if isinstance(e, Cast):

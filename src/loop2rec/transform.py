@@ -226,14 +226,14 @@ def _rewrite_seq(stmts: list, opts: TransformOptions, rows: list, generated: lis
             repl, gen = _rewrite_loop(st, body, rows[st.loop_id], opts)
             generated.append(gen)
             out.extend(repl)
-        elif st.__class__ is If:
+        elif type(st) is If:
             out.append(If(
                 st.cond,
                 _rewrite_seq(st.then, opts, rows, generated),
                 _rewrite_seq(st.orelse, opts, rows, generated) if st.orelse else st.orelse,
                 loc=st.loc,
             ))
-        elif st.__class__ is Block:
+        elif type(st) is Block:
             out.append(Block(_rewrite_seq(st.body, opts, rows, generated), loc=st.loc))
         else:
             out.append(st)

@@ -74,8 +74,8 @@ def _loop_written(program: Program) -> set:
     names, inner = set(), set()  # inner: ids of the loops in a body or update already walked
     for _, loop in program_loops(program):
         if id(loop) not in inner:
-            for st in iter_stmts(loop.body + loop.update if loop.__class__ is For else loop.body):
-                cls = st.__class__
+            for st in iter_stmts(loop.body + loop.update if type(loop) is For else loop.body):
+                cls = type(st)
                 if cls is Assign or cls is AssignIndex:
                     names.add(st.name)
                 elif cls in LOOP_KINDS:
@@ -182,9 +182,9 @@ def tail_position_check(method: MethodDef) -> bool:
     of a return. A call is only ever the whole value of a statement, so the
     violation is a self call held by any statement other than a `return`."""
     for st in iter_stmts(method.body):
-        if st.__class__ is not Return:
+        if type(st) is not Return:
             for e in stmt_exprs(st):
-                if e.__class__ is Call and e.method == method.name:
+                if type(e) is Call and e.method == method.name:
                     return False
     return True
 

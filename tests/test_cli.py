@@ -115,6 +115,16 @@ def test_transform_verify_rejects_output_that_does_not_load(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_transform_verify_rejects_output_that_does_not_round_trip(monkeypatch, capsys):
+    # the untransformed program re-parses and re-checks, but it is not the rewrite
+    source = (CORPUS / "sqrt.mj").read_text(encoding="utf-8")
+    monkeypatch.setattr(cli, "pretty_print", lambda program: source)
+    assert main(["transform", str(CORPUS / "sqrt.mj"), "--verify"]) == 2
+    assert capsys.readouterr() == ("", "<transformed>: output does not round-trip\n")
+    assert main(["transform", str(CORPUS / "sqrt.mj")]) == 0
+    assert capsys.readouterr() == (source, "")
+
+
 def test_transform_dump_analysis(capsys):
     assert main(["transform", str(CORPUS / "sqrt.mj"), "--dump-analysis"]) == 0
     err = capsys.readouterr().err

@@ -6,7 +6,9 @@ module defines declares its own `__slots__` (`record` gives each node class
 its slots), so no tree node carries a `__dict__`. No statement handler of the
 interpreter holds a `try`: `_Run.exec_seq` is the one place that gives a
 runtime error its location. No expression or statement handler names
-`isinstance`: the interpreter tells values apart by exact class."""
+`isinstance`: the interpreter tells values apart by exact class. No file in
+`src/loop2rec` reads `__class__`: a class test is `type(x)`, which CPython's
+specializing interpreter caches whatever the class of `x`."""
 
 import ast
 import inspect
@@ -133,20 +135,41 @@ def test_the_checks_see_dead_code():
     assert "f" not in mentions(tree) and "A" in mentions(tree)
 
 
-def long_lines(path: pathlib.Path) -> list:
+def lines_where(path: pathlib.Path, found) -> list:
+    """`file:line` for each line of the file at `path` for which `found` is true."""
     lines = path.read_text(encoding="utf-8").splitlines()
-    return [f"{path.name}:{i}" for i, line in enumerate(lines, 1) if len(line) > MAX_LINE]
+    return [f"{path.name}:{i}" for i, line in enumerate(lines, 1) if found(line)]
+
+
+def is_long(line: str) -> bool:
+    return len(line) > MAX_LINE
+
+
+def reads_class_attribute(line: str) -> bool:
+    # a text check: it also sees the `__eq__` that `record` compiles from a string
+    return "__class__" in line
 
 
 def test_no_source_line_is_too_long():
     assert [hit for path in sorted((ROOT / "src").rglob("*.py"))
-            for hit in long_lines(path)] == []
+            for hit in lines_where(path, is_long)] == []
 
 
 def test_the_line_check_sees_long_lines(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("x" * 100 + "\n" + "y" * 101 + "\n", encoding="utf-8")
-    assert long_lines(path) == ["m.py:2"]
+    assert lines_where(path, is_long) == ["m.py:2"]
+
+
+def test_no_source_reads_the_class_attribute():
+    assert [hit for path in MODULES for hit in lines_where(path, reads_class_attribute)] == []
+
+
+def test_the_class_check_sees_a_class_attribute_read(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("c = type(x)\nexec('def f(a, b): return a.__class__ is b')\n",
+                    encoding="utf-8")
+    assert lines_where(path, reads_class_attribute) == ["m.py:2"]
 
 
 def unslotted_classes(module: types.ModuleType) -> list:

@@ -12,9 +12,10 @@ Every loop kind runs natively, by the step rules of docs/semantics.md: a
 own. The rewriter under test is never involved, so runs of original programs
 are an independent oracle.
 
-`return m(...)` chains are executed iteratively: frames still pile up in the
-state exactly as the call rule dictates, but the host stack stays flat, so
-arbitrarily long tail recursions only cost state memory and step budget.
+A tail call, `return m(...)`, replaces its caller's frame (Clinger, "Proper
+Tail Recursion and Space Efficiency", PLDI 1998), and its chain runs in a
+loop: neither the state nor the host stack grows along it, so a tail
+recursion of any length costs only step budget.
 
 Numbers behave like Java's: ints are 32-bit two's complement with truncating
 division (division by integer zero is an error), doubles are IEEE binary64
@@ -90,7 +91,7 @@ from .ast import (
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30_000))
 
 DEFAULT_BUDGET = 1_000_000
-MAX_CALL_DEPTH = 2_000  # non-tail nesting; tail chains are unbounded
+MAX_CALL_DEPTH = 2_000  # frames on the state, i.e. the non-tail nesting
 
 
 # ------------------------------------------------------------------- errors
@@ -685,7 +686,6 @@ class _Run:
         self.tracer = tracer
         self.limit = budget if tracer is None else -1
         self.steps = 0
-        self.depth = 0
         self.trace = ExecTrace()
         for m in program.methods:
             self.trace.method_entries[m.name] = 0
@@ -724,45 +724,36 @@ class _Run:
             raise
         return None
 
-    def invoke(self, name: str, values: list, loc: Optional[Loc]) -> None:
-        """Run a method, leaving its frame on top of the state with the return
+    def invoke(self, name: str, values: list, loc: Optional[Loc]) -> dict:
+        """Run a method, leaving a frame on top of the state with the return
         slot filled (for non-void methods) by the `return` that ends its body,
-        a statement like any other. Tail calls (`return m(...)`)
-        extend the chain iteratively: every link gets its own frame, its
-        `invoke` step counted at that `return`, and on completion each link's
-        slot is copied down as the frames unwind."""
-        self.depth += 1
+        a statement like any other, and return the bindings of the activation
+        it began. A tail call (`return m(...)`) replaces its caller's frame:
+        the link pops that frame, counts its `invoke` step at that `return`
+        and pushes its own, so the frame left on top is the last link's and
+        the frames on the state are the non-tail nesting."""
         frames = self.frames
+        if len(frames) >= MAX_CALL_DEPTH:
+            raise CallDepthExceeded(f"call depth over {MAX_CALL_DEPTH}", loc)
+        m, params = self.resolve(name, values, loc)
         entries = self.trace.method_entries
-        try:
-            if self.depth > MAX_CALL_DEPTH:
-                raise CallDepthExceeded(f"call depth over {MAX_CALL_DEPTH}", loc)
-            m, params = self.resolve(name, values, loc)
-            chain = 0
-            while True:
-                self.steps += 1
-                if self.steps > self.limit:
-                    self.slow_step("invoke", loc)
-                frames.append(Frame(dict(zip(params, values))))
-                if self.recorder is not None:
-                    self.state.record("add_frame")
-                b = frames[-1].bindings
-                entries[m.name] += 1
-                sig = self.exec_seq(m.body, b)
-                if type(sig) is not tuple:
-                    break
-                (m, params), values, loc = sig
-                chain += 1
-            for _ in range(chain):
-                value = frames.pop().ret_slot
-                if self.recorder is not None:
-                    self.state.record("rem_frame")
-                if value is not None:
-                    frames[-1].ret_slot = value
-                    if self.recorder is not None:
-                        self.state.record("upd_r")
-        finally:
-            self.depth -= 1
+        b = began = dict(zip(params, values))
+        while True:
+            self.steps += 1
+            if self.steps > self.limit:
+                self.slow_step("invoke", loc)
+            frames.append(Frame(b))
+            if self.recorder is not None:
+                self.state.record("add_frame")
+            entries[m.name] += 1
+            sig = self.exec_seq(m.body, b)
+            if type(sig) is not tuple:
+                return began
+            (m, params), values, loc = sig
+            frames.pop()
+            if self.recorder is not None:
+                self.state.record("rem_frame")
+            b = dict(zip(params, values))
 
 
 def _assign(r: _Run, st, b: dict):
@@ -964,14 +955,13 @@ def run(program: Program, budget: int = DEFAULT_BUDGET,
         raise NoEntryMethodError(f"entry method '{program.entry}' must take no parameters")
     r = _Run(program, budget, tracer, recorder)
     try:
-        r.invoke(entry.name, [], entry.loc)
+        began = r.invoke(entry.name, [], entry.loc)
     except InterpError as err:
         err.trace = r.trace
         raise
     finally:
         r.trace.steps = r.steps
     assert len(r.state.frames) == 1, "frame imbalance"
-    top = r.state.top()
-    r.trace.final_bindings = {k: _box(v) for k, v in top.bindings.items()}
-    r.trace.result = _box(top.ret_slot)
+    r.trace.final_bindings = {k: _box(v) for k, v in began.items()}
+    r.trace.result = _box(r.state.top().ret_slot)
     return r.trace

@@ -9,6 +9,7 @@ from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import (
     ArityMismatchError,
     BoolV,
+    CallDepthExceeded,
     CollV,
     DivisionByZeroError,
     DoubleV,
@@ -738,6 +739,47 @@ def test_a_tail_link_steps_at_its_own_return():
         assert str(exc.value.loc) == "2:5"
 
 
+def test_an_entry_tail_call_keeps_the_entry_bindings():
+    # the tail call replaces main's frame, yet the final bindings are the
+    # entry activation's, and the result is the last link's return slot
+    trace = run_src("void f(int n) { print(n); }\nvoid main() { int x = 3; return f(x); }")
+    assert trace.final_bindings == {"x": IntV(3)} and trace.prints == ["3"]
+    trace = run_src("int f(int n) { return n + 1; }\nint main() { int x = 3; return f(x); }")
+    assert trace.final_bindings == {"x": IntV(3)} and trace.result == IntV(4)
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_a_tail_chain_holds_one_frame(optimize):
+    # the rewrite of the diverging loop is one tail chain until the budget
+    # runs out: each link replaces the frame of the link before it
+    program = parse(corpus_text("infinite.mj"))
+    program = transform_program(program, TransformOptions(optimize=optimize)).program
+    depths = []
+    with pytest.raises(StepBudgetExceeded):
+        run(program, budget=20_000, tracer=lambda rule, loc, depth: depths.append(depth))
+    assert len(depths) == 20_000 and max(depths) == 2
+    recorder = StateRecorder()
+    with pytest.raises(StepBudgetExceeded):
+        run(program, budget=20_000, recorder=recorder)
+    assert max(len(frames) for _, frames in recorder.events) == 2
+    ops = recorder.ops()
+    assert ops[:2] == ["add_frame", "add_frame"] and set(ops[2::2]) == {"rem_frame"}
+    assert set(ops[3::2]) == {"add_frame"} and len(ops) > 6_000
+
+
+def test_call_depth_counts_frames_a_tail_link_does_not_add():
+    # r's call of s nests; s's tail call of r replaces s's frame, so the
+    # limit of 2,000 frames stops both programs after the same 1,999 prints
+    direct = "void r(int n) { print(n); r(n + 1); }\nvoid main() { r(1); }"
+    relayed = ("void r(int n) { print(n); s(n); }\nvoid s(int n) { return r(n + 1); }\n"
+               "void main() { r(1); }")
+    for src in (direct, relayed):
+        with pytest.raises(CallDepthExceeded) as exc:
+            run_src(src)
+        assert exc.value.message == "call depth over 2000"
+        assert exc.value.trace.prints[-1] == "1999"
+
+
 # ------------------------------------------------------------ behaviour pin
 
 PIN_BUDGET = 20_000
@@ -755,8 +797,13 @@ PIN_BUDGET = 20_000
 # with the interpreter unchanged. It was re-pinned once more when the three
 # collection classes became CollV, whose `repr` the recorder events show
 # (with the old `repr`s the digest did not move), and when a list foreach
-# stopped taking its collection variable as a parameter.
-INTERP_PIN_SHA256 = "5e22307c8ff1d666451546d4e70daabccce726f24c4648e92e96855a30f2ead5"
+# stopped taking its collection variable as a parameter. It was re-pinned
+# once more when a tail call came to replace its caller's frame: a tail link
+# now records `rem_frame` then `add_frame`, no `upd_r` copy-down follows the
+# chain, and the tracer's depth counts only non-tail frames (the plain runs
+# and the tracer's rules and locations did not move); the hooks then came to
+# run on the diverging corpus program as well.
+INTERP_PIN_SHA256 = "25adac35378c0084cb9ab3ab31516ca215847cb6e71bda8ce1796ce1db034f1f"
 
 
 def pin_programs(names, seeds):
@@ -783,9 +830,10 @@ def test_runs_tracer_and_recorder_events_are_pinned():
     h = hashlib.sha256()
     for program in pin_programs(CORPUS_FILES, range(100)):
         h.update(render_run(program).encode() + b"\n")
-    # the recorder copies every frame per event, which is quadratic on the
-    # diverging program's tail chain, so the hooks run on a subset
-    hooked = pin_programs(TERMINATING, range(20))
+    # the hooks run on every corpus program, the diverging one included (a
+    # tail chain holds one frame, so the recorder's copy of the frames per
+    # event stays small), and on fewer generated ones
+    hooked = pin_programs(CORPUS_FILES, range(20))
     # its rewrites once more, printed and re-parsed, for the locations of
     # the statements they generate; recorder events hold no locations, so
     # these run with the tracer only

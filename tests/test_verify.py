@@ -123,6 +123,21 @@ def test_foreach_writing_its_collection_rewrites_equivalent(src):
         assert structural_eq(again, result.program)
 
 
+ENTRY_TAIL_CALLS = {
+    "print": "void f(int n) { print(n); }\nvoid main() { int x = 3; return f(x); }",
+    "loop": ("void f(int n) { int i = 0; while (i < n) { print(i); i = i + 1; } }\n"
+             "void main() { int x = 3; return f(x); }"),
+}
+
+
+@pytest.mark.parametrize("src", list(ENTRY_TAIL_CALLS.values()), ids=list(ENTRY_TAIL_CALLS))
+@pytest.mark.parametrize("optimize", [True, False])
+def test_an_entry_that_ends_in_a_tail_call_is_equivalent(src, optimize):
+    # main's frame is replaced by f's; `x` is still compared as main left it
+    report = diff_run(parse(src), TransformOptions(optimize=optimize))
+    assert (report.verdict, report.detail) == ("equivalent", None)
+
+
 def test_both_sides_exceeding_budget_counts_as_equivalent():
     report = diff_run(parse(corpus_text("infinite.mj")), budget=20_000)
     assert report.equivalent

@@ -6,17 +6,15 @@ method's own (top-level) variables that no loop writes, the entry method's
 result, and the termination mode. Fresh variables introduced by the rewrite,
 variables scoped to a loop, and loop-written variables nothing reads again
 (which the optimizing rewrite deliberately leaves stale) are outside the
-comparison; any read that could expose them is itself compared. On top of
-that:
-
-  * every generated method is structurally tail-recursive (each self-call is
-    the immediate operand of a return),
-  * every loop's iteration count in the original run equals the entry count
-    of its generated method in the transformed run (the caller's first call
-    included),
-  * a seeded campaign runs the whole battery over generated programs, and the
-    shipped transformer mutations exist to prove the campaign can actually
-    catch a wrong rewrite.
+comparison; any read that could expose them is itself compared. Then, in
+this order, every generated method must be structurally tail-recursive (each
+self-call the immediate operand of a return), and when both runs finish each
+loop's iteration count must equal the entry count of its generated method
+(the caller's first call included). One function applies all three checks
+to one transform and one run of each side; `diff_run`, the seeded campaign
+and `iteration_call_equality` all call it, so `diff` and `fuzz` give a
+program the same verdict. The shipped transformer mutations exist to prove
+the campaign can actually catch a wrong rewrite.
 """
 
 from __future__ import annotations
@@ -44,13 +42,12 @@ from .generator import GenConfig, generate
 from .interp import (
     DEFAULT_BUDGET,
     CallDepthExceeded,
-    ExecTrace,
     InterpError,
     StepBudgetExceeded,
     run,
     values_equal,
 )
-from .transform import TransformOptions, TransformResult, transform_program
+from .transform import TransformOptions, transform_program
 
 EQUIVALENT = "equivalent"
 MISMATCH = "mismatch"
@@ -113,65 +110,41 @@ def _outcome(program: Program, budget: int):
         return "error", e
 
 
-def _compare(original: Program, left, right) -> DiffReport:
+def _difference(original: Program, left, right) -> Optional[str]:
+    """Why the two runs differ to a user, or None when they do not."""
     (ls, lv), (rs, rv) = left, right
-    counters = {}
-    if ls == "ok":
-        counters["original_steps"] = lv.steps
-        counters["original_iterations"] = dict(lv.loop_iterations)
-    if rs == "ok":
-        counters["transformed_steps"] = rv.steps
-        counters["transformed_entries"] = dict(rv.method_entries)
-
     if ls != rs:
         def describe(status, payload):
             return "ok" if status == "ok" else f"{payload.kind}: {payload.message}"
-        return DiffReport(MISMATCH,
-                          f"original: {describe(ls, lv)}; transformed: {describe(rs, rv)}",
-                          counters=counters)
+        return f"original: {describe(ls, lv)}; transformed: {describe(rs, rv)}"
     if ls == "error" and lv.kind != rv.kind:
-        return DiffReport(MISMATCH, f"error kinds differ: {lv.kind} vs {rv.kind}",
-                          counters=counters)
+        return f"error kinds differ: {lv.kind} vs {rv.kind}"
     # A failed run is compared on what it printed before it failed. The
     # rewrite takes more steps, and a loop open on a recursive path holds one
     # more frame, so when the budget or the call depth runs out it may have
     # printed less.
     lt, rt = (lv, rv) if ls == "ok" else (lv.trace, rv.trace)
     if lt is None:  # no entry method on either side: neither run began
-        return DiffReport(EQUIVALENT, counters=counters)
+        return None
     a, b = lt.prints, rt.prints
     if isinstance(lv, (StepBudgetExceeded, CallDepthExceeded)):
         a = a[:len(b)]
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
-            return DiffReport(MISMATCH, f"print[{i}]: {x!r} vs {y!r}", counters=counters)
+            return f"print[{i}]: {x!r} vs {y!r}"
     if len(a) != len(b):
-        return DiffReport(MISMATCH, f"print count {len(a)} vs {len(b)}", counters=counters)
+        return f"print count {len(a)} vs {len(b)}"
     if ls != "ok":
-        return DiffReport(EQUIVALENT, counters=counters)
+        return None
     for name in observable_vars(original):
         a = lv.final_bindings.get(name)
         b = rv.final_bindings.get(name)
         if a is None or b is None or not values_equal(a, b):
-            return DiffReport(MISMATCH, f"final value of '{name}' differs",
-                              counters=counters)
+            return f"final value of '{name}' differs"
     ra, rb = lv.result, rv.result
     if (ra is None) != (rb is None) or (ra is not None and not values_equal(ra, rb)):
-        return DiffReport(MISMATCH, "entry method result differs", counters=counters)
-    return DiffReport(EQUIVALENT, counters=counters)
-
-
-def diff_run(program: Program, opts: Optional[TransformOptions] = None,
-             budget: int = DEFAULT_BUDGET) -> DiffReport:
-    """Run the program and its transformed form; equivalent iff both
-    terminate the same way and print the same. Both finish, and the
-    observable final bindings and the result match value for value (doubles
-    bit-identical); or both fail with the same error kind after the same
-    prints; or both exhaust the budget or the call depth, the rewrite's
-    prints a prefix of the original's."""
-    result = transform_program(program, opts)
-    return _compare(program, _outcome(program, budget),
-                    _outcome(result.program, budget))
+        return "entry method result differs"
+    return None
 
 
 # ---------------------------------------------------------------- tail calls
@@ -195,7 +168,6 @@ def tail_position_check(method: MethodDef) -> bool:
 @record
 class LoopCallEquality:
     loop_id: int
-    kind: str
     loop_method_name: str
     iterations: int
     entries: int
@@ -205,27 +177,60 @@ class LoopCallEquality:
         return self.iterations == self.entries
 
 
+# ---------------------------------------------------------------- one check
+
+
+def _check(program: Program, opts: Optional[TransformOptions], budget: int):
+    """Transform the program, run both sides once, and apply every run-side
+    check in a fixed order: the comparison of the runs, then the tail
+    position of each generated method, then each loop's iterations against
+    its method's entries (only when both runs finished). Returns the report,
+    whose detail is the first failing check's reason, the two run outcomes,
+    whether every generated method is tail-recursive, and the per-loop rows."""
+    result = transform_program(program, opts)
+    left, right = _outcome(program, budget), _outcome(result.program, budget)
+    counters, rows = {}, []
+    if left[0] == "ok":
+        counters["original_steps"] = left[1].steps
+        counters["original_iterations"] = dict(left[1].loop_iterations)
+    if right[0] == "ok":
+        counters["transformed_steps"] = right[1].steps
+        counters["transformed_entries"] = dict(right[1].method_entries)
+        if left[0] == "ok":
+            rows = [LoopCallEquality(r.loop_id, r.loop_method_name,
+                                     left[1].loop_iterations.get(r.loop_id, 0),
+                                     right[1].method_entries.get(r.loop_method_name, 0))
+                    for r in result.report]
+    untail = [f"{r.loop_method_name}: self call not in tail position" for r in result.report
+              if not tail_position_check(result.program.method(r.loop_method_name))]
+    uneven = [f"{e.loop_method_name}: {e.iterations} iterations, {e.entries} entries"
+              for e in rows if not e.ok]
+    detail = _difference(program, left, right) or next(iter(untail + uneven), None)
+    report = DiffReport(EQUIVALENT if detail is None else MISMATCH, detail, counters=counters)
+    return report, (left, right), not untail, rows
+
+
+def diff_run(program: Program, opts: Optional[TransformOptions] = None,
+             budget: int = DEFAULT_BUDGET) -> DiffReport:
+    """Run the program and its transformed form; equivalent iff both
+    terminate the same way and print the same, every generated method is
+    tail-recursive, and (when both finish) each loop's iterations equal its
+    method's entries. Both finish, and the observable final bindings and the
+    result match value for value (doubles bit-identical); or both fail with
+    the same error kind after the same prints; or both exhaust the budget or
+    the call depth, the rewrite's prints a prefix of the original's."""
+    return _check(program, opts, budget)[0]
+
+
 def iteration_call_equality(program: Program) -> list:
     """Per loop: iteration count in the original run vs entry count of its
-    generated method in the transformed run. They must agree exactly."""
-    result = transform_program(program)
-    original = run(program)
-    transformed = run(result.program)
-    return _loop_equalities(result, original, transformed)
-
-
-def _loop_equalities(result: TransformResult, original: ExecTrace,
-                     transformed: ExecTrace) -> list:
-    out = []
-    for r in result.report:
-        out.append(LoopCallEquality(
-            loop_id=r.loop_id,
-            kind=r.kind,
-            loop_method_name=r.loop_method_name,
-            iterations=original.loop_iterations.get(r.loop_id, 0),
-            entries=transformed.method_entries.get(r.loop_method_name, 0),
-        ))
-    return out
+    generated method in the transformed run. They must agree exactly. A run
+    that fails raises its InterpError, the original's first."""
+    _, outcomes, _, rows = _check(program, None, DEFAULT_BUDGET)
+    for status, payload in outcomes:
+        if status != "ok":
+            raise payload
+    return rows
 
 
 # ------------------------------------------------------------- fuzz campaign
@@ -269,21 +274,12 @@ def fuzz_campaign(n: int, cfg: Optional[GenConfig] = None,
     summary = CampaignSummary()
     for i in range(n):
         seed = cfg.seed + i
-        program = generate(replace(cfg, seed=seed))
-        result = transform_program(program, opts)
-        left = _outcome(program, budget)
-        right = _outcome(result.program, budget)
-        report = _compare(program, left, right)
-
+        report, outcomes, tail_ok, rows = _check(generate(replace(cfg, seed=seed)), opts, budget)
         summary.total += 1
-        if "budget" in (left[0], right[0]):
+        if any(status == "budget" for status, _ in outcomes):
             summary.budget_exceedances += 1
-        if not all(tail_position_check(result.program.method(r.loop_method_name))
-                   for r in result.report):
-            summary.tail_ok = False
-        if left[0] == "ok" and right[0] == "ok":
-            if not all(e.ok for e in _loop_equalities(result, left[1], right[1])):
-                summary.iter_call_ok = False
+        summary.tail_ok = summary.tail_ok and tail_ok
+        summary.iter_call_ok = summary.iter_call_ok and all(e.ok for e in rows)
         if report.equivalent:
             summary.equivalent += 1
         else:

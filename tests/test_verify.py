@@ -4,7 +4,8 @@ import pytest
 
 from loop2rec import verify
 from loop2rec.generator import GenConfig, generate
-from loop2rec.interp import CallDepthExceeded, run
+from loop2rec.cli import main
+from loop2rec.interp import CallDepthExceeded, InterpError, run
 from loop2rec.checker import check_semantics
 from loop2rec.ast import (
     Assign,
@@ -365,6 +366,14 @@ def test_do_false_guard_is_one_iteration_one_entry():
     assert (row.iterations, row.entries) == (1, 1)
 
 
+def test_a_failing_run_raises_its_error():
+    program = parse("void main() { int n = 2; int t = 0; "
+                    "while (n > 0) { n = n - 1; t = t + 1; } print(t / n); }")
+    with pytest.raises(InterpError) as e:
+        iteration_call_equality(program)
+    assert e.value.kind == "DivisionByZero"
+
+
 # ---------------------------------------------------------------- generator
 
 
@@ -417,8 +426,26 @@ def test_campaign_json_schema():
 VOID_LOOP = "void main() { int n = 3; while (n > 0) { n = n - 1; } }"
 
 
-def campaign_breaking(monkeypatch, breaks):
-    """A one-program campaign over VOID_LOOP whose rewrite `breaks` changes."""
+def bare_self_call(program):
+    again = program.method("main_loop").body[-1]  # if (n > 0) { return main_loop(n); }
+    again.then[0] = CallStmt(again.then[0].value)
+
+
+def second_first_call(program):
+    first = program.method("main").body[-1]  # if (n > 0) { main_loop(n); }
+    first.then.append(first.then[0])
+
+
+# Each broken rewrite of VOID_LOOP prints what the original prints, so only
+# a later check sees it, with this detail.
+BREAKS = {
+    "bare_self_call": (bare_self_call, "main_loop: self call not in tail position"),
+    "second_first_call": (second_first_call, "main_loop: 3 iterations, 6 entries"),
+}
+
+
+def breaking(monkeypatch, breaks):
+    """Make verify's rewrite apply `breaks` to every program it returns."""
     rewrite = verify.transform_program
 
     def broken(program, opts):
@@ -426,25 +453,51 @@ def campaign_breaking(monkeypatch, breaks):
         breaks(result.program)
         return result
     monkeypatch.setattr(verify, "transform_program", broken)
+
+
+def campaign_breaking(monkeypatch, name):
+    """A one-program campaign over VOID_LOOP with the broken rewrite `name`:
+    the program is a mismatch, listed with its seed and the check's detail."""
+    breaks, detail = BREAKS[name]
+    breaking(monkeypatch, breaks)
     monkeypatch.setattr(verify, "generate", lambda cfg: parse(VOID_LOOP))
-    return fuzz_campaign(1)
+    summary = fuzz_campaign(1)
+    assert (summary.equivalent, summary.mismatches) == (0, [(0, detail)])
+    return summary
 
 
 def test_campaign_flags_a_self_call_out_of_tail_position(monkeypatch):
-    def bare_self_call(program):
-        again = program.method("main_loop").body[-1]  # if (n > 0) { return main_loop(n); }
-        call = again.then[0].value
-        again.then[0] = CallStmt(call)
-    summary = campaign_breaking(monkeypatch, bare_self_call)
-    assert (summary.equivalent, summary.tail_ok, summary.iter_call_ok) == (1, False, True)
+    summary = campaign_breaking(monkeypatch, "bare_self_call")
+    assert (summary.tail_ok, summary.iter_call_ok) == (False, True)
 
 
 def test_campaign_flags_entries_that_are_not_iterations(monkeypatch):
-    def second_first_call(program):
-        first = program.method("main").body[-1]  # if (n > 0) { main_loop(n); }
-        first.then.append(first.then[0])
-    summary = campaign_breaking(monkeypatch, second_first_call)
-    assert (summary.equivalent, summary.tail_ok, summary.iter_call_ok) == (1, True, False)
+    summary = campaign_breaking(monkeypatch, "second_first_call")
+    assert (summary.tail_ok, summary.iter_call_ok) == (True, False)
+
+
+@pytest.mark.parametrize("name", list(BREAKS))
+def test_diff_gives_the_campaign_verdict_on_a_broken_rewrite(monkeypatch, capsys, tmp_path, name):
+    breaks, detail = BREAKS[name]
+    breaking(monkeypatch, breaks)
+    report = diff_run(parse(VOID_LOOP))
+    assert (report.verdict, report.detail) == ("mismatch", detail)
+    f = tmp_path / "void_loop.mj"
+    f.write_text(VOID_LOOP, encoding="utf-8")
+    assert main(["diff", str(f)]) == 1
+    assert capsys.readouterr() == (f"mismatch: {detail}\n", "")
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_entries_that_are_not_iterations_are_a_mismatch(optimize):
+    # the mutant leaves main_loop4's counter stale, so main_loop takes the
+    # branch that calls calc1, which the original never reaches; every print
+    # and the entry's final values agree
+    program = generate(GenConfig(seed=499))
+    report = diff_run(program, TransformOptions(optimize=optimize,
+                                                mutation=Mutation.OMIT_RETURN_VAR))
+    assert (report.verdict, report.detail) == ("mismatch", "calc1_loop: 0 iterations, 8 entries")
+    assert diff_run(program, TransformOptions(optimize=optimize)).equivalent
 
 
 def test_campaign_catches_a_mutant():

@@ -127,19 +127,22 @@ def packing_for(returned, optimize: bool) -> Packing:
 
 class MethodFacts:
     """The event tape of one method (`kinds` and `names`, side by side) and,
-    per loop, what the walk saw of it. `loops` maps id(loop) to (scope, own
-    scan, observers): the scope maps each name in scope where the loop
-    sits, plus a for loop's init declarations, to its Type (None for a loop
-    the scoping rules do not reach, such as one inside a for header; shared,
-    so never changed); a scan is a flat list of tape positions [start, end,
-    start, end, ...]; observers is a linked list (scan, rest) of the scans
-    that can observe the loop's writes, ending in None. A loop's back edge
-    is a link only in the observers of the loops it holds."""
+    per loop, what the walk saw of it. `loops` maps id(loop) to (number,
+    scope, own scan, observers): the number counts the method's loops in
+    pre-order from 0, each taken at its keyword (`loop_count` in all); the
+    scope maps each name in scope where the loop sits, plus a for loop's
+    init declarations, to its Type (None for a loop the scoping rules do not
+    reach, such as one inside a for header; shared, so never changed); a
+    scan is a flat list of tape positions [start, end, start, end, ...];
+    observers is a linked list (scan, rest) of the scans that can observe
+    the loop's writes, ending in None. A loop's back edge is a link only in
+    the observers of the loops it holds."""
 
     def __init__(self, method: MethodDef):
         self.kinds = []
         self.names = []
         self.loops = {}
+        self.loop_count = 0
         self.param_order = {}  # name -> position, parameters first in declaration order
         self._where = None  # name -> positions of its reads and declarations
         for p in method.params:
@@ -198,6 +201,8 @@ class MethodFacts:
     def _loop(self, st: Stmt, scope: Optional[dict], observers) -> None:
         """Emit a loop and note its entry in `loops`."""
         kinds, names = self.kinds, self.names
+        number = self.loop_count  # taken at the keyword, before the loops inside
+        self.loop_count += 1
         edge = []  # the back edge, filled in once the loop is on the tape
         inner = (edge, observers)
         cls = type(st)
@@ -237,7 +242,7 @@ class MethodFacts:
                       inner)
             edge += (e + 1, len(names))
             own = [e, len(names)]
-        self.loops.setdefault(id(st), (here, own, observers))
+        self.loops.setdefault(id(st), (number, here, own, observers))
 
     def scan(self, spans):
         """(uses, writes) of a scan: the names it reads or writes in first-use
@@ -312,14 +317,17 @@ class NameAllocator:
     `base3`, ... and the first one absent from the program (and from earlier
     allocations) wins. Keywords are pre-claimed: an emitted name must survive
     re-parsing. The program's identifiers are its method and parameter names
-    and every name on its methods' tapes; `facts` maps id(method) to the
-    MethodFacts of each of the program's methods."""
+    and every name on its methods' tapes; `facts` maps id(method) to (the
+    count of the loops in the methods before it, its MethodFacts)."""
 
     def __init__(self, program: Program):
         used = set(KEYWORDS)
         self.facts = {}
+        before = 0
         for m in program.methods:
-            here = self.facts[id(m)] = MethodFacts(m)
+            here = MethodFacts(m)
+            self.facts[id(m)] = (before, here)
+            before += here.loop_count
             used.add(m.name)
             used.update(p.name for p in m.params)
             used.update(here.names)
@@ -358,11 +366,11 @@ def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
     allocator serves a program's loops, analyzed in document order."""
     if not is_loop(loop):
         raise TypeError(f"not a loop: {loop!r}")
-    here = names.facts.get(id(method))  # None for a method of another program
+    before, here = names.facts.get(id(method), (0, None))  # None: another program's method
     entry = None if here is None else here.loops.get(id(loop))
-    if entry is None or entry[0] is None:  # no scope: where the scoping rules never reach
+    if entry is None or entry[1] is None:  # no scope: where the scoping rules never reach
         raise ValueError("loop does not occur in the given method")
-    scope, own, observers = entry
+    number, scope, own, observers = entry
     uses, writes = here.scan(own)
     used = list(uses)
     kind, counter, coll_name = loop_kind(loop), None, None
@@ -393,7 +401,7 @@ def analyze_loop(loop: Stmt, method: MethodDef, names: NameAllocator,
         if coll is None:  # not a variable, or one the body writes: hoisted
             coll_name = names.fresh("coll")
     return LoopAnalysis(
-        loop_id=loop.loop_id,
+        loop_id=before + number,
         kind=kind,
         in_method=method.name,
         params=params,

@@ -1,10 +1,11 @@
 """AST for MiniJava-L, a small imperative language with while/do/for/foreach
 loops, typed variables, arrays and lists.
 
-Nodes are slotted records (see `record`), with no `__dict__`, treated as
-immutable after construction; the whole toolchain (parser, checker, rewriter,
-printer, interpreter) shares them. Source locations and loop numbers are
-`where` fields, so `==` (and `structural_eq`) sees only program shape.
+Nodes are slotted records (see `record`), with no `__dict__`, and no code
+writes to one after construction; the whole toolchain (parser, checker,
+rewriter, printer, interpreter) shares them. Source locations are `where`
+fields, so `==` (and `structural_eq`) sees only program shape. A loop's
+number is its place in `program_loops`, which is not stored on the tree.
 `Type` and `Loc` are immutable named tuples, compared and hashed by value.
 """
 
@@ -271,39 +272,35 @@ class If(Stmt):
     loc: Optional[Loc] = None
 
 
-@record(where=("loop_id", "loc"))
+@record(where=("loc",))
 class While(Stmt):
     cond: Expr
     body: list
-    loop_id: int = -1
     loc: Optional[Loc] = None
 
 
-@record(where=("loop_id", "loc"))
+@record(where=("loc",))
 class DoWhile(Stmt):
     body: list
     cond: Expr
-    loop_id: int = -1
     loc: Optional[Loc] = None
 
 
-@record(where=("loop_id", "loc"))
+@record(where=("loc",))
 class For(Stmt):
     init: list  # VarDecl or Assign statements
     cond: Expr
     update: list  # Assign or CallStmt statements
     body: list
-    loop_id: int = -1
     loc: Optional[Loc] = None
 
 
-@record(where=("loop_id", "loc"))
+@record(where=("loc",))
 class Foreach(Stmt):
     elem_type: Type
     elem_name: str
     collection: Expr
     body: list
-    loop_id: int = -1
     loc: Optional[Loc] = None
 
 
@@ -521,24 +518,16 @@ def collect_identifiers(program: Program) -> set:
     return set(ids)
 
 
-def assign_loop_ids(program: Program) -> int:
-    """Number every loop in document order (outer loops before the loops they
-    contain). Returns the loop count. Only hand-built trees need this: the
-    parser, the generator and the transform number loops themselves."""
-    loops = program_loops(program)
-    for n, (_, st) in enumerate(loops):
-        st.loop_id = n
-    return len(loops)
-
-
 def program_loops(program: Program) -> list:
-    """(method, loop) pairs in document order."""
+    """(method, loop) pairs in document order, outer loops before the loops
+    they hold. A loop's place in this list is its number: the key of its
+    iteration count in a run and the number of its analysis row."""
     return [(m, st) for m in program.methods for st in iter_stmts(m.body)
             if type(st) in LOOP_KINDS]
 
 
 def structural_eq(a: Program, b: Program) -> bool:
     """Exact structural identity: same methods, names, types and expression
-    trees. Source locations and loop numbering are ignored; names are compared
-    literally (no alpha-equivalence)."""
+    trees. Source locations are ignored; names are compared literally (no
+    alpha-equivalence)."""
     return a == b

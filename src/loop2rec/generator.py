@@ -14,7 +14,6 @@ occasional variable named `result` or `index` to stress fresh-name selection.
 from __future__ import annotations
 
 import random
-from itertools import count
 
 from .ast import (
     Assign,
@@ -79,8 +78,6 @@ class _Gen:
         self.loops_left = cfg.max_loops
         self.protected = set()  # loop counters: never reassigned by bodies
         self.helper = None  # (name,) of an extra callable method, if any
-        # loops are numbered as they are made, each before the loops it holds
-        self.loop_ids = count()
 
     def fresh(self, base: str) -> str:
         self.counter += 1
@@ -98,7 +95,7 @@ class _Gen:
             While(Binary(">", Var(k), IntLit(0)), [
                 Assign(a, Binary("+", Var(a), Binary("*", DoubleLit(0.5), Var(b)))),
                 Assign(k, Binary("-", Var(k), IntLit(1))),
-            ], loop_id=next(self.loop_ids)),
+            ]),
             Return(Binary("+", Var(a), Var(b))),
         ]
         self.helper = name
@@ -196,7 +193,6 @@ class _Gen:
 
     def loop(self, scope: _Scope, depth: int) -> list:
         self.loops_left -= 1
-        loop_id = next(self.loop_ids)
         zero = self.rng.random() < self.cfg.zero_guard_bias
         # `choices`, not `choice`: each seed's program rests on one `random()`
         # draw here, which `choice` would replace by a `getrandbits` draw
@@ -211,8 +207,7 @@ class _Gen:
             body.append(Assign(c, Binary("-", Var(c), IntLit(1))))
             scope.ints.append(c)
             cond = Binary(">", Var(c), IntLit(0))
-            node = (While(cond, body, loop_id=loop_id) if kind == "while"
-                    else DoWhile(body, cond, loop_id=loop_id))
+            node = While(cond, body) if kind == "while" else DoWhile(body, cond)
             return [VarDecl(INT, c, IntLit(bound)), node]
         if kind == "for":
             if not zero and self.rng.random() < 0.3:
@@ -227,7 +222,7 @@ class _Gen:
                     Binary("<", Var(i), Var(j)),
                     [Assign(i, Binary("+", Var(i), IntLit(1))),
                      Assign(j, Binary("-", Var(j), IntLit(1)))],
-                    body, loop_id=loop_id)]
+                    body)]
             i = self.fresh("i")
             self.protected.add(i)
             inner.ints.append(i)
@@ -236,7 +231,7 @@ class _Gen:
                 [VarDecl(INT, i, IntLit(bound))],
                 Binary(">", Var(i), IntLit(0)),
                 [Assign(i, Binary("-", Var(i), IntLit(1)))],
-                body, loop_id=loop_id)]
+                body)]
         # foreach over an array or list, sometimes a fresh literal in place
         elem = self.fresh("e")
         inner.doubles.append(elem)
@@ -255,18 +250,18 @@ class _Gen:
                 scope.arrays.append((name, n_elems))
                 decl = VarDecl(array_of(DOUBLE), name, ArrayLit(DOUBLE, literal_elems))
                 body = self.body(inner, depth + 1)
-                return [decl, Foreach(DOUBLE, elem, Var(name), body, loop_id=loop_id)]
+                return [decl, Foreach(DOUBLE, elem, Var(name), body)]
             else:
                 coll = ArrayLit(DOUBLE, literal_elems)
             body = self.body(inner, depth + 1)
-            return [Foreach(DOUBLE, elem, coll, body, loop_id=loop_id)]
+            return [Foreach(DOUBLE, elem, coll, body)]
         if self.rng.random() < 0.6:
             name = self.fresh("lst")
             decl = VarDecl(list_of(DOUBLE), name, ListLit(DOUBLE, literal_elems))
             body = self.body(inner, depth + 1)
-            return [decl, Foreach(DOUBLE, elem, Var(name), body, loop_id=loop_id)]
+            return [decl, Foreach(DOUBLE, elem, Var(name), body)]
         body = self.body(inner, depth + 1)
-        return [Foreach(DOUBLE, elem, ListLit(DOUBLE, literal_elems), body, loop_id=loop_id)]
+        return [Foreach(DOUBLE, elem, ListLit(DOUBLE, literal_elems), body)]
 
     # -------------------------------------------------------------- program
 

@@ -689,9 +689,9 @@ class _Run:
         self.trace = ExecTrace()
         for m in program.methods:
             self.trace.method_entries[m.name] = 0
-        for _, loop in program_loops(program):
-            self.trace.loop_iterations[loop.loop_id] = 0
-        self.iterations = self.trace.loop_iterations
+        loops = program_loops(program)  # a loop's number is its place here
+        self.loop_numbers = {id(loop): n for n, (_, loop) in enumerate(loops)}
+        self.iterations = self.trace.loop_iterations = dict.fromkeys(range(len(loops)), 0)
 
     def slow_step(self, rule: str, loc: Optional[Loc]) -> None:
         """The rest of a step past `limit`: fail over the budget, else trace."""
@@ -836,6 +836,7 @@ def _while(r: _Run, st: While | For, b: dict):
         update = st.update
     rule = loop_kind(st)
     x = st.cond
+    key = r.loop_numbers[id(st)]
     while True:
         r.steps += 1
         if r.steps > r.limit:
@@ -845,7 +846,7 @@ def _while(r: _Run, st: While | For, b: dict):
             return None
         if c is not True:
             _bool(c, f"{rule} condition")  # raises
-        r.iterations[st.loop_id] += 1
+        r.iterations[key] += 1
         sig = r.exec_seq(st.body, b)
         if sig is None and update:
             sig = r.exec_seq(update, b)
@@ -855,11 +856,12 @@ def _while(r: _Run, st: While | For, b: dict):
 
 def _do_while(r: _Run, st: DoWhile, b: dict):
     x = st.cond
+    key = r.loop_numbers[id(st)]
     while True:
         r.steps += 1
         if r.steps > r.limit:
             r.slow_step("do", st.loc)
-        r.iterations[st.loop_id] += 1
+        r.iterations[key] += 1
         sig = r.exec_seq(st.body, b)
         if sig is not None:
             return sig
@@ -878,11 +880,12 @@ def _foreach(r: _Run, st: Foreach, b: dict):
     coll = _EVAL[type(x)](x, b)
     if type(coll) is not CollV or coll.type == OBJECT_ARRAY:
         raise TypeMismatchError(f"foreach needs an array or list, got {render_value(coll)}")
+    key = r.loop_numbers[id(st)]
     for cell in coll.cells:  # read live, as in Java: the body may write a later cell
         r.steps += 1
         if r.steps > r.limit:
             r.slow_step("foreach", st.loc)
-        r.iterations[st.loop_id] += 1
+        r.iterations[key] += 1
         b[st.elem_name] = cell
         if r.recorder is not None:
             r.state.record("upd_v")

@@ -10,13 +10,11 @@ The parser enforces the structural rules the loop rewriter depends on:
   * brackets, blocks, type arguments and unary operators nest at most
     MAX_NESTING deep.
 
-Any input yields either a Program, its loops numbered in document order as
-they were parsed, or a ParseError; nothing else escapes.
+Any input yields either a Program or a ParseError; nothing else escapes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 
@@ -192,15 +190,13 @@ class _Parser:
     A symbol's or keyword's text belongs to no other kind of token, so the
     lookahead helpers compare text alone. The token list is padded with a
     second eof, so `at_sym(s, 1)` needs no bounds check; `next` never moves
-    past the first eof. A loop takes its id from `loop_ids` at its keyword,
-    before the loops it holds.
+    past the first eof.
     """
 
     def __init__(self, tokens: list):
         self.toks = tokens + tokens[-1:]
         self.pos = 0
         self.depth = 0  # open nesting levels; see MAX_NESTING
-        self.loop_ids = itertools.count()
 
     # ------------------------------------------------------------ utilities
 
@@ -364,22 +360,20 @@ class _Parser:
             return self.parse_if(loc, in_loop)
         if text == "while":
             self.pos += 1
-            loop_id = next(self.loop_ids)
             self.expect_sym("(")
             cond = self.parse_expr()
             self.expect_sym(")")
             body = self.parse_body(in_loop=True)
-            return While(cond, body, loop_id=loop_id, loc=loc)
+            return While(cond, body, loc=loc)
         if text == "do":
             self.pos += 1
-            loop_id = next(self.loop_ids)
             body = self.parse_body(in_loop=True)
             self.expect_kw("while")
             self.expect_sym("(")
             cond = self.parse_expr()
             self.expect_sym(")")
             self.expect_sym(";")
-            return DoWhile(body, cond, loop_id=loop_id, loc=loc)
+            return DoWhile(body, cond, loc=loc)
         if text == "for":
             return self.parse_for(loc)
         if text == "return":
@@ -448,7 +442,6 @@ class _Parser:
 
     def parse_for(self, loc: Loc) -> Stmt:
         self.expect_kw("for")
-        loop_id = next(self.loop_ids)
         self.expect_sym("(")
         # foreach: `for (type name : collection)`
         if self.at_type():
@@ -460,7 +453,7 @@ class _Parser:
                 coll = self.parse_expr()
                 self.expect_sym(")")
                 body = self.parse_body(in_loop=True)
-                return Foreach(elem_type, elem, coll, body, loop_id=loop_id, loc=loc)
+                return Foreach(elem_type, elem, coll, body, loc=loc)
             self.pos = save
         init = [] if self.at_sym(";") else self.parse_for_init()
         self.expect_sym(";")
@@ -472,7 +465,7 @@ class _Parser:
             update.append(self.parse_assign_or_call(self.loc()))
         self.expect_sym(")")
         body = self.parse_body(in_loop=True)
-        return For(init, cond, update, body, loop_id=loop_id, loc=loc)
+        return For(init, cond, update, body, loc=loc)
 
     def parse_for_init(self) -> list:
         """`type d1 = e1, d2 = e2` or `n1 = e1, n2 = e2`, every part at the

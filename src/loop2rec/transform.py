@@ -97,7 +97,7 @@ class TransformOptions:
 @record
 class TransformResult:
     program: Program
-    report: list  # LoopAnalysis, by loop id
+    report: list  # LoopAnalysis, by loop number
 
 
 # ----------------------------------------------------------------- template
@@ -202,15 +202,13 @@ def _rewrite_loop(loop: Stmt, body: list, row: LoopAnalysis, opts: TransformOpti
 
 def _plan(program: Program, opts: TransformOptions) -> list:
     """Analyze every loop against the untouched program in document order,
-    so that an outer loop is named before its inner loops; the walk that
-    finds the loops also numbers them, so a row's place in the list is its
-    loop id. Each method is walked once, into the tape that the allocator
-    holds and every analysis reads. The OMIT_RETURN_VAR mutant packs what it
-    returns."""
+    so that an outer loop is named before its inner loops and a row's place
+    in the list is its loop's number. Each method is walked once, into the
+    tape that the allocator holds and every analysis reads. The
+    OMIT_RETURN_VAR mutant packs what it returns."""
     names = NameAllocator(program)
     rows = []
-    for loop_id, (method, loop) in enumerate(program_loops(program)):
-        loop.loop_id = loop_id
+    for method, loop in program_loops(program):
         row = analyze_loop(loop, method, names, opts.optimize)
         if opts.mutation == Mutation.OMIT_RETURN_VAR:
             row = replace(row, packing=packing_for(_returned(row, opts), opts.optimize))
@@ -218,12 +216,15 @@ def _plan(program: Program, opts: TransformOptions) -> list:
     return rows
 
 
-def _rewrite_seq(stmts: list, opts: TransformOptions, rows: list, generated: list) -> list:
+def _rewrite_seq(stmts: list, opts: TransformOptions, rows, generated: list) -> list:
+    """`stmts` with every loop rewritten; each loop takes the next of `rows`,
+    which `_plan` lists in document order, before the loops it holds do."""
     out = []
     for st in stmts:
         if is_loop(st):
+            row = next(rows)
             body = _rewrite_seq(st.body, opts, rows, generated)
-            repl, gen = _rewrite_loop(st, body, rows[st.loop_id], opts)
+            repl, gen = _rewrite_loop(st, body, row, opts)
             generated.append(gen)
             out.extend(repl)
         elif type(st) is If:
@@ -249,14 +250,15 @@ def analyze_program(program: Program, optimize: bool = True) -> list:
 def transform_program(program: Program, opts: Optional[TransformOptions] = None) -> TransformResult:
     """Rewrite every loop in the program; generated methods are appended after
     the originals in creation order (innermost loops first), and the report
-    lists the loops by id. Loop-free programs come back unchanged with an
+    lists the loops by number. Loop-free programs come back unchanged with an
     empty report."""
     opts = opts or TransformOptions()
     rows = _plan(program, opts)
+    todo = iter(rows)
     generated: list = []
     methods = []
     for m in program.methods:
-        body = _rewrite_seq(m.body, opts, rows, generated)
+        body = _rewrite_seq(m.body, opts, todo, generated)
         methods.append(MethodDef(m.ret_type, m.name, m.params, body, loc=m.loc))
     out = Program(methods + generated, entry=program.entry)
     return TransformResult(out, rows)

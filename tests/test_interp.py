@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from loop2rec.ast import Binary, BoolLit, IntLit, Print, Unary, Var, assign_loop_ids
+from loop2rec.ast import Binary, BoolLit, IntLit, Print, Unary, Var, program_loops
 from loop2rec.checker import check_semantics
 from loop2rec.generator import GenConfig, generate
 from loop2rec.interp import (
@@ -489,8 +489,7 @@ def test_loop_iterations_are_keyed_in_document_order():
     programs = [parse(corpus_text(n)) for n in TERMINATING]
     programs += [generate(GenConfig(seed=s, max_depth=4, max_loops=6)) for s in range(30)]
     for p in programs:
-        n = assign_loop_ids(p)
-        assert list(run(p).loop_iterations) == list(range(n))
+        assert list(run(p).loop_iterations) == list(range(len(program_loops(p))))
 
 
 def test_frame_balance_every_push_is_popped():

@@ -8,16 +8,28 @@ from loop2rec.ast import (
     BINARY_PREC,
     DOUBLE,
     INT,
+    VOID,
+    ArrayLit,
+    Assign,
     Binary,
+    Call,
+    CallStmt,
+    DoWhile,
     DoubleLit,
     Expr,
+    For,
+    Foreach,
     IntLit,
     Loc,
+    MethodDef,
+    Param,
+    Print,
     Program,
     Return,
     Stmt,
     Type,
     Var,
+    VarDecl,
     While,
     array_of,
     iter_stmts,
@@ -27,12 +39,13 @@ from loop2rec.ast import (
 from loop2rec import ast as tree, parser
 from loop2rec.checker import check_semantics, static_type
 from loop2rec.generator import GenConfig, generate
+from loop2rec.interp import InterpError, run
 from loop2rec.parser import MAX_NESTING, ParseError, parse, tokenize
 from loop2rec.printer import pretty_print
 from loop2rec.transform import TransformOptions, analyze_program, transform_program
+from loop2rec.verify import diff_run
 
 from conftest import CORPUS_FILES, ROOT, corpus_text
-from test_hostile import CASES as HOSTILE_CASES
 
 SQRT_METHOD = """
 double sqrt(double x) {
@@ -369,51 +382,72 @@ def loop_nest(depth: int) -> str:
     return f"void main() {{ {text} }}"
 
 
-def assert_numbered_in_document_order(program) -> None:
-    ids = [loop.loop_id for _, loop in program_loops(program)]
-    assert ids == list(range(len(ids)))
-    assert tree.assign_loop_ids(program) == len(ids)
-    assert [loop.loop_id for _, loop in program_loops(program)] == ids
+def hand_built_trees() -> list:
+    """Programs made with the node constructors alone: a helper whose `do`
+    holds a foreach, and a main whose `for` holds a `while` and a call of the
+    helper, followed by another `while`; the same two methods in both
+    orders."""
+    def count_down():
+        return Assign("n", Binary("-", Var("n"), IntLit(1)))
+
+    positive = Binary(">", Var("n"), IntLit(0))
+    helper = MethodDef(VOID, "h", [Param("n", INT)], [DoWhile([
+        Foreach(INT, "e", ArrayLit(INT, [IntLit(1), IntLit(2)]), [Print(Var("e"))]),
+        count_down()], positive)])
+    main = MethodDef(VOID, "main", [], [
+        VarDecl(INT, "n", IntLit(3)),
+        For([VarDecl(INT, "i", IntLit(0))], Binary("<", Var("i"), IntLit(2)),
+            [Assign("i", Binary("+", Var("i"), IntLit(1)))],
+            [While(positive, [count_down()]), CallStmt(Call("h", [IntLit(2)]))]),
+        While(positive, [count_down()]),
+    ])
+    return [Program([helper, main]), Program([main, helper])]
 
 
-def test_parser_numbers_loops_in_document_order():
-    texts = [corpus_text(n) for n in CORPUS_FILES] + [loop_nest(120)]
-    texts += [src for src, *_ in HOSTILE_CASES.values()]
-    texts += [pretty_print(generate(GenConfig(seed=s, **kw)))
-              for kw in GEN_SETTINGS for s in range(200)]
+def loop_numbers(program) -> tuple:
+    """The keys of a run's loop counts (those of the trace so far, for a run
+    that fails), and the loop numbers of the analysis and of the report."""
+    try:
+        trace = run(program, budget=100_000)
+    except InterpError as err:
+        trace = err.trace
+    return (list(trace.loop_iterations), [r.loop_id for r in analyze_program(program)],
+            [r.loop_id for r in transform_program(program).report])
+
+
+def test_a_loop_is_numbered_by_its_place_in_program_loops():
+    programs = [parse(corpus_text(n)) for n in CORPUS_FILES] + [parse(loop_nest(120))]
+    programs += [generate(GenConfig(seed=s, **kw)) for kw in GEN_SETTINGS for s in range(200)]
+    programs += hand_built_trees()
     loops = 0
-    for text in texts:
-        try:
-            p = parse(text)
-        except ParseError:  # some hostile inputs are rejected by design
-            continue
-        assert_numbered_in_document_order(p)
-        loops += len(program_loops(p))
+    for p in programs:
+        numbers = list(range(len(program_loops(p))))
+        assert loop_numbers(p) == (numbers, numbers, numbers)
+        loops += len(numbers)
     assert loops > 1000
 
 
-def test_generator_numbers_loops_in_document_order():
-    for kw in GEN_SETTINGS:
-        for s in range(200):
-            assert_numbered_in_document_order(generate(GenConfig(seed=s, **kw)))
+# `h`'s loop never runs; `main`'s run twice and three times
+H_TEXT = "void h() { int k = 0; while (k > 0) { k = k - 1; } }"
+MAIN_TEXT = """void main() {
+    int i = 0;
+    while (i < 2) { i = i + 1; }
+    for (int j = 0; j < 3; j = j + 1) { print(j); }
+}"""
 
 
-def unnumbered(program):
-    """`program` with every loop id at -1, as in a tree built by hand."""
-    for _, loop in program_loops(program):
-        loop.loop_id = -1
-    return program
+def test_methods_parsed_apart_count_every_loop():
+    p = Program([parse(H_TEXT).methods[0], parse(MAIN_TEXT).methods[0]])
+    assert run(p).loop_iterations == {0: 0, 1: 2, 2: 3}
 
 
-def test_analysis_and_transform_number_hand_built_trees():
-    for text in (corpus_text("nested.mj"), loop_nest(6)):
-        p = unnumbered(parse(text))
-        assert analyze_program(p) == analyze_program(parse(text))
-        assert_numbered_in_document_order(p)
-        p = unnumbered(parse(text))
-        printed = pretty_print(transform_program(p).program)
-        assert printed == pretty_print(transform_program(parse(text)).program)
-        assert_numbered_in_document_order(p)
+def test_rewriting_a_program_leaves_its_parts_numbered_as_before():
+    main = parse(MAIN_TEXT)
+    p = Program([parse(H_TEXT).methods[0], main.methods[0]])
+    transform_program(p)
+    analyze_program(p)
+    assert diff_run(p).equivalent
+    assert run(main).loop_iterations == {0: 2, 1: 3}
 
 
 # ------------------------------------------------------------ nesting limit
